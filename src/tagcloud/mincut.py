@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -79,24 +80,30 @@ class Pulls:
     top: Mapping[int, float] = field(default_factory=dict)
     bottom: Mapping[int, float] = field(default_factory=dict)
 
-    @classmethod
-    def none(cls) -> "Pulls":
-        return cls()
+
+# Neighbor lists as built by ``RelationGraph.adjacency``: each tag's
+# neighbors in the order of the graph's sorted (i, j) edges.
+Adjacency = Mapping[int, Sequence[tuple[int, float]]]
 
 
 def compute_pulls(group: Sequence[int], graph: RelationGraph,
-                  placed_regions: Mapping[int, str]) -> Pulls:
+                  placed_regions: Mapping[int, str],
+                  adj: Adjacency | None = None) -> Pulls:
     """Sum edge strengths from group tags to external tags, per side.
 
     ``placed_regions`` says on which side of the group's region each
     external tag sits; every external neighbor must be covered.
+    ``adj`` is ``graph.adjacency()``, passed by callers that split many
+    groups of one graph; the scan then costs the group's degree.
     """
 
+    if adj is None:
+        adj = graph.adjacency()
     group_set = set(group)
     acc: dict[str, dict[int, float]] = {s: {} for s in SIDES}
-    for i, j, s in graph.edges:
-        for a, b in ((i, j), (j, i)):
-            if a in group_set and b not in group_set:
+    for a in adj.keys() & group_set:  # walks the smaller of the two
+        for b, s in adj[a]:
+            if b not in group_set:
                 side = placed_regions.get(b)
                 if side is None:
                     raise InvalidInputError(
@@ -147,9 +154,12 @@ def _pull_costs(tags: Sequence[int], pulls: Pulls, axis: str):
     return cost_a, cost_b
 
 
-def _internal_edges(tags: Sequence[int], graph: RelationGraph):
+def _internal_edges(tags: Sequence[int], adj: Adjacency):
+    """Edges among the sorted ``tags`` in the graph's sorted (i, j) order,
+    which fixes the order float strengths are summed in."""
+
     keep = set(tags)
-    return [(i, j, s) for i, j, s in graph.edges if i in keep and j in keep]
+    return [(i, j, s) for i in tags for j, s in adj.get(i, ()) if j > i and j in keep]
 
 
 def _cut_weight(edges, side: Mapping[int, int]) -> float:
@@ -158,7 +168,8 @@ def _cut_weight(edges, side: Mapping[int, int]) -> float:
 
 def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
                            pulls: Pulls | None = None, axis: str = "V",
-                           areas: Mapping[int, int] | None = None) -> Bipartition:
+                           areas: Mapping[int, int] | None = None,
+                           adj: Adjacency | None = None) -> Bipartition:
     """Optimal split of up to 12 tags by scanning every assignment.
 
     Keeps the parts within a 2:1 area ratio when any such split exists;
@@ -174,23 +185,27 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     if n > EXHAUSTIVE_LIMIT:
         raise InvalidInputError(
             f"exhaustive bipartition handles at most {EXHAUSTIVE_LIMIT} tags, got {n}")
-    pulls = pulls or Pulls.none()
+    pulls = pulls or Pulls()
     if areas is None:
         areas = {t: 1 for t in tags}
     area_arr = np.array([areas[t] for t in tags], dtype=np.float64)
     if (area_arr < 1).any():
         raise InvalidInputError("tag areas must be >= 1")
     pos = {t: k for k, t in enumerate(tags)}
-    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    bits = [(masks >> k) & 1 for k in range(n)]
+    # Row v is the membership vector with tags[0] as its most
+    # significant digit, so rows run in lexicographic order and the
+    # first optimal row is the tie-break.
+    vectors = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    bits = [(vectors >> (n - 1 - k)) & 1 for k in range(n)]
 
-    area_b = np.zeros(len(masks))
+    area_b = np.zeros(len(vectors))
     for k in range(n):
         area_b += bits[k] * area_arr[k]
     area_a = area_arr.sum() - area_b
 
-    obj = np.zeros(len(masks))
-    for i, j, s in _internal_edges(tags, graph):
+    obj = np.zeros(len(vectors))
+    edges = _internal_edges(tags, graph.adjacency() if adj is None else adj)
+    for i, j, s in edges:
         obj += (bits[pos[i]] ^ bits[pos[j]]) * float(s)
     cost_a, cost_b = _pull_costs(tags, pulls, axis)
     obj += sum(cost_a.values())
@@ -206,39 +221,35 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
         pool = imbalance == imbalance.min()
     else:
         pool = balanced
-    pool_obj = np.where(pool, obj, np.inf)
-    best_obj = pool_obj.min()
-    candidates = np.flatnonzero(pool_obj == best_obj)
-
-    def membership_key(mask: int) -> int:
-        # bit of tags[0] is the most significant digit of the vector
-        return sum(((mask >> k) & 1) << (n - 1 - k) for k in range(n))
-
-    mask = int(min((int(masks[c]) for c in candidates), key=membership_key))
-    part_a = tuple(t for k, t in enumerate(tags) if not mask >> k & 1)
-    part_b = tuple(t for k, t in enumerate(tags) if mask >> k & 1)
-    side = {t: mask >> pos[t] & 1 for t in tags}
-    return Bipartition(part_a, part_b, _cut_weight(_internal_edges(tags, graph), side),
-                       relaxed=relaxed)
+    v = int(vectors[np.argmin(np.where(pool, obj, np.inf))])
+    side = {t: v >> (n - 1 - k) & 1 for k, t in enumerate(tags)}
+    part_a = tuple(t for t in tags if not side[t])
+    part_b = tuple(t for t in tags if side[t])
+    return Bipartition(part_a, part_b, _cut_weight(edges, side), relaxed=relaxed)
 
 
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
                    pulls: Pulls | None = None, axis: str = "V",
                    areas: Mapping[int, int] | None = None,
-                   runs: int = DEFAULT_FM_RUNS, seed: int = 0) -> Bipartition:
+                   runs: int = DEFAULT_FM_RUNS, seed: int = 0,
+                   adj: Adjacency | None = None) -> Bipartition:
     """Iterative improvement split for larger tag sets.
 
     Each run starts from a seeded random partition balanced by greedy
     assignment, then repeats passes of single-tag moves: always the
     highest-gain unlocked tag whose move keeps both sides populated and
-    the area difference within twice the largest tag's area.  Moved
-    tags lock for the rest of the pass; at pass end the best prefix of
-    the move sequence whose area difference is within the largest tag's
-    area is kept.  Passes repeat until one fails to improve.  The best
-    of all runs wins (ties: earliest run).
+    the area difference within twice the largest tag's area, the
+    smallest tag id first among equal gains.  Moved tags lock for the
+    rest of the pass; at pass end the best prefix of the move sequence
+    whose area difference is within the largest tag's area is kept.
+    Passes repeat until one fails to improve.  The best of all runs
+    wins (ties: earliest run).
 
-    Gains are bucketed by integer value; fractional strengths are
-    scaled by 1000 and rounded first.
+    Gains are integers (fractional strengths are scaled by 1000 and
+    rounded first), kept in the bucket structure of Fiduccia and
+    Mattheyses: one list of unlocked tags per gain value, sorted by tag
+    id, and a sorted list of the gain values in use.  A move re-files
+    each unlocked neighbor by bisection instead of re-sorting.
     """
 
     tags = sorted(set(tags))
@@ -246,23 +257,23 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
         raise InvalidInputError("bipartition needs at least 2 tags")
     if runs < 1:
         raise InvalidInputError(f"runs must be >= 1, got {runs}")
-    pulls = pulls or Pulls.none()
+    pulls = pulls or Pulls()
     if areas is None:
         areas = {t: 1 for t in tags}
     if any(areas[t] < 1 for t in tags):
         raise InvalidInputError("tag areas must be >= 1")
     cost_a, cost_b = _pull_costs(tags, pulls, axis)
-    edges = _internal_edges(tags, graph)
+    edges = _internal_edges(tags, graph.adjacency() if adj is None else adj)
 
     numbers = [s for _, _, s in edges] + list(cost_a.values()) + list(cost_b.values())
     scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
     sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
     sca = {t: int(round(cost_a[t] * scale)) for t in tags}
     scb = {t: int(round(cost_b[t] * scale)) for t in tags}
-    adj: dict[int, list[tuple[int, int]]] = {t: [] for t in tags}
+    sadj: dict[int, list[tuple[int, int]]] = {t: [] for t in tags}
     for i, j, s in sedges:
-        adj[i].append((j, s))
-        adj[j].append((i, s))
+        sadj[i].append((j, s))
+        sadj[j].append((i, s))
     s_max = max(areas[t] for t in tags)
 
     rng = random.Random(seed)
@@ -281,7 +292,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
             count_side[dest] += 1
         initial_obj = _scaled_objective(sedges, side, sca, scb)
         initial_cut = _cut_weight(edges, side)
-        final_obj, passes = _fm_refine(tags, adj, side, area_side, count_side,
+        final_obj, passes = _fm_refine(tags, sadj, side, area_side, count_side,
                                        areas, s_max, sca, scb, initial_obj)
         stats.append(FmRun(initial_cut=initial_cut,
                            final_cut=_cut_weight(edges, side),
@@ -312,38 +323,32 @@ def _fm_refine(tags, adj, side, area_side, count_side, areas, s_max, sca, scb,
         passes += 1
         start_obj = obj
         gains: dict[int, int] = {}
-        for t in tags:
-            g = sum(s if side[u] != side[t] else -s for u, s in adj[t])
-            g += sca[t] - scb[t] if side[t] == 0 else scb[t] - sca[t]
+        buckets: dict[int, list[int]] = {}  # gain -> unlocked tags, ascending
+        for t in tags:  # tags ascend, so each bucket starts sorted
+            st = side[t]
+            g = sca[t] - scb[t] if st == 0 else scb[t] - sca[t]
+            for u, s in adj[t]:
+                g += s if side[u] != st else -s
             gains[t] = g
-        buckets: dict[int, set[int]] = {}
-        for t, g in gains.items():
-            buckets.setdefault(g, set()).add(t)
+            buckets.setdefault(g, []).append(t)
+        keys = sorted(buckets)  # the gain values in use, ascending
+        locked: set[int] = set()
 
         moves: list[tuple[int, int]] = []  # (tag, side it came from)
         objs = [obj]
         valid = [abs(area_side[0] - area_side[1]) <= s_max]
 
-        while buckets:
-            picked = None
-            for g in sorted(buckets, reverse=True):
-                for t in sorted(buckets[g]):
-                    src = side[t]
-                    if count_side[src] == 1:
-                        continue  # never empty a side
-                    diff = abs((area_side[src] - areas[t])
-                               - (area_side[1 - src] + areas[t]))
-                    if diff <= 2 * s_max:
-                        picked = (g, t)
-                        break
-                if picked:
-                    break
+        while keys:
+            picked = _pick_move(keys, buckets, side, area_side, count_side, areas, s_max)
             if picked is None:
                 break
-            g, t = picked
-            buckets[g].discard(t)
-            if not buckets[g]:
+            g, k = picked
+            bucket = buckets[g]
+            t = bucket.pop(k)
+            if not bucket:
                 del buckets[g]
+                del keys[bisect_left(keys, g)]
+            locked.add(t)
             src = side[t]
             side[t] = 1 - src
             area_side[src] -= areas[t]
@@ -355,18 +360,22 @@ def _fm_refine(tags, adj, side, area_side, count_side, areas, s_max, sca, scb,
             objs.append(obj)
             valid.append(abs(area_side[0] - area_side[1]) <= s_max)
             for u, s in adj[t]:
-                if u not in gains:
-                    continue
-                old = gains.get(u)
-                if u == t or not _in_buckets(buckets, old, u):
+                if u in locked:
                     continue
                 delta = 2 * s if side[u] == src else -2 * s
                 if delta:
-                    buckets[old].discard(u)
-                    if not buckets[old]:
+                    old = gains[u]
+                    bucket = buckets[old]
+                    del bucket[bisect_left(bucket, u)]
+                    if not bucket:
                         del buckets[old]
-                    gains[u] = old + delta
-                    buckets.setdefault(old + delta, set()).add(u)
+                        del keys[bisect_left(keys, old)]
+                    new = gains[u] = old + delta
+                    if new in buckets:
+                        insort(buckets[new], u)
+                    else:
+                        buckets[new] = [u]
+                        insort(keys, new)
 
         best_p, best_obj = 0, objs[0]
         for p in range(1, len(objs)):
@@ -384,20 +393,32 @@ def _fm_refine(tags, adj, side, area_side, count_side, areas, s_max, sca, scb,
             return obj, passes
 
 
-def _in_buckets(buckets, gain, tag) -> bool:
-    group = buckets.get(gain)
-    return group is not None and tag in group
+def _pick_move(keys, buckets, side, area_side, count_side, areas, s_max):
+    """(gain, index in its bucket) of the first legal move: highest gain,
+    then smallest tag id; None when no tag may move."""
+
+    for g in reversed(keys):
+        for k, t in enumerate(buckets[g]):
+            src = side[t]
+            if count_side[src] == 1:
+                continue  # never empty a side
+            diff = abs((area_side[src] - areas[t]) - (area_side[1 - src] + areas[t]))
+            if diff <= 2 * s_max:
+                return g, k
+    return None
 
 
 def bipartition(tags: Sequence[int], graph: RelationGraph,
                 pulls: Pulls | None = None, axis: str = "V",
                 areas: Mapping[int, int] | None = None,
-                fm_runs: int = DEFAULT_FM_RUNS, seed: int = 0) -> Bipartition:
+                fm_runs: int = DEFAULT_FM_RUNS, seed: int = 0,
+                adj: Adjacency | None = None) -> Bipartition:
     """Route to exhaustive or refinement splitting by set size."""
 
     if len(set(tags)) <= EXHAUSTIVE_LIMIT:
-        return bipartition_exhaustive(tags, graph, pulls, axis, areas)
-    return bipartition_fm(tags, graph, pulls, axis, areas, runs=fm_runs, seed=seed)
+        return bipartition_exhaustive(tags, graph, pulls, axis, areas, adj=adj)
+    return bipartition_fm(tags, graph, pulls, axis, areas, runs=fm_runs, seed=seed,
+                          adj=adj)
 
 
 def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
@@ -423,17 +444,18 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
 
     areas = {i: t.area() for i, t in enumerate(cloud.tags)}
     widths = {i: t.width for i, t in enumerate(cloud.tags)}
+    adj = graph.adjacency()
     rng = random.Random(seed)
 
     def split(group: tuple[int, ...], pulls: Pulls, axis: str) -> Bipartition:
         return bipartition(group, graph, pulls, axis, areas,
-                           fm_runs=fm_runs, seed=rng.getrandbits(64))
+                           fm_runs=fm_runs, seed=rng.getrandbits(64), adj=adj)
 
     def rec(group: tuple[int, ...], est_w: float, est_h: float,
             sides: dict[int, str]) -> Node:
         if len(group) == 1:
             return Leaf(group[0])
-        pulls = compute_pulls(group, graph, sides)
+        pulls = compute_pulls(group, graph, sides, adj=adj)
         total = sum(areas[t] for t in group)
         part = None
         orient = "H"

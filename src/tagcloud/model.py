@@ -69,6 +69,13 @@ class Cloud:
     space_width: int = DEFAULT_SPACE_WIDTH
 
 
+# Largest accepted edge strength, and largest accepted sum of all of
+# them.  Min-cut adds strengths into cut weights and pulls, and scales
+# fractional ones by 1000 to integer gains; under this bound all of
+# those stay finite.
+MAX_TOTAL_STRENGTH = 1e300
+
+
 @dataclass(frozen=True)
 class RelationGraph:
     """Weighted undirected relations over tag indices.
@@ -83,13 +90,22 @@ class RelationGraph:
     @classmethod
     def from_edges(cls, raw: Iterable[tuple[int, int, float]]) -> "RelationGraph":
         merged: dict[tuple[int, int], float] = {}
+        total = 0.0
         for a, b, s in raw:
+            if isinstance(a, bool) or isinstance(b, bool):
+                raise InvalidInputError(f"edge ({a},{b}): endpoints must be integers, not booleans")
             if a == b:
                 raise InvalidInputError(f"self-loop on tag {a}")
-            if s <= 0:
-                raise InvalidInputError(f"edge ({a},{b}): strength must be positive, got {s}")
+            if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
+                raise InvalidInputError(
+                    f"edge ({a},{b}): strength must be positive and finite"
+                    f" (at most {MAX_TOTAL_STRENGTH:g}), got {s}")
             if a < 0 or b < 0:
                 raise InvalidInputError(f"edge ({a},{b}): negative tag index")
+            total += s
+            if total > MAX_TOTAL_STRENGTH:
+                raise InvalidInputError(
+                    f"edge ({a},{b}): total strength exceeds {MAX_TOTAL_STRENGTH:g}")
             key = (a, b) if a < b else (b, a)
             merged[key] = merged.get(key, 0) + s
         edges = tuple((i, j, merged[(i, j)]) for i, j in sorted(merged))
@@ -190,13 +206,19 @@ def validate_cloud(cloud: Cloud) -> list[str]:
 
 def validate_graph(graph: RelationGraph, n_tags: int) -> list[str]:
     problems = []
+    total = 0.0
     for i, j, s in graph.edges:
         if i == j:
             problems.append(f"edge ({i},{j}): self-loop")
-        if s <= 0:
-            problems.append(f"edge ({i},{j}): non-positive strength {s}")
+        if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
+            problems.append(f"edge ({i},{j}): strength must be positive and finite"
+                            f" (at most {MAX_TOTAL_STRENGTH:g}), got {s}")
+        else:
+            total += s
         if not (0 <= i < n_tags) or not (0 <= j < n_tags):
             problems.append(f"edge ({i},{j}): tag index out of range 0..{n_tags - 1}")
+    if total > MAX_TOTAL_STRENGTH:
+        problems.append(f"total strength exceeds {MAX_TOTAL_STRENGTH:g}")
     return problems
 
 
@@ -260,7 +282,8 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
             for fld in ("a", "b", "strength"):
                 _require(fld in entry, f"edges[{k}]: missing field {fld}")
             a, b, s = entry["a"], entry["b"], entry["strength"]
-            _require(isinstance(a, int) and isinstance(b, int), f"edges[{k}]: endpoints must be integers")
+            _require(type(a) is int and type(b) is int,  # bool is no endpoint
+                     f"edges[{k}]: endpoints must be integers")
             _require(isinstance(s, (int, float)) and not isinstance(s, bool),
                      f"edges[{k}]: strength must be a number")
             raw.append((a, b, s))

@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-V = "V"
-H = "H"
-
-
 @dataclass(frozen=True)
 class Leaf:
     tag: int

@@ -8,6 +8,7 @@ demand.  Tests compare library results against these.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 
@@ -157,3 +158,137 @@ def pair_counts(stream, retained):
             i, j = index[a], index[b]
             counts[(min(i, j), max(i, j))] += 1
     return counts
+
+
+def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):
+    """The refinement split with its move order spelled out.
+
+    Same runs, passes and rollback as the library's FM, but every move
+    re-sorts the gain values and each gain's tags from scratch and takes
+    the first legal tag: highest gain, then smallest tag id, then the
+    side-count and area checks.  ``cost_a``/``cost_b`` give each tag's
+    float penalty for landing in part A/B.
+
+    Returns (part_a, part_b, cut, runs) with one (initial_cut, final_cut,
+    initial_objective, final_objective, passes) tuple per run.
+    """
+
+    tags = sorted(set(tags))
+    keep = set(tags)
+    edges = [(i, j, s) for i, j, s in edges if i in keep and j in keep]
+
+    def cut_of(side):
+        return float(sum(s for i, j, s in edges if side[i] != side[j]))
+
+    numbers = [s for _, _, s in edges] + [cost_a[t] for t in tags] + [cost_b[t] for t in tags]
+    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
+    sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
+    sca = {t: int(round(cost_a[t] * scale)) for t in tags}
+    scb = {t: int(round(cost_b[t] * scale)) for t in tags}
+    adj = {t: [] for t in tags}
+    for i, j, s in sedges:
+        adj[i].append((j, s))
+        adj[j].append((i, s))
+    s_max = max(areas[t] for t in tags)
+
+    def objective(side):
+        cut = sum(s for i, j, s in sedges if side[i] != side[j])
+        return cut + sum(sca[t] if side[t] == 0 else scb[t] for t in side)
+
+    def refine(side, area_side, count_side, obj):
+        passes = 0
+        while True:
+            passes += 1
+            start_obj = obj
+            gains = {}
+            for t in tags:
+                g = sum(s if side[u] != side[t] else -s for u, s in adj[t])
+                g += sca[t] - scb[t] if side[t] == 0 else scb[t] - sca[t]
+                gains[t] = g
+            buckets = {}
+            for t, g in gains.items():
+                buckets.setdefault(g, set()).add(t)
+            moves = []
+            objs = [obj]
+            valid = [abs(area_side[0] - area_side[1]) <= s_max]
+            while buckets:
+                picked = None
+                for g in sorted(buckets, reverse=True):
+                    for t in sorted(buckets[g]):
+                        src = side[t]
+                        if count_side[src] == 1:
+                            continue
+                        diff = abs((area_side[src] - areas[t])
+                                   - (area_side[1 - src] + areas[t]))
+                        if diff <= 2 * s_max:
+                            picked = (g, t)
+                            break
+                    if picked:
+                        break
+                if picked is None:
+                    break
+                g, t = picked
+                buckets[g].discard(t)
+                if not buckets[g]:
+                    del buckets[g]
+                src = side[t]
+                side[t] = 1 - src
+                area_side[src] -= areas[t]
+                area_side[1 - src] += areas[t]
+                count_side[src] -= 1
+                count_side[1 - src] += 1
+                obj -= g
+                moves.append((t, src))
+                objs.append(obj)
+                valid.append(abs(area_side[0] - area_side[1]) <= s_max)
+                for u, s in adj[t]:
+                    old = gains[u]
+                    if u not in buckets.get(old, ()):
+                        continue  # moved this pass
+                    delta = 2 * s if side[u] == src else -2 * s
+                    if delta:
+                        buckets[old].discard(u)
+                        if not buckets[old]:
+                            del buckets[old]
+                        gains[u] = old + delta
+                        buckets.setdefault(old + delta, set()).add(u)
+            best_p, best_obj = 0, objs[0]
+            for p in range(1, len(objs)):
+                if valid[p] and objs[p] < best_obj:
+                    best_p, best_obj = p, objs[p]
+            for t, src in reversed(moves[best_p:]):
+                cur = side[t]
+                side[t] = src
+                area_side[cur] -= areas[t]
+                area_side[src] += areas[t]
+                count_side[cur] -= 1
+                count_side[src] += 1
+            obj = best_obj
+            if best_obj >= start_obj:
+                return obj, passes
+
+    rng = random.Random(seed)
+    best = None
+    stats = []
+    for run_idx in range(runs):
+        order = tags[:]
+        rng.shuffle(order)
+        side = {}
+        area_side = [0, 0]
+        count_side = [0, 0]
+        for t in order:
+            dest = 0 if area_side[0] <= area_side[1] else 1
+            side[t] = dest
+            area_side[dest] += areas[t]
+            count_side[dest] += 1
+        initial_obj = objective(side)
+        initial_cut = cut_of(side)
+        final_obj, passes = refine(side, area_side, count_side, initial_obj)
+        stats.append((initial_cut, cut_of(side), initial_obj / scale,
+                      final_obj / scale, passes))
+        if best is None or (final_obj, run_idx) < (best[0], best[1]):
+            best = (final_obj, run_idx, dict(side))
+    side = best[2]
+    part_a = tuple(t for t in tags if side[t] == 0)
+    part_b = tuple(t for t in tags if side[t] == 1)
+    return part_a, part_b, cut_of(side), tuple(stats)

@@ -113,6 +113,17 @@ def test_layout_mincut_round_trip(scripts, cloud_file, tmp_path):
     assert "<table>" in out.read_text()
 
 
+def test_layout_mincut_rejects_non_finite_strength(scripts, tmp_path):
+    doc = {"target_width": 200,
+           "tags": [{"label": c, "weight": 1, "width": 20, "height": 10} for c in "abc"],
+           "edges": [{"a": 0, "b": 1, "strength": float("nan")}]}
+    f = tmp_path / "nan.json"
+    f.write_text(json.dumps(doc))  # writes the bare NaN token
+    r = run(scripts["layout-mincut"], "--input", str(f))
+    assert r.returncode == 1, r.stderr
+    assert "finite" in r.stderr
+
+
 def test_layout_mincut_width_override(scripts, cloud_file):
     r = run(scripts["layout-mincut"], "--input", str(cloud_file), "--width", "0")
     assert r.returncode == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from tagcloud import (
 )
 from tagcloud.mincut import (
     EXHAUSTIVE_LIMIT,
+    SIDES,
     Pulls,
     bipartition_exhaustive,
     bipartition_fm,
@@ -22,7 +24,7 @@ from tagcloud.mincut import (
 )
 from tagcloud.tree import Cut, Leaf, leaves
 from .conftest import make_cloud
-from .oracles import best_bipartition
+from .oracles import best_bipartition, fm_bipartition
 
 
 def test_expand_hyperedges_clique_counts():
@@ -112,10 +114,18 @@ def random_graph(rng, n, density=0.5, max_strength=9):
 
 def test_exhaustive_matches_reference_search():
     rng = random.Random(0xBEEF)
+    cases = []
     for _ in range(40):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, density=rng.choice([0.2, 0.5, 0.9]))
-        areas = {t: rng.randint(1, 12) for t in range(n)}
+        cases.append((n, g, {t: rng.randint(1, 12) for t in range(n)}))
+    # tie-heavy sets up to the limit: with no edges or equal areas many
+    # membership vectors share the optimum, so the tie-break decides
+    for n in range(9, EXHAUSTIVE_LIMIT + 1):
+        cases.append((n, RelationGraph(), {t: 1 for t in range(n)}))
+        cases.append((n, RelationGraph(), {t: rng.randint(1, 12) for t in range(n)}))
+        cases.append((n, random_graph(rng, n, density=0.3), {t: 5 for t in range(n)}))
+    for n, g, areas in cases:
         got = bipartition_exhaustive(list(range(n)), g, areas=areas)
         want = best_bipartition(range(n), g.edges, areas)
         assert (got.part_a, got.part_b) == (want[0], want[1])
@@ -158,6 +168,45 @@ def test_fm_finds_the_bridge_cut():
     assert part.cut_weight == 1.0
     assert sorted(part.part_a) in ([*range(10)], [*range(10, 20)])
     assert len(part.runs) == 10
+
+
+def fm_reference_cases():
+    """Seeded FM inputs: 13-80 tags drawn from a larger graph, integer
+    or fractional strengths (or none), pulls on either axis, unit or
+    random areas."""
+
+    rng = random.Random(0xB0C7)
+    for case in range(60):
+        n = rng.randint(13, 80)
+        universe = n + rng.randint(0, 20)
+        tags = sorted(rng.sample(range(universe), n))
+        if case % 4 == 0:
+            g = RelationGraph()  # every gain starts at 0 or a pure pull
+        else:
+            fractional = case % 4 == 3
+            edges = [(i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
+                     for i in range(universe) for j in range(i + 1, universe)
+                     if rng.random() < 6 / universe]
+            g = RelationGraph.from_edges(edges) if edges else RelationGraph()
+        axis = rng.choice("VH")
+        pulls = Pulls(**{side: {t: rng.choice([1, 2, 0.5]) for t in tags if rng.random() < 0.15}
+                         for side in SIDES if rng.random() < 0.5})
+        areas = ({t: 1 for t in tags} if case % 3 == 0
+                 else {t: rng.randint(1, 30) for t in tags})
+        yield case, tags, g, pulls, axis, areas, rng.choice([1, 3, 10])
+
+
+@pytest.mark.parametrize("case, tags, g, pulls, axis, areas, runs", list(fm_reference_cases()))
+def test_fm_matches_sorted_scan_reference(case, tags, g, pulls, axis, areas, runs):
+    toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
+                          else (pulls.bottom, pulls.top))
+    cost_a = {t: float(toward_b.get(t, 0)) for t in tags}
+    cost_b = {t: float(toward_a.get(t, 0)) for t in tags}
+    want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, runs, seed=case)
+    adj = g.adjacency() if case % 2 else None
+    got = bipartition_fm(tags, g, pulls, axis, areas, runs=runs, seed=case, adj=adj)
+    assert (got.part_a, got.part_b, got.cut_weight) == want[:3]
+    assert tuple(dataclasses.astuple(r) for r in got.runs) == want[3]
 
 
 def test_fm_runs_never_worsen_their_start():

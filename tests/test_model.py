@@ -93,6 +93,30 @@ def test_relation_graph_rejects_bad_edges():
         RelationGraph.from_edges([(-1, 1, 1.0)])
 
 
+@pytest.mark.parametrize("raw, match", [
+    ([(0, 1, float("nan"))], "finite"),
+    ([(0, 1, float("inf"))], "finite"),
+    ([(0, 1, 10 ** 400)], "finite"),          # an int no float can hold
+    ([(0, 1, 1e301)], "finite"),
+    ([(0, 1, 6e299), (1, 0, 6e299)], "total strength"),  # one merged pair
+    ([(0, 1, 6e299), (2, 3, 6e299)], "total strength"),
+    ([(True, 2, 1)], "booleans"),
+    ([(0, False, 1)], "booleans"),
+])
+def test_relation_graph_rejects_non_finite_and_bool_edges(raw, match):
+    with pytest.raises(InvalidInputError, match=match):
+        RelationGraph.from_edges(raw)
+
+
+def test_validate_graph_flags_non_finite_strength_and_total():
+    assert validate_graph(RelationGraph(edges=((0, 1, float("nan")),)), 2)
+    assert validate_graph(RelationGraph(edges=((0, 1, float("inf")),)), 2)
+    assert validate_graph(RelationGraph(edges=((0, 1, 1e300),)), 2) == []
+    assert validate_graph(RelationGraph(edges=((0, 1, 10 ** 400),)), 2)
+    huge = RelationGraph(edges=((0, 1, 6e299), (1, 2, 6e299)))
+    assert any("total strength" in p for p in validate_graph(huge, 3))
+
+
 def test_validate_graph_index_bounds():
     g = RelationGraph(edges=((0, 5, 1.0),))
     assert validate_graph(g, 3)
@@ -148,6 +172,22 @@ def test_json_rejects_out_of_range_graph():
     }
     with pytest.raises(InvalidInputError, match="out of range"):
         cloud_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edge, match", [
+    ('{"a": 0, "b": 1, "strength": NaN}', "finite"),
+    ('{"a": 0, "b": 1, "strength": Infinity}', "finite"),
+    ('{"a": 0, "b": 1, "strength": -Infinity}', "finite"),
+    ('{"a": 0, "b": 1, "strength": 1e400}', "finite"),
+    ('{"a": true, "b": 2, "strength": 1}', "endpoints must be integers"),
+    ('{"a": 0, "b": false, "strength": 1}', "endpoints must be integers"),
+])
+def test_json_rejects_bad_edges(edge, match):
+    tags = ", ".join('{"label": "%s", "weight": 1, "width": 10, "height": 12}' % c
+                     for c in "xyz")
+    text = '{"target_width": 100, "tags": [%s], "edges": [%s]}' % (tags, edge)
+    with pytest.raises(InvalidInputError, match=match):
+        cloud_from_json(text)
 
 
 def test_json_rejects_invalid_cloud_values():
