@@ -81,24 +81,16 @@ class Pulls:
     bottom: Mapping[int, float] = field(default_factory=dict)
 
 
-# Neighbor lists as built by ``RelationGraph.adjacency``: each tag's
-# neighbors in the order of the graph's sorted (i, j) edges.
-Adjacency = Mapping[int, Sequence[tuple[int, float]]]
-
-
 def compute_pulls(group: Sequence[int], graph: RelationGraph,
-                  placed_regions: Mapping[int, str],
-                  adj: Adjacency | None = None) -> Pulls:
+                  placed_regions: Mapping[int, str]) -> Pulls:
     """Sum edge strengths from group tags to external tags, per side.
 
     ``placed_regions`` says on which side of the group's region each
-    external tag sits; every external neighbor must be covered.
-    ``adj`` is ``graph.adjacency()``, passed by callers that split many
-    groups of one graph; the scan then costs the group's degree.
+    external tag sits; every external neighbor must be covered.  The
+    scan costs the group's degree, not the graph's edge count.
     """
 
-    if adj is None:
-        adj = graph.adjacency()
+    adj = graph.adjacency()
     group_set = set(group)
     acc: dict[str, dict[int, float]] = {s: {} for s in SIDES}
     for a in adj.keys() & group_set:  # walks the smaller of the two
@@ -154,10 +146,11 @@ def _pull_costs(tags: Sequence[int], pulls: Pulls, axis: str):
     return cost_a, cost_b
 
 
-def _internal_edges(tags: Sequence[int], adj: Adjacency):
+def _internal_edges(tags: Sequence[int], graph: RelationGraph):
     """Edges among the sorted ``tags`` in the graph's sorted (i, j) order,
     which fixes the order float strengths are summed in."""
 
+    adj = graph.adjacency()
     keep = set(tags)
     return [(i, j, s) for i in tags for j, s in adj.get(i, ()) if j > i and j in keep]
 
@@ -168,8 +161,7 @@ def _cut_weight(edges, side: Mapping[int, int]) -> float:
 
 def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
                            pulls: Pulls | None = None, axis: str = "V",
-                           areas: Mapping[int, int] | None = None,
-                           adj: Adjacency | None = None) -> Bipartition:
+                           areas: Mapping[int, int] | None = None) -> Bipartition:
     """Optimal split of up to 12 tags by scanning every assignment.
 
     Keeps the parts within a 2:1 area ratio when any such split exists;
@@ -204,7 +196,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     area_a = area_arr.sum() - area_b
 
     obj = np.zeros(len(vectors))
-    edges = _internal_edges(tags, graph.adjacency() if adj is None else adj)
+    edges = _internal_edges(tags, graph)
     for i, j, s in edges:
         obj += (bits[pos[i]] ^ bits[pos[j]]) * float(s)
     cost_a, cost_b = _pull_costs(tags, pulls, axis)
@@ -231,8 +223,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
                    pulls: Pulls | None = None, axis: str = "V",
                    areas: Mapping[int, int] | None = None,
-                   runs: int = DEFAULT_FM_RUNS, seed: int = 0,
-                   adj: Adjacency | None = None) -> Bipartition:
+                   runs: int = DEFAULT_FM_RUNS, seed: int = 0) -> Bipartition:
     """Iterative improvement split for larger tag sets.
 
     Each run starts from a seeded random partition balanced by greedy
@@ -263,7 +254,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     if any(areas[t] < 1 for t in tags):
         raise InvalidInputError("tag areas must be >= 1")
     cost_a, cost_b = _pull_costs(tags, pulls, axis)
-    edges = _internal_edges(tags, graph.adjacency() if adj is None else adj)
+    edges = _internal_edges(tags, graph)
 
     numbers = [s for _, _, s in edges] + list(cost_a.values()) + list(cost_b.values())
     scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
@@ -411,14 +402,12 @@ def _pick_move(keys, buckets, side, area_side, count_side, areas, s_max):
 def bipartition(tags: Sequence[int], graph: RelationGraph,
                 pulls: Pulls | None = None, axis: str = "V",
                 areas: Mapping[int, int] | None = None,
-                fm_runs: int = DEFAULT_FM_RUNS, seed: int = 0,
-                adj: Adjacency | None = None) -> Bipartition:
+                fm_runs: int = DEFAULT_FM_RUNS, seed: int = 0) -> Bipartition:
     """Route to exhaustive or refinement splitting by set size."""
 
     if len(set(tags)) <= EXHAUSTIVE_LIMIT:
-        return bipartition_exhaustive(tags, graph, pulls, axis, areas, adj=adj)
-    return bipartition_fm(tags, graph, pulls, axis, areas, runs=fm_runs, seed=seed,
-                          adj=adj)
+        return bipartition_exhaustive(tags, graph, pulls, axis, areas)
+    return bipartition_fm(tags, graph, pulls, axis, areas, runs=fm_runs, seed=seed)
 
 
 def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
@@ -444,18 +433,17 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
 
     areas = {i: t.area() for i, t in enumerate(cloud.tags)}
     widths = {i: t.width for i, t in enumerate(cloud.tags)}
-    adj = graph.adjacency()
     rng = random.Random(seed)
 
     def split(group: tuple[int, ...], pulls: Pulls, axis: str) -> Bipartition:
         return bipartition(group, graph, pulls, axis, areas,
-                           fm_runs=fm_runs, seed=rng.getrandbits(64), adj=adj)
+                           fm_runs=fm_runs, seed=rng.getrandbits(64))
 
     def rec(group: tuple[int, ...], est_w: float, est_h: float,
             sides: dict[int, str]) -> Node:
         if len(group) == 1:
             return Leaf(group[0])
-        pulls = compute_pulls(group, graph, sides, adj=adj)
+        pulls = compute_pulls(group, graph, sides)
         total = sum(areas[t] for t in group)
         part = None
         orient = "H"

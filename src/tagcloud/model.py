@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -112,6 +113,16 @@ class RelationGraph:
         return cls(edges)
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
+        """Each tag's neighbors, in the order of the sorted (i, j) edges.
+
+        Built on first use and shared by every later call on this graph;
+        callers must not modify it.
+        """
+
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> dict[int, list[tuple[int, float]]]:
         adj: dict[int, list[tuple[int, float]]] = {}
         for i, j, s in self.edges:
             adj.setdefault(i, []).append((j, s))

@@ -203,8 +203,7 @@ def test_fm_matches_sorted_scan_reference(case, tags, g, pulls, axis, areas, run
     cost_a = {t: float(toward_b.get(t, 0)) for t in tags}
     cost_b = {t: float(toward_a.get(t, 0)) for t in tags}
     want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, runs, seed=case)
-    adj = g.adjacency() if case % 2 else None
-    got = bipartition_fm(tags, g, pulls, axis, areas, runs=runs, seed=case, adj=adj)
+    got = bipartition_fm(tags, g, pulls, axis, areas, runs=runs, seed=case)
     assert (got.part_a, got.part_b, got.cut_weight) == want[:3]
     assert tuple(dataclasses.astuple(r) for r in got.runs) == want[3]
 

@@ -84,6 +84,14 @@ def test_relation_graph_normalizes_and_merges():
     assert adj[0] == [(2, 5)]
 
 
+def test_relation_graph_builds_adjacency_once():
+    g = RelationGraph.from_edges([(0, 1, 1), (1, 2, 2)])
+    assert g.adjacency() is g.adjacency()
+    same = RelationGraph.from_edges([(1, 0, 1), (2, 1, 2)])
+    assert g == same and hash(g) == hash(same)
+    assert RelationGraph().adjacency() == {}
+
+
 def test_relation_graph_rejects_bad_edges():
     with pytest.raises(InvalidInputError):
         RelationGraph.from_edges([(2, 2, 1.0)])
