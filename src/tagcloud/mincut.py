@@ -18,6 +18,7 @@ width.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from bisect import bisect_left, insort
@@ -159,6 +160,20 @@ def _cut_weight(edges, side: Mapping[int, int]) -> float:
     return float(sum(s for i, j, s in edges if side[i] != side[j]))
 
 
+@functools.cache
+def _bit_rows(n: int) -> np.ndarray:
+    """Read-only (n, 2**n - 2) matrix whose column v - 1 is the membership
+    vector v, 1 <= v <= 2**n - 2, with tags[0] as its most significant
+    bit: the columns run in lexicographic order, so the first optimal
+    column is the tie-break.  Built on first use of each size, so
+    importing the package pays nothing for it."""
+
+    vectors = np.arange(1, (1 << n) - 1)
+    rows = ((vectors >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.float64)
+    rows.flags.writeable = False
+    return rows
+
+
 def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
                            pulls: Pulls | None = None, axis: str = "V",
                            areas: Mapping[int, int] | None = None) -> Bipartition:
@@ -184,21 +199,14 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     if (area_arr < 1).any():
         raise InvalidInputError("tag areas must be >= 1")
     pos = {t: k for k, t in enumerate(tags)}
-    # Row v is the membership vector with tags[0] as its most
-    # significant digit, so rows run in lexicographic order and the
-    # first optimal row is the tie-break.
-    vectors = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    bits = [(vectors >> (n - 1 - k)) & 1 for k in range(n)]
-
-    area_b = np.zeros(len(vectors))
-    for k in range(n):
-        area_b += bits[k] * area_arr[k]
+    bits = _bit_rows(n)
+    area_b = area_arr @ bits  # exact: the areas are integers
     area_a = area_arr.sum() - area_b
 
-    obj = np.zeros(len(vectors))
+    obj = np.zeros(bits.shape[1])
     edges = _internal_edges(tags, graph)
     for i, j, s in edges:
-        obj += (bits[pos[i]] ^ bits[pos[j]]) * float(s)
+        obj += (bits[pos[i]] != bits[pos[j]]) * float(s)
     cost_a, cost_b = _pull_costs(tags, pulls, axis)
     obj += sum(cost_a.values())
     for k, t in enumerate(tags):
@@ -213,7 +221,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
         pool = imbalance == imbalance.min()
     else:
         pool = balanced
-    v = int(vectors[np.argmin(np.where(pool, obj, np.inf))])
+    v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
     side = {t: v >> (n - 1 - k) & 1 for k, t in enumerate(tags)}
     part_a = tuple(t for t in tags if not side[t])
     part_b = tuple(t for t in tags if side[t])
@@ -235,6 +243,12 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     whose area difference is within the largest tag's area is kept.
     Passes repeat until one fails to improve.  The best of all runs
     wins (ties: earliest run).
+
+    A group with no internal edges and the same cost on both sides for
+    every tag has every gain 0: no move changes the objective, so each
+    run would make one pass, roll every move back and keep its start.
+    That case returns run 0's start at once, with the ``runs`` records
+    the full loop would have made.
 
     Gains are integers (fractional strengths are scaled by 1000 and
     rounded first), kept in the bucket structure of Fiduccia and
@@ -283,6 +297,13 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
             count_side[dest] += 1
         initial_obj = _scaled_objective(sedges, side, sca, scb)
         initial_cut = _cut_weight(edges, side)
+        if not edges and sca == scb:
+            # Every gain is 0: each run would keep its start, so run 0 wins.
+            stats = [FmRun(initial_cut=initial_cut, final_cut=initial_cut,
+                           initial_objective=initial_obj / scale,
+                           final_objective=initial_obj / scale, passes=1)] * runs
+            best = (initial_obj, run_idx, side)
+            break
         final_obj, passes = _fm_refine(tags, sadj, side, area_side, count_side,
                                        areas, s_max, sca, scb, initial_obj)
         stats.append(FmRun(initial_cut=initial_cut,
@@ -439,8 +460,12 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
         return bipartition(group, graph, pulls, axis, areas,
                            fm_runs=fm_runs, seed=rng.getrandbits(64))
 
-    def rec(group: tuple[int, ...], est_w: float, est_h: float,
-            sides: dict[int, str]) -> Node:
+    # The side of each tag outside the current group, relative to the
+    # group's region.  One dict per tree: a subtree writes only its own
+    # tags, so before each child the tags outside it hold their true side.
+    sides: dict[int, str] = {}
+
+    def rec(group: tuple[int, ...], est_w: float, est_h: float) -> Node:
         if len(group) == 1:
             return Leaf(group[0])
         pulls = compute_pulls(group, graph, sides)
@@ -459,21 +484,21 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
             part = split(group, pulls, "H")
         frac_a = sum(areas[t] for t in part.part_a) / total
         if orient == "V":
-            first = rec(part.part_a, est_w * frac_a, est_h,
-                        {**sides, **{t: "right" for t in part.part_b}})
-            second = rec(part.part_b, est_w * (1 - frac_a), est_h,
-                         {**sides, **{t: "left" for t in part.part_a}})
+            sides.update(dict.fromkeys(part.part_b, "right"))
+            first = rec(part.part_a, est_w * frac_a, est_h)
+            sides.update(dict.fromkeys(part.part_a, "left"))
+            second = rec(part.part_b, est_w * (1 - frac_a), est_h)
         else:
-            first = rec(part.part_a, est_w, est_h * frac_a,
-                        {**sides, **{t: "bottom" for t in part.part_b}})
-            second = rec(part.part_b, est_w, est_h * (1 - frac_a),
-                         {**sides, **{t: "top" for t in part.part_a}})
+            sides.update(dict.fromkeys(part.part_b, "bottom"))
+            first = rec(part.part_a, est_w, est_h * frac_a)
+            sides.update(dict.fromkeys(part.part_a, "top"))
+            second = rec(part.part_b, est_w, est_h * (1 - frac_a))
         return Cut(orient, first, second)
 
     total_area = sum(areas.values())
     est_w = cloud.target_width * width_bias
     est_h = total_area / est_w
-    return rec(tuple(range(len(cloud.tags))), est_w, est_h, {})
+    return rec(tuple(range(len(cloud.tags))), est_w, est_h)
 
 
 @dataclass(frozen=True)

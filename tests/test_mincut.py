@@ -14,6 +14,7 @@ from tagcloud import (
     expand_hyperedges,
     layout_mincut,
 )
+from tagcloud import mincut
 from tagcloud.mincut import (
     EXHAUSTIVE_LIMIT,
     SIDES,
@@ -196,16 +197,77 @@ def fm_reference_cases():
         yield case, tags, g, pulls, axis, areas, rng.choice([1, 3, 10])
 
 
-@pytest.mark.parametrize("case, tags, g, pulls, axis, areas, runs", list(fm_reference_cases()))
-def test_fm_matches_sorted_scan_reference(case, tags, g, pulls, axis, areas, runs):
+def assert_fm_matches_reference(tags, g, pulls, axis, areas, runs, seed):
+    """Same parts, cut weight and per-run records as the sorted-scan FM."""
+
     toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                           else (pulls.bottom, pulls.top))
     cost_a = {t: float(toward_b.get(t, 0)) for t in tags}
     cost_b = {t: float(toward_a.get(t, 0)) for t in tags}
-    want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, runs, seed=case)
-    got = bipartition_fm(tags, g, pulls, axis, areas, runs=runs, seed=case)
+    want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, runs, seed=seed)
+    got = bipartition_fm(tags, g, pulls, axis, areas, runs=runs, seed=seed)
     assert (got.part_a, got.part_b, got.cut_weight) == want[:3]
     assert tuple(dataclasses.astuple(r) for r in got.runs) == want[3]
+
+
+@pytest.mark.parametrize("case, tags, g, pulls, axis, areas, runs", list(fm_reference_cases()))
+def test_fm_matches_sorted_scan_reference(case, tags, g, pulls, axis, areas, runs):
+    assert_fm_matches_reference(tags, g, pulls, axis, areas, runs, seed=case)
+
+
+def fm_edge_free_cases():
+    """Seeded edge-free FM inputs of 13-400 tags, each with a pull kind:
+    none, the same pull toward both sides of the cut axis, a pull
+    toward one side only, or pulls on the other axis only."""
+
+    rng = random.Random(0x2E50)
+    kinds = ("none", "symmetric", "one-sided", "other-axis")
+    for case in range(24):
+        kind = kinds[case % 4]
+        n = rng.choice([13, 14, 40, 120, 400]) if case < 20 else 400
+        tags = sorted(rng.sample(range(n + 30), n))
+        axis = rng.choice("VH")
+        cut_sides, other_sides = ("left", "right"), ("top", "bottom")
+        if axis == "H":
+            cut_sides, other_sides = other_sides, cut_sides
+        pulled = [t for t in tags if rng.random() < 0.2] or tags[:1]
+        weights = {t: rng.choice([1, 2, 0.5]) for t in pulled}
+        if kind == "none":
+            pulls = Pulls()
+        elif kind == "symmetric":
+            pulls = Pulls(**{side: dict(weights) for side in cut_sides})
+        elif kind == "one-sided":
+            pulls = Pulls(**{rng.choice(cut_sides): weights})
+        else:
+            pulls = Pulls(**{side: dict(weights) for side in other_sides})
+        areas = ({t: 1 for t in tags} if case // 4 % 2 == 0
+                 else {t: rng.randint(1, 30) for t in tags})
+        yield case, kind, tags, pulls, axis, areas, rng.choice([1, 3, 10])
+
+
+@pytest.mark.parametrize("case, kind, tags, pulls, axis, areas, runs",
+                         list(fm_edge_free_cases()))
+def test_fm_zero_gain_shortcut_matches_reference(monkeypatch, case, kind, tags, pulls,
+                                                 axis, areas, runs):
+    refined = []
+    refine = mincut._fm_refine
+    monkeypatch.setattr(mincut, "_fm_refine",
+                        lambda *args: refined.append(1) or refine(*args))
+    assert_fm_matches_reference(tags, RelationGraph(), pulls, axis, areas, runs, seed=case)
+    # only a one-sided pull makes a gain nonzero and needs refinement
+    assert bool(refined) == (kind == "one-sided")
+
+
+def test_exhaustive_shares_bit_rows_across_sizes():
+    rng = random.Random(0xB175)
+    for n in (12, 2, 7, 12):
+        g = random_graph(rng, n, density=0.3)
+        areas = {t: rng.randint(1, 9) for t in range(n)}
+        pulls = Pulls(right={t: rng.randint(1, 3) for t in range(n) if rng.random() < 0.3})
+        got = bipartition_exhaustive(list(range(n)), g, pulls, axis="V", areas=areas)
+        want = best_bipartition(range(n), g.edges, areas,
+                                {t: pulls.right.get(t, 0) for t in range(n)})
+        assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
 
 
 def test_fm_runs_never_worsen_their_start():
