@@ -94,28 +94,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _alpha_order(cloud: Cloud) -> list[int]:
-    return sorted(range(len(cloud.tags)), key=lambda i: (cloud.tags[i].label, i))
+def order_indices(cloud: Cloud, order: str) -> list[int]:
+    """Tag indices in the named order: alpha, weight (heaviest first) or given."""
+
+    tags = cloud.tags
+    if order == "alpha":
+        return sorted(range(len(tags)), key=lambda i: (tags[i].label, i))
+    if order == "weight":
+        return sorted(range(len(tags)), key=lambda i: (-tags[i].weight, i))
+    return list(range(len(tags)))
 
 
-def _weight_order(cloud: Cloud) -> list[int]:
-    return sorted(range(len(cloud.tags)), key=lambda i: (-cloud.tags[i].weight, i))
+# Every inline algorithm as (cloud, order, agg, shuffles, seed) -> LineLayout.
+# The packers sort for themselves and shuffle draws its own orders.
+INLINE_ALGOS: dict[str, Callable[..., LineLayout]] = {
+    "greedy": lambda c, order, agg, shuffles, seed: greedy_break(c, order),
+    "dp": lambda c, order, agg, shuffles, seed: dp_break(c, order, agg),
+    "nfdh": lambda c, *_: nfdh(c),
+    "ffdh": lambda c, *_: ffdh(c),
+    "ffdhw": lambda c, *_: ffdhw(c),
+    "shuffle": lambda c, order, agg, shuffles, seed: shuffle_best(c, shuffles, agg, seed),
+}
 
 
 def method_table(config: BenchConfig) -> dict[str, Callable]:
     """Inline methods; the 2-D placer is handled separately."""
 
-    agg = config.agg
+    def method(algo: str, order: str = "given") -> Callable:
+        return lambda c, g: INLINE_ALGOS[algo](c, order_indices(c, order), config.agg,
+                                               config.shuffles, config.seed)
+
     return {
-        "greedy-alpha": lambda c, g: greedy_break(c, _alpha_order(c)),
-        "greedy-weight": lambda c, g: greedy_break(c, _weight_order(c)),
-        "dp-alpha": lambda c, g: dp_break(c, _alpha_order(c), agg),
-        "dp-weight": lambda c, g: dp_break(c, _weight_order(c), agg),
-        f"shuffle{config.shuffles}": lambda c, g: shuffle_best(
-            c, config.shuffles, agg, config.seed),
-        "nfdh": lambda c, g: nfdh(c),
-        "ffdh": lambda c, g: ffdh(c),
-        "ffdhw": lambda c, g: ffdhw(c),
+        "greedy-alpha": method("greedy", "alpha"),
+        "greedy-weight": method("greedy", "weight"),
+        "dp-alpha": method("dp", "alpha"),
+        "dp-weight": method("dp", "weight"),
+        f"shuffle{config.shuffles}": method("shuffle"),
+        "nfdh": method("nfdh"),
+        "ffdh": method("ffdh"),
+        "ffdhw": method("ffdhw"),
     }
 
 

@@ -15,14 +15,13 @@ import traceback
 
 import click
 
-from .bench import BenchConfig, run_benchmark
+from .bench import INLINE_ALGOS, BenchConfig, order_indices, run_benchmark
 from .htmlgen import emit_inline, emit_nested_tables
 from .ingest import build_cloud_from_text
-from .inline import BadnessAggregate, dp_break, greedy_break, line_badnesses
+from .inline import BadnessAggregate, line_badnesses
 from .metrics import bbox_area, layout_to_placement, weighted_distance
 from .mincut import layout_mincut
 from .model import Cloud, CloudError, InvalidInputError, cloud_from_json, cloud_to_json
-from .reorder import ffdh, ffdhw, nfdh, shuffle_best
 
 
 def _read_text(path: str) -> str:
@@ -40,14 +39,6 @@ def _write_text(path: str, text: str) -> None:
     pathlib.Path(path).write_text(text, encoding="utf-8")
 
 
-def _order_indices(cloud: Cloud, order: str) -> list[int]:
-    if order == "alpha":
-        return sorted(range(len(cloud.tags)), key=lambda i: (cloud.tags[i].label, i))
-    if order == "weight":
-        return sorted(range(len(cloud.tags)), key=lambda i: (-cloud.tags[i].weight, i))
-    return list(range(len(cloud.tags)))
-
-
 @click.command(name="layout-inline")
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -56,8 +47,7 @@ def _order_indices(cloud: Cloud, order: str) -> list[int]:
               default="given", show_default=True,
               help="Tag order for greedy/dp/shuffle; the packing "
                    "algorithms sort for themselves.")
-@click.option("--algo", type=click.Choice(["greedy", "dp", "nfdh", "ffdh",
-                                           "ffdhw", "shuffle"]),
+@click.option("--algo", type=click.Choice(list(INLINE_ALGOS)),
               default="dp", show_default=True)
 @click.option("--agg", type=click.Choice(["l1", "l2", "linf"]),
               default="l2", show_default=True,
@@ -72,19 +62,7 @@ def layout_inline_cmd(input_path, order, algo, agg, seed, shuffles, html_path):
 
     cloud, _ = _load_cloud(input_path)
     aggregate = BadnessAggregate.from_name(agg)
-    indices = _order_indices(cloud, order)
-    if algo == "greedy":
-        layout = greedy_break(cloud, indices)
-    elif algo == "dp":
-        layout = dp_break(cloud, indices, aggregate)
-    elif algo == "nfdh":
-        layout = nfdh(cloud)
-    elif algo == "ffdh":
-        layout = ffdh(cloud)
-    elif algo == "ffdhw":
-        layout = ffdhw(cloud)
-    else:
-        layout = shuffle_best(cloud, shuffles, aggregate, seed)
+    layout = INLINE_ALGOS[algo](cloud, order_indices(cloud, order), aggregate, shuffles, seed)
     badness = line_badnesses(cloud, layout)
     placed = layout_to_placement(layout, cloud)
     click.echo(f"lines={len(layout.lines)}"

@@ -140,6 +140,17 @@ def greedy_break(cloud: Cloud, order: Sequence[int] | None = None) -> LineLayout
     return LineLayout(tuple(lines))
 
 
+def _prepare(cloud: Cloud, order: Sequence[int] | None):
+    """Checked order and the line table of the tags taken in it."""
+
+    if not cloud.tags:
+        raise InvalidInputError("cloud has no tags")
+    order = _check_order(len(cloud.tags), order)
+    widths = [cloud.tags[i].width for i in order]
+    heights = [cloud.tags[i].height for i in order]
+    return order, _line_table(widths, heights, cloud.target_width, cloud.space_width)
+
+
 def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
              agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES) -> LineLayout:
     """Optimal line breaking for the given order and aggregate.
@@ -149,16 +160,11 @@ def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
     end positions, so results are reproducible.
     """
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
-    order = _check_order(len(cloud.tags), order)
-    widths = [cloud.tags[i].width for i in order]
-    heights = [cloud.tags[i].height for i in order]
+    order, bad = _prepare(cloud, order)
     if agg is BadnessAggregate.MAX:
-        ends = _solve_minimax(widths, heights, cloud.target_width, cloud.space_width)
+        ends = _solve_minimax(bad, _minimax_scores(bad))
     else:
-        ends, _ = _solve_additive(widths, heights, cloud.target_width, cloud.space_width,
-                                  square=agg is BadnessAggregate.SUM_OF_SQUARES)
+        ends = _solve_additive(bad, square=agg is BadnessAggregate.SUM_OF_SQUARES)[-1][2]
     lines = []
     prev = 0
     for end in ends:
@@ -184,166 +190,110 @@ class BreakTable:
 
 def break_table(cloud: Cloud, order: Sequence[int] | None = None,
                 agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES) -> BreakTable:
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
-    order = _check_order(len(cloud.tags), order)
-    widths = [cloud.tags[i].width for i in order]
-    heights = [cloud.tags[i].height for i in order]
-    target, space = cloud.target_width, cloud.space_width
+    _, bad = _prepare(cloud, order)
     if agg is BadnessAggregate.MAX:
-        t = _minimax_scores(widths, heights, target, space)
-        ends = _solve_minimax(widths, heights, target, space)
-        K = _chain_to_table(len(widths), ends, t, widths, heights, target, space)
+        t = _minimax_scores(bad)
+        # off the chosen chain, K[j] is the smallest start reaching t[j]
+        K = [0] + [min(j - 1 - i for i, b in enumerate(bad[j]) if max(t[j - 1 - i], b) == t[j])
+                   for j in range(1, len(bad))]
+        prev = 0
+        for end in _solve_minimax(bad, t):
+            K[end] = prev
+            prev = end
         return BreakTable(t=tuple(t), K=tuple(K))
-    ends, states = _solve_additive(widths, heights, target, space,
-                                   square=agg is BadnessAggregate.SUM_OF_SQUARES)
-    t = [s[0] for s in states]
-    K = [0] * (len(widths) + 1)
-    for j in range(1, len(widths) + 1):
-        e = states[j][2]
-        K[j] = e[-2] if len(e) >= 2 else 0
-    return BreakTable(t=tuple(t), K=tuple(K))
+    states = _solve_additive(bad, square=agg is BadnessAggregate.SUM_OF_SQUARES)
+    return BreakTable(t=tuple(s[0] for s in states),
+                      K=tuple(e[-2] if len(e) >= 2 else 0 for _, _, e in states))
 
 
-def _solve_additive(widths: list[int], heights: list[int], target: int, space: int,
-                    square: bool):
-    """DP over prefixes; state = (score, line count, end positions).
+def _line_table(widths: list[int], heights: list[int], target: int,
+                space: int) -> list[list[int]]:
+    """Badness of every feasible line, grouped by where the line ends.
 
-    Python tuple comparison implements the tie-break exactly: states
-    order by score, then fewer lines, then lexicographic ends.
-    Appending a line preserves that order (additive scores are strictly
-    monotone), so one best state per prefix suffices.
+    Row j lists the lines ending at tag j-1: entry i is the line holding
+    tags j-1-i .. j-1, so line (v, j) is ``bad[j][j-1-v]`` when that
+    index exists.  A row stops at the first overfull line, because
+    growing a line leftward only adds width; the solo line is always
+    there, even when it overflows.  Row 0 is empty.
     """
 
-    n = len(widths)
-    best: list[tuple[int, int, tuple[int, ...]] | None] = [None] * (n + 1)
-    best[0] = (0, 0, ())
-    for j in range(1, n + 1):
-        cand = None
-        sum_w = sum_hw = tallest = 0
-        # grow the final line leftward: tags k..j-1
-        for k in range(j - 1, -1, -1):
-            sum_w += widths[k]
-            sum_hw += widths[k] * heights[k]
-            if heights[k] > tallest:
-                tallest = heights[k]
-            count = j - k
-            slack = target - sum_w - (count - 1) * space
-            if slack < 0 and count > 1:
-                break  # line already overfull; growing it only makes it worse
-            prev = best[k]
-            if prev is None:  # pragma: no cover - every prefix is reachable
-                continue
-            b = tallest * abs(slack) + tallest * sum_w - sum_hw
-            score = prev[0] + (b * b if square else b)
-            state = (score, prev[1] + 1, prev[2] + (j,))
-            if cand is None or state < cand:
-                cand = state
-        best[j] = cand
-    final = best[n]
-    assert final is not None  # solo lines are always admissible
-    return final[2], best
-
-
-def _minimax_scores(widths, heights, target, space) -> list[int]:
-    n = len(widths)
-    inf = float("inf")
-    t = [inf] * (n + 1)
-    t[0] = 0
-    for j in range(1, n + 1):
+    bad: list[list[int]] = [[]]
+    for j in range(1, len(widths) + 1):
+        row = []
         sum_w = sum_hw = tallest = 0
         for k in range(j - 1, -1, -1):
             sum_w += widths[k]
             sum_hw += widths[k] * heights[k]
             if heights[k] > tallest:
                 tallest = heights[k]
-            count = j - k
-            slack = target - sum_w - (count - 1) * space
-            if slack < 0 and count > 1:
+            slack = target - sum_w - (j - 1 - k) * space
+            if slack < 0 and k < j - 1:
                 break
-            b = tallest * abs(slack) + tallest * sum_w - sum_hw
-            cand = b if t[k] < b else t[k]
-            if cand < t[j]:
-                t[j] = cand
+            row.append(tallest * abs(slack) + tallest * sum_w - sum_hw)
+        bad.append(row)
+    return bad
+
+
+def _solve_additive(bad: list[list[int]], square: bool):
+    """DP over prefixes; state = (score, line count, end positions).
+
+    Returns the best state of every prefix.  Python tuple comparison
+    implements the tie-break exactly: states order by score, then fewer
+    lines, then lexicographic ends.  Appending a line preserves that
+    order (additive scores are strictly monotone), so one best state
+    per prefix suffices.  Every candidate for prefix j appends the same
+    end j to ends of equal length whenever score and count tie, so the
+    previous ends decide the tie and j is appended once, to the winner.
+    """
+
+    best = [(0, 0, ())]
+    for j in range(1, len(bad)):
+        # prev runs over best[j - 1 - i] for entry i of the row
+        score, count, ends = min((prev[0] + (b * b if square else b), prev[1] + 1, prev[2])
+                                 for b, prev in zip(bad[j], reversed(best)))
+        best.append((score, count, ends + (j,)))
+    return best
+
+
+def _minimax_scores(bad: list[list[int]]) -> list[int]:
+    """Optimal worst-line score of every prefix."""
+
+    t = [0]
+    for j in range(1, len(bad)):
+        t.append(min(map(max, reversed(t), bad[j])))
     return t
 
 
-def _solve_minimax(widths: list[int], heights: list[int], target: int,
-                   space: int) -> tuple[int, ...]:
+def _solve_minimax(bad: list[list[int]], t: list[int]) -> tuple[int, ...]:
     """Minimize the worst line, then line count, then lexicographic ends.
 
-    One scalar per prefix finds the optimal worst-line score, but the
-    tie-break cannot ride along (max() is not strictly monotone), so
-    reconstruction runs on the graph of lines scoring no worse than the
-    optimum: a bitmask per suffix records achievable line counts, and a
-    forward greedy picks the earliest end that still completes.
+    ``t`` (from ``_minimax_scores``) gives the optimal worst line
+    ``t[n]``, but the tie-break cannot ride along (max() is not
+    strictly monotone).  So the lines of the table scoring no worse
+    than ``t[n]`` are the edges of a graph over break positions.  One
+    backward sweep over the rows records, as a bitmask per position,
+    how many lines the rest of the cloud can take from there; a forward
+    walk then takes, at each step, the earliest admissible end that
+    still completes the layout in the fewest lines.
     """
 
-    n = len(widths)
-    t = _minimax_scores(widths, heights, target, space)
+    n = len(bad) - 1
     limit = t[n]
-
-    def admissible_ends(v: int):
-        """Ends j of lines starting at v with badness <= limit."""
-        sum_w = sum_hw = tallest = 0
-        for j in range(v + 1, n + 1):
-            sum_w += widths[j - 1]
-            sum_hw += widths[j - 1] * heights[j - 1]
-            if heights[j - 1] > tallest:
-                tallest = heights[j - 1]
-            count = j - v
-            slack = target - sum_w - (count - 1) * space
-            if slack < 0 and count > 1:
-                break
-            b = tallest * abs(slack) + tallest * sum_w - sum_hw
-            if b <= limit:
-                yield j
-
     # counts[v] bit c set <=> the suffix from v splits into exactly c lines
     counts = [0] * (n + 1)
     counts[n] = 1
-    for v in range(n - 1, -1, -1):
-        acc = 0
-        for j in admissible_ends(v):
-            acc |= counts[j] << 1
-        counts[v] = acc
+    for j in range(n, 0, -1):  # counts[j] is complete once rows > j are done
+        reach = counts[j] << 1
+        for i, b in enumerate(bad[j]):
+            if b <= limit:
+                counts[j - 1 - i] |= reach
     fewest = (counts[0] & -counts[0]).bit_length() - 1
 
     ends: list[int] = []
-    v, remaining = 0, fewest
-    while v < n:
-        for j in admissible_ends(v):
-            if counts[j] >> (remaining - 1) & 1:
-                ends.append(j)
-                v, remaining = j, remaining - 1
-                break
-        else:  # pragma: no cover - contradiction with counts[0]
-            raise AssertionError("minimax reconstruction lost its path")
+    v = 0
+    for remaining in range(fewest, 0, -1):
+        # lines from v run out together: once (v, j) is overfull, so is (v, j + 1)
+        v = next(j for j in range(v + 1, n + 1)
+                 if bad[j][j - 1 - v] <= limit and counts[j] >> (remaining - 1) & 1)
+        ends.append(v)
     return tuple(ends)
-
-
-def _chain_to_table(n, ends, t, widths, heights, target, space) -> list[int]:
-    """K array consistent with the chosen minimax layout."""
-
-    K = [0] * (n + 1)
-    for j in range(1, n + 1):
-        sum_w = sum_hw = tallest = 0
-        pick = None
-        for k in range(j - 1, -1, -1):
-            sum_w += widths[k]
-            sum_hw += widths[k] * heights[k]
-            if heights[k] > tallest:
-                tallest = heights[k]
-            count = j - k
-            slack = target - sum_w - (count - 1) * space
-            if slack < 0 and count > 1:
-                break
-            b = tallest * abs(slack) + tallest * sum_w - sum_hw
-            if max(t[k], b) == t[j]:
-                pick = k  # smallest such k wins (loop runs downward)
-        K[j] = pick if pick is not None else 0
-    prev = 0
-    for end in ends:
-        K[end] = prev
-        prev = end
-    return K

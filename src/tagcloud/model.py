@@ -46,18 +46,12 @@ def font_size_pt(weight: int) -> int:
 
 @dataclass(frozen=True)
 class TagBox:
-    """One tag: display label, weight level 0..9, and its pixel box.
-
-    ``shapes`` optionally lists alternative (width, height) boxes of
-    roughly equal area, used by the 2-D placement pipeline.  The default
-    box itself does not need to appear in ``shapes``.
-    """
+    """One tag: display label, weight level 0..9, and its pixel box."""
 
     label: str
     weight: int
     width: int
     height: int
-    shapes: tuple[tuple[int, int], ...] = ()
 
     def area(self) -> int:
         return self.width * self.height
@@ -139,9 +133,6 @@ class LineLayout:
 
     lines: tuple[tuple[int, ...], ...]
 
-    def tag_count(self) -> int:
-        return sum(len(line) for line in self.lines)
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -204,14 +195,6 @@ def validate_cloud(cloud: Cloud) -> list[str]:
             problems.append(f"{where}: width must be >= 1, got {tag.width}")
         if tag.height < 1:
             problems.append(f"{where}: height must be >= 1, got {tag.height}")
-        base = tag.width * tag.height
-        for w, h in tag.shapes:
-            if w < 1 or h < 1:
-                problems.append(f"{where}: degenerate shape ({w},{h})")
-            elif base > 0 and abs(w * h - base) > 0.15 * base:
-                problems.append(
-                    f"{where}: shape ({w},{h}) area off by more than 15% from {tag.width}x{tag.height}"
-                )
     return problems
 
 

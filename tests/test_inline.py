@@ -118,21 +118,46 @@ def boxes_of(cloud: Cloud, order):
     return [(cloud.tags[i].width, cloud.tags[i].height) for i in order]
 
 
+def ends_of(layout) -> tuple[int, ...]:
+    ends, total = [], 0
+    for line in layout.lines:
+        total += len(line)
+        ends.append(total)
+    return tuple(ends)
+
+
+def tie_heavy_cases():
+    """(cloud, order) pairs with many equally good layouts: equal boxes,
+    solo tags wider than the line, no inter-tag space, up to 11 tags,
+    each in the given order and in a shuffled one."""
+
+    rng = random.Random(20261018)
+    for n in range(1, 12):
+        clouds = [Cloud(tags=tuple(TagBox(f"t{i}", 1, 10, 10) for i in range(n)),
+                        target_width=target, space_width=space)
+                  for target, space in ((24, 4), (30, 0), (50, 4), (8, 0))]
+        for space in (0, 4):
+            boxes = [rng.choice(((10, 10), (10, 12), (20, 10), (60, 10))) for _ in range(n)]
+            clouds.append(Cloud(tags=tuple(TagBox(f"t{i}", 1, w, h)
+                                           for i, (w, h) in enumerate(boxes)),
+                                target_width=40, space_width=space))
+        for cloud in clouds:
+            yield cloud, list(range(n))
+            yield cloud, rng.sample(range(n), n)
+
+
 @pytest.mark.parametrize("agg", [L1, L2, LINF])
 def test_dp_matches_exhaustive(agg):
     rng = random.Random(20260801)
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        cloud = make_cloud(rng, n)
-        layout = dp_break(cloud, agg=agg)
-        score, ends = best_break(boxes_of(cloud, range(n)), 300, 4, agg.value)
+    cases = [(make_cloud(rng, rng.randint(1, 9)), None) for _ in range(60)]
+    for cloud, order in cases + list(tie_heavy_cases()):
+        layout = dp_break(cloud, order, agg)
+        boxes = boxes_of(cloud, order or range(len(cloud.tags)))
+        score, ends = best_break(boxes, cloud.target_width, cloud.space_width, agg.value)
         assert layout_badness(cloud, layout, agg) == score
-        got_ends = []
-        total = 0
-        for line in layout.lines:
-            total += len(line)
-            got_ends.append(total)
-        assert tuple(got_ends) == ends
+        assert ends_of(layout) == ends
+        if order is not None:
+            assert [i for line in layout.lines for i in line] == order
 
 
 @pytest.mark.parametrize("agg", [L1, L2, LINF])
@@ -181,26 +206,30 @@ def test_break_table_minimax_prefix_scores():
 @pytest.mark.parametrize("agg", [L1, L2, LINF])
 def test_break_table_chain_reconstructs_dp(agg):
     rng = random.Random(13)
-    for _ in range(20):
-        n = rng.randint(1, 12)
-        cloud = make_cloud(rng, n)
-        table = break_table(cloud, agg=agg)
+    cases = [(make_cloud(rng, rng.randint(1, 12)), None) for _ in range(20)]
+    for cloud, order in cases + list(tie_heavy_cases()):
+        n = len(cloud.tags)
+        table = break_table(cloud, order, agg)
         ends = []
         j = n
         while j > 0:
             ends.append(j)
             j = table.K[j]
         ends.reverse()
-        layout = dp_break(cloud, agg=agg)
-        got = []
-        total = 0
-        for line in layout.lines:
-            total += len(line)
-            got.append(total)
-        assert got == ends
+        layout = dp_break(cloud, order, agg)
+        assert tuple(ends) == ends_of(layout)
+        assert table.t[n] == layout_badness(cloud, layout, agg)
         # scores never decrease while walking the chain forward
         chain_scores = [table.t[e] for e in ends]
         assert chain_scores == sorted(chain_scores)
+        # every K[j] is a back-pointer: line K[j]..j on top of t[K[j]] gives t[j]
+        boxes = boxes_of(cloud, order or range(n))
+        for j in range(1, n + 1):
+            k = table.K[j]
+            line = line_score(boxes[k:j], cloud.target_width, cloud.space_width)
+            folded = (max(table.t[k], line) if agg is LINF
+                      else table.t[k] + fold([line], agg.value))
+            assert folded == table.t[j]
 
 
 def test_break_table_not_pointwise_monotone():

@@ -67,14 +67,6 @@ def test_validate_cloud_collects_all_problems():
     assert len(problems) == 5
 
 
-def test_validate_cloud_checks_shape_area():
-    # 30x20=600; 40x20=800 is 33% off
-    bad = Cloud(tags=(TagBox("x", 1, 30, 20, shapes=((40, 20),)),), target_width=100)
-    assert any("15%" in p for p in validate_cloud(bad))
-    ok = Cloud(tags=(TagBox("x", 1, 30, 20, shapes=((26, 24), (35, 17))),), target_width=100)
-    assert validate_cloud(ok) == []
-
-
 def test_relation_graph_normalizes_and_merges():
     g = RelationGraph.from_edges([(3, 1, 2.0), (1, 3, 1.0), (0, 2, 5)])
     assert g.edges == ((0, 2, 5), (1, 3, 3.0))
