@@ -174,6 +174,23 @@ def _bit_rows(n: int) -> np.ndarray:
     return rows
 
 
+def _exhaustive_objective(tags, bits, edges, cost_a, cost_b) -> np.ndarray:
+    """Cut weight plus pull penalty of every membership vector (a column
+    of ``bits``), summed in edge order, then the A costs, then each tag's
+    B-minus-A delta."""
+
+    pos = {t: k for k, t in enumerate(tags)}
+    obj = np.zeros(bits.shape[1])
+    for i, j, s in edges:
+        obj += (bits[pos[i]] != bits[pos[j]]) * float(s)
+    obj += sum(cost_a.values())
+    for k, t in enumerate(tags):
+        delta = cost_b[t] - cost_a[t]
+        if delta:
+            obj += bits[k] * delta
+    return obj
+
+
 def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
                            pulls: Pulls | None = None, axis: str = "V",
                            areas: Mapping[int, int] | None = None) -> Bipartition:
@@ -183,6 +200,10 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     otherwise returns the least-imbalanced split flagged ``relaxed``.
     Minimizes cut weight plus pull penalty; ties go to the
     lexicographically smallest membership vector.
+
+    With no internal edges and the same pull cost on both sides of the
+    cut axis for every tag, every vector costs the same, so the answer
+    is the first vector in the pool and no objective is built.
     """
 
     tags = sorted(set(tags))
@@ -198,21 +219,9 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     area_arr = np.array([areas[t] for t in tags], dtype=np.float64)
     if (area_arr < 1).any():
         raise InvalidInputError("tag areas must be >= 1")
-    pos = {t: k for k, t in enumerate(tags)}
     bits = _bit_rows(n)
     area_b = area_arr @ bits  # exact: the areas are integers
     area_a = area_arr.sum() - area_b
-
-    obj = np.zeros(bits.shape[1])
-    edges = _internal_edges(tags, graph)
-    for i, j, s in edges:
-        obj += (bits[pos[i]] != bits[pos[j]]) * float(s)
-    cost_a, cost_b = _pull_costs(tags, pulls, axis)
-    obj += sum(cost_a.values())
-    for k, t in enumerate(tags):
-        delta = cost_b[t] - cost_a[t]
-        if delta:
-            obj += bits[k] * delta
 
     balanced = 2 * np.minimum(area_a, area_b) >= np.maximum(area_a, area_b)
     relaxed = not bool(balanced.any())
@@ -221,7 +230,15 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
         pool = imbalance == imbalance.min()
     else:
         pool = balanced
-    v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
+
+    edges = _internal_edges(tags, graph)
+    cost_a, cost_b = _pull_costs(tags, pulls, axis)
+    if not edges and cost_a == cost_b:
+        # Every vector costs sum(cost_a): the first one in the pool wins.
+        v = 1 + int(np.argmax(pool))
+    else:
+        obj = _exhaustive_objective(tags, bits, edges, cost_a, cost_b)
+        v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
     side = {t: v >> (n - 1 - k) & 1 for k, t in enumerate(tags)}
     part_a = tuple(t for t in tags if not side[t])
     part_b = tuple(t for t in tags if side[t])
@@ -431,6 +448,20 @@ def bipartition(tags: Sequence[int], graph: RelationGraph,
     return bipartition_fm(tags, graph, pulls, axis, areas, runs=fm_runs, seed=seed)
 
 
+def _fm_vertical_doomed(est_w: float, total: int, s_max: int, w_max: int) -> bool:
+    """Whether no vertical split FM can return fits the group's widest tag.
+
+    FM keeps the area difference within ``s_max``, the largest tag area,
+    so either half holds at most ``(total + s_max) // 2`` of the area.
+    The bound repeats ``build_slicing_tree``'s own share arithmetic for
+    that largest half, on whichever side it lands; float rounding is
+    monotone, so no real split's share can exceed it.
+    """
+
+    most = (total + s_max) // 2
+    return max(est_w * (most / total), est_w * (1 - (total - most) / total)) < w_max
+
+
 def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
                        seed: int = 0, width_bias: float = 1.0,
                        fm_runs: int = DEFAULT_FM_RUNS) -> Node:
@@ -440,6 +471,14 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     than tall is cut vertically provided each half's proportional share
     of the width can still hold its widest tag, otherwise horizontally.
     Sibling halves become external pulls for deeper splits.
+
+    Each split is computed once.  A vertical FM split whose balance
+    bound already leaves the widest tag too little width is not run
+    (see ``_fm_vertical_doomed``).  A rejected vertical enumeration of
+    a group with no pull on any side is the horizontal one too, since
+    enumeration then ignores the axis, so it is reused.  Both still
+    draw the seed the split would have used, so every later split gets
+    the seed it always had.
     """
 
     problems = validate_cloud(cloud)
@@ -473,13 +512,22 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
         part = None
         orient = "H"
         if est_w > est_h:
-            cand = split(group, pulls, "V")
-            frac_a = sum(areas[t] for t in cand.part_a) / total
-            share_a = est_w * frac_a
-            share_b = est_w * (1 - frac_a)
-            if (share_a >= max(widths[t] for t in cand.part_a)
-                    and share_b >= max(widths[t] for t in cand.part_b)):
-                part, orient = cand, "V"
+            if len(group) > EXHAUSTIVE_LIMIT and _fm_vertical_doomed(
+                    est_w, total, max(areas[t] for t in group),
+                    max(widths[t] for t in group)):
+                rng.getrandbits(64)  # the skipped split's seed
+            else:
+                cand = split(group, pulls, "V")
+                frac_a = sum(areas[t] for t in cand.part_a) / total
+                share_a = est_w * frac_a
+                share_b = est_w * (1 - frac_a)
+                if (share_a >= max(widths[t] for t in cand.part_a)
+                        and share_b >= max(widths[t] for t in cand.part_b)):
+                    part, orient = cand, "V"
+                elif len(group) <= EXHAUSTIVE_LIMIT and not (
+                        pulls.left or pulls.right or pulls.top or pulls.bottom):
+                    rng.getrandbits(64)  # the reused split's seed
+                    part = cand  # enumeration ignores the axis without pulls
         if part is None:
             part = split(group, pulls, "H")
         frac_a = sum(areas[t] for t in part.part_a) / total

@@ -186,6 +186,8 @@ def validate_cloud(cloud: Cloud) -> list[str]:
     if cloud.space_width < 0:
         problems.append(f"space_width must be >= 0, got {cloud.space_width}")
     for i, tag in enumerate(cloud.tags):
+        if tag.label and 0 <= tag.weight < WEIGHT_LEVELS and tag.width >= 1 and tag.height >= 1:
+            continue  # the common case builds no message
         where = f"tag {i} ({tag.label!r})"
         if not tag.label:
             problems.append(f"{where}: empty label")
@@ -230,9 +232,12 @@ def cloud_to_json(cloud: Cloud, graph: RelationGraph | None = None) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise InvalidInputError unless ``cond`` holds.  The message is
+    ``msg.format(*args)``, built only when the check fails."""
+
     if not cond:
-        raise InvalidInputError(msg)
+        raise InvalidInputError(msg.format(*args))
 
 
 def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
@@ -244,7 +249,10 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integers past Python's
+        # digit limit; RecursionError covers arrays or objects nested
+        # too deep for the decoder.
         raise InvalidInputError(f"not valid JSON: {e}") from e
     _require(isinstance(doc, dict), "top-level JSON value must be an object")
     _require("target_width" in doc, "missing field: target_width")
@@ -257,14 +265,14 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
              "space_width must be an integer")
     tags = []
     for k, entry in enumerate(doc["tags"]):
-        _require(isinstance(entry, dict), f"tags[{k}] must be an object")
+        _require(isinstance(entry, dict), "tags[{}] must be an object", k)
         for fld in ("label", "weight", "width", "height"):
-            _require(fld in entry, f"tags[{k}]: missing field {fld}")
-        _require(isinstance(entry["label"], str), f"tags[{k}]: label must be a string")
+            _require(fld in entry, "tags[{}]: missing field {}", k, fld)
+        _require(isinstance(entry["label"], str), "tags[{}]: label must be a string", k)
         for fld in ("weight", "width", "height"):
             v = entry[fld]
             _require(isinstance(v, int) and not isinstance(v, bool),
-                     f"tags[{k}]: {fld} must be an integer")
+                     "tags[{}]: {} must be an integer", k, fld)
         tags.append(TagBox(label=entry["label"], weight=entry["weight"],
                            width=entry["width"], height=entry["height"]))
     graph = None
@@ -272,14 +280,14 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
         _require(isinstance(doc["edges"], list), "edges must be a list")
         raw = []
         for k, entry in enumerate(doc["edges"]):
-            _require(isinstance(entry, dict), f"edges[{k}] must be an object")
+            _require(isinstance(entry, dict), "edges[{}] must be an object", k)
             for fld in ("a", "b", "strength"):
-                _require(fld in entry, f"edges[{k}]: missing field {fld}")
+                _require(fld in entry, "edges[{}]: missing field {}", k, fld)
             a, b, s = entry["a"], entry["b"], entry["strength"]
             _require(type(a) is int and type(b) is int,  # bool is no endpoint
-                     f"edges[{k}]: endpoints must be integers")
+                     "edges[{}]: endpoints must be integers", k)
             _require(isinstance(s, (int, float)) and not isinstance(s, bool),
-                     f"edges[{k}]: strength must be a number")
+                     "edges[{}]: strength must be a number", k)
             raw.append((a, b, s))
         graph = RelationGraph.from_edges(raw)
         bad = [p for p in validate_graph(graph, len(tags))]

@@ -11,6 +11,10 @@ import itertools
 import random
 from collections import Counter
 
+from tagcloud.mincut import bipartition, compute_pulls
+from tagcloud.model import RelationGraph
+from tagcloud.tree import Cut, Leaf
+
 
 def line_score(boxes, target, space):
     """White area of one line of (width, height) boxes, or None if the
@@ -292,3 +296,49 @@ def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):
     part_a = tuple(t for t in tags if side[t] == 0)
     part_b = tuple(t for t in tags if side[t] == 1)
     return part_a, part_b, cut_of(side), tuple(stats)
+
+
+def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0, fm_runs=10):
+    """The slicing tree built by always running every split it considers.
+
+    A region wider than tall is split vertically first; when a half's
+    share of the width cannot hold its widest tag, the same group is
+    split again horizontally with the next seed.  Each child gets its
+    own copy of the side map.  The splitter and pulls are the library's.
+    """
+
+    graph = graph or RelationGraph()
+    areas = {i: t.area() for i, t in enumerate(cloud.tags)}
+    widths = {i: t.width for i, t in enumerate(cloud.tags)}
+    rng = random.Random(seed)
+
+    def split(group, pulls, axis):
+        return bipartition(group, graph, pulls, axis, areas,
+                           fm_runs=fm_runs, seed=rng.getrandbits(64))
+
+    def rec(group, est_w, est_h, sides):
+        if len(group) == 1:
+            return Leaf(group[0])
+        pulls = compute_pulls(group, graph, sides)
+        total = sum(areas[t] for t in group)
+        if est_w > est_h:
+            part = split(group, pulls, "V")
+            frac_a = sum(areas[t] for t in part.part_a) / total
+            if (est_w * frac_a >= max(widths[t] for t in part.part_a)
+                    and est_w * (1 - frac_a) >= max(widths[t] for t in part.part_b)):
+                first = rec(part.part_a, est_w * frac_a, est_h,
+                            {**sides, **dict.fromkeys(part.part_b, "right")})
+                second = rec(part.part_b, est_w * (1 - frac_a), est_h,
+                             {**sides, **dict.fromkeys(part.part_a, "left")})
+                return Cut("V", first, second)
+        part = split(group, pulls, "H")
+        frac_a = sum(areas[t] for t in part.part_a) / total
+        first = rec(part.part_a, est_w, est_h * frac_a,
+                    {**sides, **dict.fromkeys(part.part_b, "bottom")})
+        second = rec(part.part_b, est_w, est_h * (1 - frac_a),
+                     {**sides, **dict.fromkeys(part.part_a, "top")})
+        return Cut("H", first, second)
+
+    est_w = cloud.target_width * width_bias
+    est_h = sum(areas.values()) / est_w
+    return rec(tuple(range(len(cloud.tags))), est_w, est_h, {})

@@ -94,6 +94,36 @@ def test_layout_inline_rejects_bad_json(scripts, tmp_path):
     assert "error" in r.stderr.lower()
 
 
+# Documents json.loads cannot take: one raises RecursionError, the
+# other ValueError for an integer past Python's digit limit.
+UNPARSABLE = {
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+    "long-integer": '{"target_width": %s, "tags": []}' % ("9" * 5000),
+}
+
+
+@pytest.mark.parametrize("command", ["layout-inline", "layout-mincut"])
+@pytest.mark.parametrize("kind", sorted(UNPARSABLE))
+def test_unparsable_json_exits_one(monkeypatch, capsys, tmp_path, command, kind):
+    from tagcloud.__main__ import main
+
+    doc = tmp_path / "doc.json"
+    doc.write_text(UNPARSABLE[kind])
+    monkeypatch.setattr("sys.argv", [command, "--input", str(doc)])
+    with pytest.raises(SystemExit) as exc:
+        _run(main.commands[command])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+
+
+def test_layout_mincut_rejects_deeply_nested_json(scripts, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(UNPARSABLE["deep-nesting"])
+    r = run(scripts["layout-mincut"], "--input", str(doc))
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: not valid JSON: ")
+
+
 def test_layout_inline_rejects_invalid_cloud(scripts, tmp_path):
     doc = {"target_width": 100,
            "tags": [{"label": "x", "weight": 77, "width": 10, "height": 10}]}

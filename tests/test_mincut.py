@@ -23,9 +23,10 @@ from tagcloud.mincut import (
     bipartition_fm,
     compute_pulls,
 )
+from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.tree import Cut, Leaf, leaves
 from .conftest import make_cloud
-from .oracles import best_bipartition, fm_bipartition
+from .oracles import best_bipartition, fm_bipartition, slicing_tree_reference
 
 
 def test_expand_hyperedges_clique_counts():
@@ -270,6 +271,55 @@ def test_exhaustive_shares_bit_rows_across_sizes():
         assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
 
 
+def exhaustive_edge_free_cases():
+    """Edge-free groups of 2-12 tags with unit areas, random areas or one
+    dominant tag (no balanced split, so relaxed); axis V or H."""
+
+    rng = random.Random(0x2E0B)
+    for n in range(2, EXHAUSTIVE_LIMIT + 1):
+        for area_kind in ("unit", "random", "dominant"):
+            tags = sorted(rng.sample(range(n + 8), n))
+            if area_kind == "unit":
+                areas = {t: 1 for t in tags}
+            else:
+                areas = {t: rng.randint(1, 9) for t in tags}
+                if area_kind == "dominant":
+                    areas[rng.choice(tags)] = 20 * n
+            yield f"{n}-{area_kind}", n, area_kind, tags, areas, rng.choice("VH")
+
+
+@pytest.mark.parametrize("case, n, area_kind, tags, areas, axis",
+                         list(exhaustive_edge_free_cases()))
+def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_kind, tags,
+                                                     areas, axis):
+    built = []
+    objective = mincut._exhaustive_objective
+    monkeypatch.setattr(mincut, "_exhaustive_objective",
+                        lambda *args: built.append(1) or objective(*args))
+    rng = random.Random(n)
+    cut_sides, other_sides = ("left", "right"), ("top", "bottom")
+    if axis == "H":
+        cut_sides, other_sides = other_sides, cut_sides
+    pulled = [t for t in tags if rng.random() < 0.5] or tags[:1]
+    weights = {t: rng.choice([1, 2, 0.5]) for t in pulled}
+    for kind, pulls in (
+            ("none", Pulls()),
+            ("other-axis", Pulls(**{side: dict(weights) for side in other_sides})),
+            ("symmetric", Pulls(**{side: dict(weights) for side in cut_sides})),
+            ("one-sided", Pulls(**{cut_sides[n % 2]: weights}))):
+        built.clear()
+        got = bipartition_exhaustive(tags, RelationGraph(), pulls, axis, areas)
+        toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
+                              else (pulls.bottom, pulls.top))
+        want = best_bipartition(tags, (), areas,
+                                {t: toward_b.get(t, 0) for t in tags},
+                                {t: toward_a.get(t, 0) for t in tags})
+        assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want, kind
+        assert got.relaxed == (area_kind == "dominant")
+        # only a one-sided pull makes the objective differ between vectors
+        assert bool(built) == (kind == "one-sided"), kind
+
+
 def test_fm_runs_never_worsen_their_start():
     rng = random.Random(0x5EED)
     for trial in range(10):
@@ -360,6 +410,43 @@ def test_build_slicing_tree_validates():
         build_slicing_tree(ok, RelationGraph(edges=((0, 7, 1.0),)))
     with pytest.raises(InvalidInputError):
         build_slicing_tree(ok, width_bias=0.0)
+
+
+def slicing_tree_cases():
+    """Seeded clouds: graph-free random clouds and topic clouds with
+    graphs, at narrow to wide targets and several width biases, with 1-3
+    FM runs per split to keep the test fast."""
+
+    rng = random.Random(0x7EE5)
+    for case in range(24):
+        bias = rng.choice([0.5, 0.85, 1.0, 1.3, 2.0])
+        runs = rng.randint(1, 3)
+        if case % 2 == 0:
+            cloud = random_cloud(case, rng.choice([13, 30, 80, 200]))
+            graph = None
+        else:
+            cloud, graph = topic_cloud(case, k=rng.choice([20, 40, 80]))
+        widest = max(t.width for t in cloud.tags)
+        width = rng.choice([widest * 4 // 5, widest + 20, 300, 550, 900])
+        cloud = Cloud(tags=cloud.tags, target_width=width)
+        yield f"{case}-{'topic' if graph else 'random'}", cloud, graph, case, bias, runs
+    # The vertical FM split of this root is accepted at exactly its
+    # bound: 13 tags of equal area, so the halves hold 7 and 6 of them,
+    # and the wide tag in the larger half gets 130 * 7/13 = 70 px.
+    boundary = Cloud(tags=(TagBox("wide", 1, 70, 12),)
+                     + tuple(TagBox(f"n{i}", 1, 20, 42) for i in range(12)),
+                     target_width=130)
+    yield "fm-bound", boundary, None, 0, 1.0, 1
+
+
+@pytest.mark.parametrize("case, cloud, graph, seed, bias, runs",
+                         list(slicing_tree_cases()))
+def test_slicing_tree_matches_reference(case, cloud, graph, seed, bias, runs):
+    got = build_slicing_tree(cloud, graph, seed=seed, width_bias=bias, fm_runs=runs)
+    assert got == slicing_tree_reference(cloud, graph, seed=seed, width_bias=bias,
+                                         fm_runs=runs)
+    if case == "fm-bound":
+        assert got.orient == "V"
 
 
 def overlap(a, b):

@@ -190,6 +190,66 @@ def test_json_rejects_bad_edges(edge, match):
         cloud_from_json(text)
 
 
+_TAG = {"label": "x", "weight": 1, "width": 10, "height": 12}
+_EDGE = {"a": 0, "b": 1, "strength": 1}
+
+
+def _doc(**fields):
+    """A two-tag document with ``fields`` replaced."""
+    return json.dumps({"target_width": 100, "tags": [_TAG, _TAG], **fields})
+
+
+def _with(base, **fields):
+    """``base`` with ``fields`` replaced; a None value drops the field."""
+    out = {**base, **fields}
+    return {k: v for k, v in out.items() if v is not None}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps([1]), "top-level JSON value must be an object"),
+    (json.dumps({"tags": []}), "missing field: target_width"),
+    (json.dumps({"target_width": 100}), "missing or invalid field: tags"),
+    (json.dumps({"target_width": 100, "tags": {}}), "missing or invalid field: tags"),
+    (_doc(target_width="wide"), "target_width must be an integer"),
+    (_doc(target_width=True), "target_width must be an integer"),
+    (_doc(space_width=2.5), "space_width must be an integer"),
+    (_doc(space_width=False), "space_width must be an integer"),
+    (_doc(tags=[_TAG, "x"]), "tags[1] must be an object"),
+    (_doc(tags=[_TAG, _with(_TAG, label=None)]), "tags[1]: missing field label"),
+    (_doc(tags=[_TAG, _with(_TAG, weight=None)]), "tags[1]: missing field weight"),
+    (_doc(tags=[_TAG, _with(_TAG, width=None)]), "tags[1]: missing field width"),
+    (_doc(tags=[_TAG, _with(_TAG, height=None)]), "tags[1]: missing field height"),
+    (_doc(tags=[_TAG, _with(_TAG, label=7)]), "tags[1]: label must be a string"),
+    (_doc(tags=[_TAG, _with(_TAG, weight=1.5)]), "tags[1]: weight must be an integer"),
+    (_doc(tags=[_TAG, _with(_TAG, width=False)]), "tags[1]: width must be an integer"),
+    (_doc(tags=[_TAG, _with(_TAG, height="12")]), "tags[1]: height must be an integer"),
+    (_doc(edges={}), "edges must be a list"),
+    (_doc(edges=[_EDGE, 3]), "edges[1] must be an object"),
+    (_doc(edges=[_EDGE, _with(_EDGE, a=None)]), "edges[1]: missing field a"),
+    (_doc(edges=[_EDGE, _with(_EDGE, b=None)]), "edges[1]: missing field b"),
+    (_doc(edges=[_EDGE, _with(_EDGE, strength=None)]), "edges[1]: missing field strength"),
+    (_doc(edges=[_EDGE, _with(_EDGE, a=1.0)]), "edges[1]: endpoints must be integers"),
+    (_doc(edges=[_EDGE, _with(_EDGE, strength="1")]), "edges[1]: strength must be a number"),
+    (_doc(tags=[_TAG, _with(_TAG, label="", weight=10, width=0, height=-1)]),
+     "tag 1 (''): empty label; tag 1 (''): weight range is 0..9, got 10;"
+     " tag 1 (''): width must be >= 1, got 0; tag 1 (''): height must be >= 1, got -1"),
+])
+def test_json_error_messages_are_exact(text, message):
+    with pytest.raises(InvalidInputError) as exc:
+        cloud_from_json(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, detail", [
+    pytest.param("[" * 100000 + "]" * 100000, "recursion", id="deep-nesting"),
+    pytest.param('{"target_width": %s, "tags": []}' % ("9" * 5000), "4300",
+                 id="long-integer"),
+])
+def test_json_too_deep_or_too_long_is_invalid_input(text, detail):
+    with pytest.raises(InvalidInputError, match=f"^not valid JSON: .*{detail}"):
+        cloud_from_json(text)
+
+
 def test_json_rejects_invalid_cloud_values():
     doc = {"target_width": 100,
            "tags": [{"label": "x", "weight": 11, "width": 10, "height": 12}]}
