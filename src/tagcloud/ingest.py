@@ -6,21 +6,37 @@ frequency become tags, with weights spread over the ten font levels in
 proportion to where each count sits between the least and most
 frequent retained word.  Tags seen next to each other repeatedly
 become relation edges.
+
+The per-token work runs in C: one regular expression finds the long
+words, and adjacent pairs are counted over a numpy array of tag ids.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Cloud, InvalidInputError, RelationGraph, TagBox, estimate_box
+import numpy as np
+
+from .model import (
+    Cloud,
+    InvalidInputError,
+    RelationGraph,
+    TagBox,
+    estimate_box,
+    width_problems,
+)
 
 MIN_WORD_LENGTH = 6
 MIN_COOCCURRENCE = 2
 
 _WORD_RE = re.compile(r"[a-z]+")
+# A match is always a whole maximal run: the scan reaches each run at its
+# first letter, and a run shorter than MIN_WORD_LENGTH holds no match.
+_LONG_WORD_RE = re.compile("[a-z]{%d,}" % MIN_WORD_LENGTH)
 
 
 def tokenize(text: str) -> list[str]:
@@ -30,9 +46,13 @@ def tokenize(text: str) -> list[str]:
 
 
 def tokenize_filter(text: str) -> list[str]:
-    """Like :func:`tokenize`, keeping only words long enough to tag."""
+    """Like :func:`tokenize`, keeping only words long enough to tag.
 
-    return [w for w in tokenize(text) if len(w) >= MIN_WORD_LENGTH]
+    Equal to ``[w for w in tokenize(text) if len(w) >= MIN_WORD_LENGTH]``
+    without building the short words.
+    """
+
+    return _LONG_WORD_RE.findall(text.lower())
 
 
 def importance(f: int, r: int, t: int) -> int:
@@ -87,6 +107,8 @@ def cooccurrence_graph(stream: Sequence[str], retained: Sequence[str]) -> Relati
 
     ``retained`` fixes the tag indices (position in the sequence).
     A pair must co-occur at least twice; its strength is the count.
+    The stream is mapped to tag ids once (-1 for any other word) and
+    the unordered pairs of adjacent, different ids are counted in numpy.
     """
 
     index = {}
@@ -94,18 +116,22 @@ def cooccurrence_graph(stream: Sequence[str], retained: Sequence[str]) -> Relati
         if word in index:
             raise InvalidInputError(f"retained word {word!r} listed twice")
         index[word] = pos
-    vocabulary = set(stream)
-    missing = [w for w in retained if w not in vocabulary]
-    if missing:
+    k = len(index)
+    ids = np.fromiter(map(index.get, stream, itertools.repeat(-1)),
+                      dtype=np.int64, count=len(stream))
+    seen = np.zeros(k, dtype=bool)
+    seen[ids[ids >= 0]] = True
+    if not seen.all():
+        missing = [w for w, hit in zip(retained, seen.tolist()) if not hit]
         raise InvalidInputError(f"retained words absent from the stream: {missing[:5]}")
-    pairs: Counter[tuple[int, int]] = Counter()
-    for a, b in zip(stream, stream[1:]):
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None or ia == ib:
-            continue
-        pairs[(min(ia, ib), max(ia, ib))] += 1
-    return RelationGraph.from_edges(
-        (i, j, c) for (i, j), c in pairs.items() if c >= MIN_COOCCURRENCE)
+    a, b = ids[:-1], ids[1:]
+    pair = (a >= 0) & (b >= 0) & (a != b)
+    a, b = a[pair], b[pair]
+    codes, counts = np.unique(np.minimum(a, b) * k + np.maximum(a, b),
+                              return_counts=True)
+    strong = counts >= MIN_COOCCURRENCE
+    lo, hi = np.divmod(codes[strong], k)
+    return RelationGraph.from_edges(zip(lo.tolist(), hi.tolist(), counts[strong].tolist()))
 
 
 def build_cloud_from_text(text: str, k: int, target_width: int = 550,
@@ -120,6 +146,11 @@ def build_cloud_from_text(text: str, k: int, target_width: int = 550,
 
     if adjacency not in ("filtered", "raw"):
         raise InvalidInputError(f"adjacency must be 'filtered' or 'raw', got {adjacency!r}")
+    # cloud_from_json's checks, before any tokenizing, so that no
+    # document is written that no layout accepts.
+    problems = width_problems(target_width, space_width)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     filtered = tokenize_filter(text)
     selection = build_tag_cloud(filtered, k)
     labels = [t.label for t in selection.tags]

@@ -19,9 +19,9 @@ width.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -156,7 +156,7 @@ def _internal_edges(tags: Sequence[int], graph: RelationGraph):
     return [(i, j, s) for i in tags for j, s in adj.get(i, ()) if j > i and j in keep]
 
 
-def _cut_weight(edges, side: Mapping[int, int]) -> float:
+def _cut_weight(edges, side: Mapping[int, int] | Sequence[int]) -> float:
     return float(sum(s for i, j, s in edges if side[i] != side[j]))
 
 
@@ -268,49 +268,57 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     the full loop would have made.
 
     Gains are integers (fractional strengths are scaled by 1000 and
-    rounded first), kept in the bucket structure of Fiduccia and
-    Mattheyses: one list of unlocked tags per gain value, sorted by tag
-    id, and a sorted list of the gain values in use.  A move re-files
-    each unlocked neighbor by bisection instead of re-sorting.
+    rounded first).  Tags are renumbered by their position in the
+    sorted group, so per-tag state lives in lists and id order is tag
+    order.  The unlocked tags wait in a heap of (-gain, id) entries, so
+    the highest gain and then the smallest id comes out first.  A move
+    pushes a new entry for each neighbor whose gain rises.  A neighbor
+    whose gain falls keeps its old entry, which comes out too early and
+    goes back in with the current gain.  Entries of locked tags and
+    superseded entries are dropped as they come out; live entries of
+    illegal moves are held aside and go back once a move is picked.
     """
 
     tags = sorted(set(tags))
-    if len(tags) < 2:
+    n = len(tags)
+    if n < 2:
         raise InvalidInputError("bipartition needs at least 2 tags")
     if runs < 1:
         raise InvalidInputError(f"runs must be >= 1, got {runs}")
     pulls = pulls or Pulls()
     if areas is None:
         areas = {t: 1 for t in tags}
-    if any(areas[t] < 1 for t in tags):
+    area = [areas[t] for t in tags]
+    if min(area) < 1:
         raise InvalidInputError("tag areas must be >= 1")
     cost_a, cost_b = _pull_costs(tags, pulls, axis)
-    edges = _internal_edges(tags, graph)
+    pos = {t: k for k, t in enumerate(tags)}
+    edges = [(pos[i], pos[j], s) for i, j, s in _internal_edges(tags, graph)]
 
     numbers = [s for _, _, s in edges] + list(cost_a.values()) + list(cost_b.values())
     scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
     sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
-    sca = {t: int(round(cost_a[t] * scale)) for t in tags}
-    scb = {t: int(round(cost_b[t] * scale)) for t in tags}
-    sadj: dict[int, list[tuple[int, int]]] = {t: [] for t in tags}
+    sca = [int(round(cost_a[t] * scale)) for t in tags]
+    scb = [int(round(cost_b[t] * scale)) for t in tags]
+    sadj: list[list[tuple[int, int]]] = [[] for _ in tags]
     for i, j, s in sedges:
         sadj[i].append((j, s))
         sadj[j].append((i, s))
-    s_max = max(areas[t] for t in tags)
+    s_max = max(area)
 
     rng = random.Random(seed)
-    best: tuple[int, int, dict[int, int]] | None = None
+    best: tuple[int, int, list[int]] | None = None
     stats = []
     for run_idx in range(runs):
-        order = tags[:]
+        order = list(range(n))
         rng.shuffle(order)
-        side: dict[int, int] = {}
+        side = [0] * n
         area_side = [0, 0]
         count_side = [0, 0]
         for t in order:  # lighter side first keeps the difference <= s_max
             dest = 0 if area_side[0] <= area_side[1] else 1
             side[t] = dest
-            area_side[dest] += areas[t]
+            area_side[dest] += area[t]
             count_side[dest] += 1
         initial_obj = _scaled_objective(sedges, side, sca, scb)
         initial_cut = _cut_weight(edges, side)
@@ -321,90 +329,97 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
                            final_objective=initial_obj / scale, passes=1)] * runs
             best = (initial_obj, run_idx, side)
             break
-        final_obj, passes = _fm_refine(tags, sadj, side, area_side, count_side,
-                                       areas, s_max, sca, scb, initial_obj)
+        final_obj, passes = _fm_refine(sadj, side, area_side, count_side,
+                                       area, s_max, sca, scb, initial_obj)
         stats.append(FmRun(initial_cut=initial_cut,
                            final_cut=_cut_weight(edges, side),
                            initial_objective=initial_obj / scale,
                            final_objective=final_obj / scale,
                            passes=passes))
         if best is None or (final_obj, run_idx) < (best[0], best[1]):
-            best = (final_obj, run_idx, dict(side))
+            best = (final_obj, run_idx, side[:])
 
     side = best[2]
-    part_a = tuple(t for t in tags if side[t] == 0)
-    part_b = tuple(t for t in tags if side[t] == 1)
+    part_a = tuple(t for t, st in zip(tags, side) if st == 0)
+    part_b = tuple(t for t, st in zip(tags, side) if st == 1)
     return Bipartition(part_a, part_b, _cut_weight(edges, side),
                        relaxed=False, runs=tuple(stats))
 
 
 def _scaled_objective(sedges, side, sca, scb) -> int:
     cut = sum(s for i, j, s in sedges if side[i] != side[j])
-    return cut + sum(sca[t] if side[t] == 0 else scb[t] for t in side)
+    return cut + sum(scb[t] if st else sca[t] for t, st in enumerate(side))
 
 
-def _fm_refine(tags, adj, side, area_side, count_side, areas, s_max, sca, scb,
+def _fm_refine(adj, side, area_side, count_side, area, s_max, sca, scb,
                obj: int) -> tuple[int, int]:
-    """Refine ``side`` in place; returns (final objective, passes run)."""
+    """Refine ``side`` (a list indexed by local id) in place; returns
+    (final objective, passes run)."""
 
+    heappop, heappush = heapq.heappop, heapq.heappush
+    n = len(side)
     passes = 0
     while True:
         passes += 1
         start_obj = obj
-        gains: dict[int, int] = {}
-        buckets: dict[int, list[int]] = {}  # gain -> unlocked tags, ascending
-        for t in tags:  # tags ascend, so each bucket starts sorted
+        # key[t] is -gain(t) while t is unlocked and None once it moved,
+        # so that the heap's smallest (key, id) is the move to try first.
+        key = []
+        for t in range(n):
             st = side[t]
-            g = sca[t] - scb[t] if st == 0 else scb[t] - sca[t]
+            k = scb[t] - sca[t] if st == 0 else sca[t] - scb[t]
             for u, s in adj[t]:
-                g += s if side[u] != st else -s
-            gains[t] = g
-            buckets.setdefault(g, []).append(t)
-        keys = sorted(buckets)  # the gain values in use, ascending
-        locked: set[int] = set()
+                k += -s if side[u] != st else s
+            key.append(k)
+        heap = list(zip(key, range(n)))
+        heapq.heapify(heap)
 
         moves: list[tuple[int, int]] = []  # (tag, side it came from)
         objs = [obj]
         valid = [abs(area_side[0] - area_side[1]) <= s_max]
 
-        while keys:
-            picked = _pick_move(keys, buckets, side, area_side, count_side, areas, s_max)
-            if picked is None:
+        while heap:
+            t = -1
+            illegal = []
+            while heap:
+                entry = heappop(heap)
+                k, u = entry
+                ku = key[u]
+                if ku != k:
+                    if ku is not None and k < ku:
+                        heappush(heap, (ku, u))  # overstated gain: rank it again
+                    continue
+                src = side[u]
+                if (count_side[src] == 1  # never empty a side
+                        or abs(area_side[src] - area_side[1 - src] - 2 * area[u])
+                        > 2 * s_max):
+                    illegal.append(entry)
+                    continue
+                t = u
                 break
-            g, k = picked
-            bucket = buckets[g]
-            t = bucket.pop(k)
-            if not bucket:
-                del buckets[g]
-                del keys[bisect_left(keys, g)]
-            locked.add(t)
-            src = side[t]
+            for entry in illegal:
+                heappush(heap, entry)
+            if t < 0:
+                break
+            obj += key[t]
+            key[t] = None
             side[t] = 1 - src
-            area_side[src] -= areas[t]
-            area_side[1 - src] += areas[t]
+            area_side[src] -= area[t]
+            area_side[1 - src] += area[t]
             count_side[src] -= 1
             count_side[1 - src] += 1
-            obj -= g
             moves.append((t, src))
             objs.append(obj)
             valid.append(abs(area_side[0] - area_side[1]) <= s_max)
             for u, s in adj[t]:
-                if u in locked:
+                k = key[u]
+                if k is None:
                     continue
-                delta = 2 * s if side[u] == src else -2 * s
-                if delta:
-                    old = gains[u]
-                    bucket = buckets[old]
-                    del bucket[bisect_left(bucket, u)]
-                    if not bucket:
-                        del buckets[old]
-                        del keys[bisect_left(keys, old)]
-                    new = gains[u] = old + delta
-                    if new in buckets:
-                        insort(buckets[new], u)
-                    else:
-                        buckets[new] = [u]
-                        insort(keys, new)
+                if side[u] != src:
+                    key[u] = k + 2 * s  # its old entry still comes out early enough
+                elif s:
+                    k = key[u] = k - 2 * s
+                    heappush(heap, (k, u))
 
         best_p, best_obj = 0, objs[0]
         for p in range(1, len(objs)):
@@ -413,28 +428,13 @@ def _fm_refine(tags, adj, side, area_side, count_side, areas, s_max, sca, scb,
         for t, src in reversed(moves[best_p:]):
             cur = side[t]
             side[t] = src
-            area_side[cur] -= areas[t]
-            area_side[src] += areas[t]
+            area_side[cur] -= area[t]
+            area_side[src] += area[t]
             count_side[cur] -= 1
             count_side[src] += 1
         obj = best_obj
         if best_obj >= start_obj:
             return obj, passes
-
-
-def _pick_move(keys, buckets, side, area_side, count_side, areas, s_max):
-    """(gain, index in its bucket) of the first legal move: highest gain,
-    then smallest tag id; None when no tag may move."""
-
-    for g in reversed(keys):
-        for k, t in enumerate(buckets[g]):
-            src = side[t]
-            if count_side[src] == 1:
-                continue  # never empty a side
-            diff = abs((area_side[src] - areas[t]) - (area_side[1 - src] + areas[t]))
-            if diff <= 2 * s_max:
-                return g, k
-    return None
 
 
 def bipartition(tags: Sequence[int], graph: RelationGraph,

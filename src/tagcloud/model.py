@@ -175,16 +175,24 @@ def estimate_box(label: str, weight: int) -> TagBox:
     return TagBox(label=label, weight=weight, width=width, height=height)
 
 
+def width_problems(target_width: int, space_width: int) -> list[str]:
+    """The cloud-wide width checks of :func:`validate_cloud`."""
+
+    problems = []
+    if target_width < 1:
+        problems.append(f"target_width must be >= 1, got {target_width}")
+    if space_width < 0:
+        problems.append(f"space_width must be >= 0, got {space_width}")
+    return problems
+
+
 def validate_cloud(cloud: Cloud) -> list[str]:
     """Collect every constraint violation instead of failing on the first."""
 
     problems: list[str] = []
     if not cloud.tags:
         problems.append("tags non-empty: cloud has no tags")
-    if cloud.target_width < 1:
-        problems.append(f"target_width must be >= 1, got {cloud.target_width}")
-    if cloud.space_width < 0:
-        problems.append(f"space_width must be >= 0, got {cloud.space_width}")
+    problems += width_problems(cloud.target_width, cloud.space_width)
     for i, tag in enumerate(cloud.tags):
         if tag.label and 0 <= tag.weight < WEIGHT_LEVELS and tag.width >= 1 and tag.height >= 1:
             continue  # the common case builds no message

@@ -11,8 +11,9 @@ import itertools
 import random
 from collections import Counter
 
+from tagcloud.ingest import MIN_COOCCURRENCE, MIN_WORD_LENGTH, tokenize
 from tagcloud.mincut import bipartition, compute_pulls
-from tagcloud.model import RelationGraph
+from tagcloud.model import InvalidInputError, RelationGraph
 from tagcloud.tree import Cut, Leaf
 
 
@@ -162,6 +163,35 @@ def pair_counts(stream, retained):
             i, j = index[a], index[b]
             counts[(min(i, j), max(i, j))] += 1
     return counts
+
+
+def tokenize_filter(text):
+    """Every word of :func:`tokenize` long enough to tag, one at a time."""
+
+    return [w for w in tokenize(text) if len(w) >= MIN_WORD_LENGTH]
+
+
+def cooccurrence_graph(stream, retained):
+    """The relation graph of adjacent retained words, counted pair by
+    pair in a Counter, with the library's checks and messages."""
+
+    index = {}
+    for pos, word in enumerate(retained):
+        if word in index:
+            raise InvalidInputError(f"retained word {word!r} listed twice")
+        index[word] = pos
+    vocabulary = set(stream)
+    missing = [w for w in retained if w not in vocabulary]
+    if missing:
+        raise InvalidInputError(f"retained words absent from the stream: {missing[:5]}")
+    pairs = Counter()
+    for a, b in zip(stream, stream[1:]):
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None or ia == ib:
+            continue
+        pairs[(min(ia, ib), max(ia, ib))] += 1
+    return RelationGraph.from_edges(
+        (i, j, c) for (i, j), c in pairs.items() if c >= MIN_COOCCURRENCE)
 
 
 def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):

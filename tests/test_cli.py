@@ -184,6 +184,36 @@ def test_ingest_notes_shortfall(scripts, tmp_path):
     assert "note:" in r.stderr
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--width", "0", "target_width must be >= 1, got 0"),
+    ("--space", "-1", "space_width must be >= 0, got -1"),
+])
+def test_ingest_rejects_widths_no_layout_accepts(monkeypatch, capsys, tmp_path,
+                                                 option, value, message):
+    from tagcloud.__main__ import main
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("winter summer winter summer autumn\n")
+    out = tmp_path / "x.json"
+    monkeypatch.setattr("sys.argv", ["ingest", "--text", str(corpus), "--out", str(out),
+                                     option, value])
+    with pytest.raises(SystemExit) as exc:
+        _run(main.commands["ingest"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_ingest_zero_width_exits_one(scripts, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("winter summer winter summer autumn\n")
+    out = tmp_path / "x.json"
+    r = run(scripts["ingest"], "--text", str(corpus), "--width", "0", "--out", str(out))
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == "error: target_width must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_ingest_rejects_non_utf8(scripts, tmp_path):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("caf\xe9 winter winter".encode("latin-1"))

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from tagcloud import (
+    Cloud,
     InvalidInputError,
     build_cloud_from_text,
     build_tag_cloud,
@@ -8,6 +11,8 @@ from tagcloud import (
     importance,
 )
 from tagcloud.ingest import MIN_WORD_LENGTH, tokenize, tokenize_filter
+from tagcloud.model import cloud_to_json
+from . import oracles
 from .oracles import pair_counts
 
 
@@ -140,3 +145,125 @@ def test_adjacency_raw_lets_short_words_split_pairs():
 def test_build_cloud_from_text_validates_adjacency():
     with pytest.raises(InvalidInputError):
         build_cloud_from_text("enough wordss here", 2, adjacency="both")
+
+
+# Glue inside a word: apostrophes, digits and "_" split it; the Kelvin
+# sign lowercases to ASCII "k" and joins it; the other letters are not
+# ASCII after lowercasing ("İ" becomes "i" plus a combining dot).
+_GLUE = ("'", "_", "7", "42", "-", "é", "ß", "İ", "\u212a", "Ω")
+_SEPARATORS = (" ", " ", " ", ", ", ".\n", "; ", "\t", " -- ", "…")
+
+
+def _vocabulary(rng):
+    """60 five-letter words and 260 words of six or seven letters over a
+    small alphabet, so that words repeat and pairs recur."""
+
+    def words(lengths, count):
+        found = set()
+        while len(found) < count:
+            found.add("".join(rng.choice("abcdefghij") for _ in range(rng.choice(lengths))))
+        return sorted(found)
+
+    return words((5,), 60) + words((6, 7), 260)
+
+
+def _text(rng, vocab, tokens):
+    parts = []
+    for _ in range(tokens):
+        word = rng.choice(vocab)
+        case = rng.random()
+        if case < 0.1:
+            word = word.upper()
+        elif case < 0.2:
+            word = word.capitalize()
+        if rng.random() < 0.25:
+            word += rng.choice(_GLUE) + rng.choice(vocab)
+        parts.append(word)
+        if rng.random() < 0.15:
+            parts.append(word)  # an immediate repeat
+    return "".join(p + rng.choice(_SEPARATORS) for p in parts)
+
+
+def ingest_texts():
+    """Seeded texts of 0 to 3000 words, plus the one-word ones."""
+
+    rng = random.Random(0x7E47)
+    vocab = _vocabulary(rng)
+    yield "empty", ""
+    yield "one-short", "abcde"
+    yield "one-long", "abcdef"
+    yield "one-kelvin", "abcde\u212a"
+    for tokens in (2, 5, 50, 500, 3000, 3000):
+        yield f"tokens{tokens}-{rng.random():.4f}", _text(rng, vocab, tokens)
+
+
+INGEST_TEXTS = list(ingest_texts())
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidInputError as e:
+        return f"InvalidInputError: {e}"
+
+
+@pytest.mark.parametrize("name, text", INGEST_TEXTS, ids=[n for n, _ in INGEST_TEXTS])
+def test_tokenize_filter_matches_word_by_word_filter(name, text):
+    assert tokenize_filter(text) == oracles.tokenize_filter(text)
+
+
+@pytest.mark.parametrize("adjacency", ["filtered", "raw"])
+@pytest.mark.parametrize("name, text", INGEST_TEXTS, ids=[n for n, _ in INGEST_TEXTS])
+def test_cooccurrence_matches_counter_reference(name, text, adjacency):
+    """Same edges, with the same int types, and the same errors, for
+    retained lists of 1 to 200 words in any order, some absent."""
+
+    rng = random.Random(name + adjacency)
+    stream = tokenize_filter(text) if adjacency == "filtered" else tokenize(text)
+    words = sorted(set(stream))
+    sizes = {1, 2, len(words), min(len(words), 200), rng.randint(1, max(1, len(words)))}
+    for size in sorted(sizes):
+        retained = rng.sample(words, min(size, len(words)))
+        if rng.random() < 0.3 or not retained:
+            for absent in rng.sample(["zzzzzz", "qqqqqqq", "abcdexy", "WORDS", ""], 3):
+                retained.insert(rng.randint(0, len(retained)), absent)
+        got = _raised(cooccurrence_graph, stream, retained)
+        want = _raised(oracles.cooccurrence_graph, stream, retained)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert repr(got.edges) == repr(want.edges)
+    if words:
+        assert (_raised(cooccurrence_graph, stream, [words[0], words[0]])
+                == _raised(oracles.cooccurrence_graph, stream, [words[0], words[0]]))
+
+
+@pytest.mark.parametrize("adjacency", ["filtered", "raw"])
+@pytest.mark.parametrize("name, text", INGEST_TEXTS, ids=[n for n, _ in INGEST_TEXTS])
+def test_build_cloud_from_text_matches_reference_pipeline(name, text, adjacency):
+    def reference(k):
+        filtered = oracles.tokenize_filter(text)
+        selection = build_tag_cloud(filtered, k)
+        stream = filtered if adjacency == "filtered" else tokenize(text)
+        graph = oracles.cooccurrence_graph(stream, [t.label for t in selection.tags])
+        return cloud_to_json(Cloud(tags=selection.tags, target_width=550), graph)
+
+    for k in (1, 50, 200):
+        got = _raised(lambda: cloud_to_json(*build_cloud_from_text(text, k, adjacency=adjacency)))
+        assert got == _raised(reference, k)
+
+
+@pytest.mark.parametrize("width, space, message", [
+    (0, 4, "target_width must be >= 1, got 0"),
+    (-5, 4, "target_width must be >= 1, got -5"),
+    (550, -1, "space_width must be >= 0, got -1"),
+    (0, -1, "target_width must be >= 1, got 0; space_width must be >= 0, got -1"),
+])
+def test_build_cloud_from_text_rejects_widths_no_layout_accepts(width, space, message):
+    with pytest.raises(InvalidInputError) as exc:
+        build_cloud_from_text("gardens flowers gardens", 2, target_width=width,
+                              space_width=space)
+    assert str(exc.value) == message
+    cloud, _ = build_cloud_from_text("gardens flowers gardens", 2, target_width=1,
+                                     space_width=0)
+    assert (cloud.target_width, cloud.space_width) == (1, 0)

@@ -175,7 +175,7 @@ def test_fm_finds_the_bridge_cut():
 def fm_reference_cases():
     """Seeded FM inputs: 13-80 tags drawn from a larger graph, integer
     or fractional strengths (or none), pulls on either axis, unit or
-    random areas."""
+    random areas; then dense groups where many moves are illegal."""
 
     rng = random.Random(0xB0C7)
     for case in range(60):
@@ -195,6 +195,27 @@ def fm_reference_cases():
                          for side in SIDES if rng.random() < 0.5})
         areas = ({t: 1 for t in tags} if case % 3 == 0
                  else {t: rng.randint(1, 30) for t in tags})
+        yield case, tags, g, pulls, axis, areas, rng.choice([1, 3, 10])
+
+    # Dense and complete graphs on 13-40 tags with one dominant tag area.
+    # Moving tags to one side keeps cutting less, so the top-gain move
+    # often breaks the area rule, or would empty a side holding only the
+    # dominant tag, and its entry has to wait for a later move.
+    rng = random.Random(0xD3E5)
+    for case in range(60, 90):
+        n = 13 if case % 3 == 0 else rng.randint(13, 40)
+        tags = sorted(rng.sample(range(n + 10), n))
+        density = 1.0 if case % 2 == 0 else 0.6
+        fractional = case % 4 >= 2
+        g = RelationGraph.from_edges(
+            (i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
+            for k, i in enumerate(tags) for j in tags[k + 1:] if rng.random() < density)
+        areas = {t: rng.randint(1, 6) for t in tags}
+        others = sum(areas.values())
+        areas[rng.choice(tags)] = others if case % 3 == 0 else rng.randint(8, 30)
+        axis = rng.choice("VH")
+        pulls = Pulls(**{side: {t: rng.choice([1, 3, 0.5]) for t in tags if rng.random() < 0.2}
+                         for side in SIDES if rng.random() < 0.3})
         yield case, tags, g, pulls, axis, areas, rng.choice([1, 3, 10])
 
 
