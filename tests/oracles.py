@@ -172,8 +172,8 @@ def tokenize_filter(text):
 
 
 def cooccurrence_graph(stream, retained):
-    """The relation graph of adjacent retained words, counted pair by
-    pair in a Counter, with the library's checks and messages."""
+    """The relation graph of :func:`pair_counts` seen at least
+    ``MIN_COOCCURRENCE`` times, with the library's checks and messages."""
 
     index = {}
     for pos, word in enumerate(retained):
@@ -184,14 +184,9 @@ def cooccurrence_graph(stream, retained):
     missing = [w for w in retained if w not in vocabulary]
     if missing:
         raise InvalidInputError(f"retained words absent from the stream: {missing[:5]}")
-    pairs = Counter()
-    for a, b in zip(stream, stream[1:]):
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None or ia == ib:
-            continue
-        pairs[(min(ia, ib), max(ia, ib))] += 1
     return RelationGraph.from_edges(
-        (i, j, c) for (i, j), c in pairs.items() if c >= MIN_COOCCURRENCE)
+        (i, j, c) for (i, j), c in pair_counts(stream, retained).items()
+        if c >= MIN_COOCCURRENCE)
 
 
 def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):

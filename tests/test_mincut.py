@@ -211,8 +211,7 @@ def fm_reference_cases():
             (i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
             for k, i in enumerate(tags) for j in tags[k + 1:] if rng.random() < density)
         areas = {t: rng.randint(1, 6) for t in tags}
-        others = sum(areas.values())
-        areas[rng.choice(tags)] = others if case % 3 == 0 else rng.randint(8, 30)
+        areas[rng.choice(tags)] = sum(areas.values()) if case % 3 == 0 else rng.randint(8, 30)
         axis = rng.choice("VH")
         pulls = Pulls(**{side: {t: rng.choice([1, 3, 0.5]) for t in tags if rng.random() < 0.2}
                          for side in SIDES if rng.random() < 0.3})
