@@ -57,33 +57,18 @@ class BenchReport:
                   f" shuffles={self.config.shuffles} rng={RNG_ALGORITHM}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow([
-                row.cloud,
-                row.method,
-                _fmt(row.badness_l1),
-                _fmt(row.badness_l2),
-                _fmt(row.area_kpx),
-                _fmt(row.weighted_dist),
-                _fmt(row.time_ms),
-                _fmt(row.iterations),
-            ])
+        writer.writerows(_cells(row) for row in self.rows)
         return buf.getvalue()
 
     def to_text(self) -> str:
-        header = list(CSV_COLUMNS)
-        table = [header]
-        for row in self.rows:
-            table.append([
-                row.cloud, row.method, _fmt(row.badness_l1), _fmt(row.badness_l2),
-                _fmt(row.area_kpx), _fmt(row.weighted_dist), _fmt(row.time_ms),
-                _fmt(row.iterations),
-            ])
-        widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-        lines = []
-        for r in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        table = [list(CSV_COLUMNS)] + [_cells(row) for row in self.rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+                       for r in table)
+
+
+def _cells(row: BenchRow) -> list[str]:
+    return [_fmt(getattr(row, column)) for column in CSV_COLUMNS]
 
 
 def _fmt(value) -> str:

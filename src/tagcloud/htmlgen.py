@@ -12,8 +12,8 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable
 
-from .model import Cloud, InvalidInputError, LineLayout, PlacedCloud
-from .tree import Leaf, Node
+from .model import WEIGHT_LEVELS, Cloud, InvalidInputError, LineLayout, PlacedCloud, font_size_pt
+from .tree import Leaf, Node, leaves
 
 # The estimator assumes 1.25 em line boxes; the stylesheet must agree.
 LINE_HEIGHT = "1.25"
@@ -28,8 +28,8 @@ def emit_css() -> str:
         ".cloud td { padding: 0; vertical-align: top; }",
         ".cloud span { white-space: nowrap; }",
     ]
-    for level in range(10):
-        rules.append(f".tag{level} {{ font-size: {8 + 4 * level}pt; }}")
+    for level in range(WEIGHT_LEVELS):
+        rules.append(f".tag{level} {{ font-size: {font_size_pt(level)}pt; }}")
     rules += [
         "/* squeezed and stretched shape variants; real font stretching is",
         "   unreliable across browsers, so letter spacing and weight stand in */",
@@ -99,8 +99,6 @@ def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud,
     when the placed box is squeezed or stretched relative to the tag's
     default box.
     """
-
-    from .tree import leaves
 
     placed_tags = placed.by_tag()
     tree_tags = sorted(leaves(tree))

@@ -39,6 +39,11 @@ FONT_STEP_PT = 4
 DEFAULT_SPACE_WIDTH = 4
 DEFAULT_TARGET_WIDTH = 550
 
+# Largest accepted width or height in pixels.  An exhaustive split sums
+# the areas of at most 12 tags in floats; at most 2**48 px^2 each, the
+# sums stay below 2**53 and so exact.
+MAX_PIXELS = 1 << 24
+
 
 def font_size_pt(weight: int) -> int:
     return MIN_FONT_PT + FONT_STEP_PT * weight
@@ -175,15 +180,20 @@ def estimate_box(label: str, weight: int) -> TagBox:
     return TagBox(label=label, weight=weight, width=width, height=height)
 
 
+def _pixel_problem(name: str, value: int, low: int) -> str | None:
+    if value < low:
+        return f"{name} must be >= {low}, got {value}"
+    if value > MAX_PIXELS:
+        return f"{name} must be <= {MAX_PIXELS}, got {value}"
+    return None
+
+
 def width_problems(target_width: int, space_width: int) -> list[str]:
     """The cloud-wide width checks of :func:`validate_cloud`."""
 
-    problems = []
-    if target_width < 1:
-        problems.append(f"target_width must be >= 1, got {target_width}")
-    if space_width < 0:
-        problems.append(f"space_width must be >= 0, got {space_width}")
-    return problems
+    problems = (_pixel_problem("target_width", target_width, 1),
+                _pixel_problem("space_width", space_width, 0))
+    return [p for p in problems if p]
 
 
 def validate_cloud(cloud: Cloud) -> list[str]:
@@ -194,17 +204,18 @@ def validate_cloud(cloud: Cloud) -> list[str]:
         problems.append("tags non-empty: cloud has no tags")
     problems += width_problems(cloud.target_width, cloud.space_width)
     for i, tag in enumerate(cloud.tags):
-        if tag.label and 0 <= tag.weight < WEIGHT_LEVELS and tag.width >= 1 and tag.height >= 1:
+        if (tag.label and 0 <= tag.weight < WEIGHT_LEVELS
+                and 1 <= tag.width <= MAX_PIXELS and 1 <= tag.height <= MAX_PIXELS):
             continue  # the common case builds no message
         where = f"tag {i} ({tag.label!r})"
         if not tag.label:
             problems.append(f"{where}: empty label")
         if not 0 <= tag.weight < WEIGHT_LEVELS:
             problems.append(f"{where}: weight range is 0..9, got {tag.weight}")
-        if tag.width < 1:
-            problems.append(f"{where}: width must be >= 1, got {tag.width}")
-        if tag.height < 1:
-            problems.append(f"{where}: height must be >= 1, got {tag.height}")
+        for name, value in (("width", tag.width), ("height", tag.height)):
+            problem = _pixel_problem(name, value, 1)
+            if problem:
+                problems.append(f"{where}: {problem}")
     return problems
 
 

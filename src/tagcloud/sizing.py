@@ -2,11 +2,12 @@
 
 Every node of a slicing tree carries a list of candidate (width,
 height) shapes: leaves get the tag's default box plus optional
-squeezed/stretched variants, internal nodes combine child lists.  The
-lists stay small because dominated shapes (wider *and* taller than
-another) are discarded.  After the root list is known, one shape is
-selected under the width budget and choices propagate back down to
-absolute pixel placements.
+squeezed/stretched variants, internal nodes combine child lists in one
+bottom-up walk (Otten 1982; Stockmeyer 1983).  The lists stay small
+because they hold no dominated shape (wider *and* taller than
+another).  Each internal shape points at the two child shapes it
+packs, so once one root shape is selected under the width budget,
+following those links yields absolute pixel placements.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .tree import Leaf, Node, iter_nodes
+from .tree import Leaf, Node
 from .model import Cloud, InternalError, InvalidInputError, PlacedCloud, Placement, TagBox
 
 # Pixels of white kept to the left of a tag placed beside another.
@@ -95,14 +96,14 @@ def gen_shape_options(tag: TagBox, variants: int = 3) -> ShapeList:
 class ShapeChoice:
     """One packed shape of a node plus where it came from.
 
-    ``first``/``second`` index into the child nodes' choice lists; they
-    are None on leaves.
+    ``first``/``second`` are the child nodes' choices this shape packs;
+    they are None on leaves.
     """
 
     width: int
     height: int
-    first: int | None = None
-    second: int | None = None
+    first: ShapeChoice | None = None
+    second: ShapeChoice | None = None
 
 
 def shape_list(choices: Sequence[ShapeChoice]) -> ShapeList:
@@ -114,24 +115,30 @@ def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
     """Bottom-up shape lists for every node of the tree.
 
     A V node sets children side by side (widths add, plus the side
-    gap); an H node stacks them (heights add).  Merging walks the two
-    sorted child lists once per candidate, and dominated results are
-    pruned, so list sizes stay near the sum of the children's.
+    gap); an H node stacks them (heights add).  One walk sizes the
+    tree, each call returning its node's list to the parent.  A merge
+    sweeps the heights (V) or widths (H) of both child lists, pairing
+    the cheapest child shapes that fit.  Each step advances the child
+    owning the swept value, which becomes the candidate's own, so the
+    other dimension moves strictly the other way: no candidate is
+    dominated, and list sizes stay near the sum of the children's.
     """
 
     table: dict[Node, tuple[ShapeChoice, ...]] = {}
-    for node in iter_nodes(tree):
+
+    def size(node: Node) -> tuple[ShapeChoice, ...]:
         if isinstance(node, Leaf):
             shapes = leaf_shapes.get(node.tag)
             if not shapes or not is_shape_list(shapes):
                 raise InvalidInputError(f"leaf {node.tag}: missing or unsorted shape list")
-            table[node] = tuple(ShapeChoice(w, h) for w, h in shapes)
-            continue
-        first, second = table[node.first], table[node.second]
-        if node.orient == "V":
-            table[node] = _combine_beside(first, second)
+            choices = tuple(ShapeChoice(w, h) for w, h in shapes)
         else:
-            table[node] = _combine_stacked(first, second)
+            merge = _combine_beside if node.orient == "V" else _combine_stacked
+            choices = merge(size(node.first), size(node.second))
+        table[node] = choices
+        return choices
+
+    size(tree)
     return table
 
 
@@ -150,9 +157,8 @@ def _combine_beside(first: Sequence[ShapeChoice],
         if ia == len(first) or ib == len(second):
             break  # one side cannot get this flat
         a, b = first[ia], second[ib]
-        cands.append(ShapeChoice(a.width + SIDE_GAP + b.width,
-                                 max(a.height, b.height), ia, ib))
-    return _prune_choices(cands)
+        cands.append(ShapeChoice(a.width + SIDE_GAP + b.width, h, a, b))
+    return tuple(cands)
 
 
 def _combine_stacked(first: Sequence[ShapeChoice],
@@ -168,16 +174,8 @@ def _combine_stacked(first: Sequence[ShapeChoice],
         if ia < 0 or ib < 0:
             continue  # one side needs more width
         a, b = first[ia], second[ib]
-        cands.append(ShapeChoice(max(a.width, b.width), a.height + b.height, ia, ib))
-    return _prune_choices(cands)
-
-
-def _prune_choices(cands: list[ShapeChoice]) -> tuple[ShapeChoice, ...]:
-    kept: list[ShapeChoice] = []
-    for c in sorted(cands, key=lambda c: (c.width, c.height, c.first, c.second)):
-        if not kept or c.height < kept[-1].height:
-            kept.append(c)
-    return tuple(kept)
+        cands.append(ShapeChoice(w, a.height + b.height, a, b))
+    return tuple(cands)
 
 
 def select_and_place(tree: Node, node_shapes: Mapping[Node, tuple[ShapeChoice, ...]],
@@ -186,8 +184,10 @@ def select_and_place(tree: Node, node_shapes: Mapping[Node, tuple[ShapeChoice, .
 
     Selection takes the minimum-area root shape fitting the width
     budget (ties: the shorter one); when nothing fits, the narrowest
-    shape.  Children go flush to their region's top-left; the second
-    child of a V node starts after the side gap.
+    shape.  Only the root's list is read from ``node_shapes``: the
+    chosen shape's child links lead down the tree.  Children go flush
+    to their region's top-left; the second child of a V node starts
+    after the side gap.
     """
 
     root = node_shapes.get(tree)
@@ -204,10 +204,9 @@ def select_and_place(tree: Node, node_shapes: Mapping[Node, tuple[ShapeChoice, .
         if isinstance(node, Leaf):
             placements.append(Placement(node.tag, x, y, choice.width, choice.height))
             return
-        if choice.first is None or choice.second is None:
+        a, b = choice.first, choice.second
+        if a is None or b is None:
             raise InternalError("internal node shape lost its child choices")
-        a = node_shapes[node.first][choice.first]
-        b = node_shapes[node.second][choice.second]
         if node.orient == "V":
             expect = (a.width + SIDE_GAP + b.width, max(a.height, b.height))
         else:

@@ -14,6 +14,7 @@ from collections import Counter
 from tagcloud.ingest import MIN_COOCCURRENCE, MIN_WORD_LENGTH, tokenize
 from tagcloud.mincut import bipartition, compute_pulls
 from tagcloud.model import InvalidInputError, RelationGraph
+from tagcloud.sizing import prune_shapes
 from tagcloud.tree import Cut, Leaf
 
 
@@ -82,6 +83,18 @@ def tree_dims(tree_tuple, leaf_choice, gap):
     if kind == "V":
         return aw + gap + bw, max(ah, bh)
     return max(aw, bw), ah + bh
+
+
+def merge_frontier(first, second, orient, gap):
+    """Shape list of a cut node from its children's (width, height)
+    lists: every pairing of one shape from each side, then the
+    dominated results dropped with the library's ``prune_shapes``."""
+
+    if orient == "V":
+        packed = [(aw + gap + bw, max(ah, bh)) for aw, ah in first for bw, bh in second]
+    else:
+        packed = [(max(aw, bw), ah + bh) for aw, ah in first for bw, bh in second]
+    return prune_shapes(packed)
 
 
 def best_root_shape(tree_tuple, leaf_shapes, target, gap):

@@ -7,10 +7,12 @@ import sys
 
 import click
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tagcloud
+from tagcloud.bench import INLINE_ALGOS
 from tagcloud.cli import _run
-from tagcloud.model import InternalError
+from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, InternalError
 
 COMMANDS = ("layout-inline", "layout-mincut", "ingest", "bench")
 MODULE = (sys.executable, "-m", "tagcloud")
@@ -187,6 +189,8 @@ def test_ingest_notes_shortfall(scripts, tmp_path):
 @pytest.mark.parametrize("option, value, message", [
     ("--width", "0", "target_width must be >= 1, got 0"),
     ("--space", "-1", "space_width must be >= 0, got -1"),
+    ("--width", str(10 ** 400), f"target_width must be <= {MAX_PIXELS}, got {10 ** 400}"),
+    ("--space", str(10 ** 400), f"space_width must be <= {MAX_PIXELS}, got {10 ** 400}"),
 ])
 def test_ingest_rejects_widths_no_layout_accepts(monkeypatch, capsys, tmp_path,
                                                  option, value, message):
@@ -310,3 +314,86 @@ def test_console_scripts_match_module_commands(monkeypatch):
         assert module == "tagcloud.cli"
         getattr(cli, func)()
         assert ran.pop() is main.commands[name]
+
+
+def _exit_code(command, argv):
+    """Run ``command`` in-process through ``_run``; its exit code."""
+    saved = sys.argv
+    sys.argv = argv
+    try:
+        _run(command)
+    except SystemExit as e:
+        return e.code
+    finally:
+        sys.argv = saved
+    return 0
+
+
+# Values one field of a document may be overwritten with: at or just
+# past the pixel bound, invalid, or far beyond what a float holds.
+_EXTREMES = st.sampled_from([0, -1, MAX_PIXELS, MAX_PIXELS + 1, 10 ** 400])
+
+
+@st.composite
+def cloud_documents(draw):
+    """Cloud JSON texts around the edges the layout code branches on:
+    1, 12 and 13 tags (the exhaustive/FM boundary), tags wider than the
+    target, no space, strengths near the total bound, and one integer
+    field, if any, set to an extreme value."""
+
+    n = draw(st.sampled_from([1, 2, 12, 13]))
+    doc = {"target_width": draw(st.integers(1, 600)),
+           "space_width": draw(st.sampled_from([0, 4])),
+           "tags": [{"label": draw(st.text("abcxyz<&é", min_size=1, max_size=8)),
+                     "weight": draw(st.integers(0, 9)),
+                     "width": draw(st.integers(1, 800)),
+                     "height": draw(st.integers(1, 80))}
+                    for _ in range(n)]}
+    if n > 1 and draw(st.booleans()):
+        strengths = st.sampled_from([1, 2.5, MAX_TOTAL_STRENGTH / 13, MAX_TOTAL_STRENGTH / 2,
+                                     MAX_TOTAL_STRENGTH, 10 ** 400])
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+        doc["edges"] = [{"a": a, "b": b, "strength": draw(strengths)} for a, b in pairs]
+    field = draw(st.sampled_from([None, "target_width", "space_width", "weight", "width",
+                                  "height"]))
+    if field in doc:
+        doc[field] = draw(_EXTREMES)
+    elif field is not None:
+        for k in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            doc["tags"][k][field] = draw(_EXTREMES)
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _huge(field):
+    """A two-tag document with ``field`` set to an integer no float holds."""
+    doc = {"target_width": 200, "tags": [{"label": "a", "weight": 1, "width": 30, "height": 14},
+                                         {"label": "b", "weight": 2, "width": 40, "height": 20}]}
+    if field in doc:
+        doc[field] = 10 ** 400
+    else:
+        doc["tags"][1][field] = 10 ** 400
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["layout-inline", "layout-mincut"])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=cloud_documents(), algo=st.sampled_from(sorted(INLINE_ALGOS)))
+@example(text=_huge("target_width"), algo="dp")
+@example(text=_huge("width"), algo="dp")
+@example(text=_huge("height"), algo="dp")
+def test_layout_commands_never_exit_two(fuzz_dir, command, text, algo):
+    from tagcloud.__main__ import main
+
+    doc = fuzz_dir / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(doc)]
+    if command == "layout-inline":
+        argv += ["--algo", algo, "--shuffles", "3"]
+    assert _exit_code(main.commands[command], argv) in (0, 1)

@@ -14,7 +14,7 @@ from tagcloud import (
     font_size_pt,
     validate_cloud,
 )
-from tagcloud.model import validate_graph
+from tagcloud.model import MAX_PIXELS, validate_graph
 
 
 def test_font_scale():
@@ -233,6 +233,11 @@ def _with(base, **fields):
     (_doc(tags=[_TAG, _with(_TAG, label="", weight=10, width=0, height=-1)]),
      "tag 1 (''): empty label; tag 1 (''): weight range is 0..9, got 10;"
      " tag 1 (''): width must be >= 1, got 0; tag 1 (''): height must be >= 1, got -1"),
+    (_doc(target_width=MAX_PIXELS + 1), f"target_width must be <= {MAX_PIXELS}, got {MAX_PIXELS + 1}"),
+    (_doc(space_width=10 ** 400), f"space_width must be <= {MAX_PIXELS}, got {10 ** 400}"),
+    (_doc(tags=[_TAG, _with(_TAG, width=10 ** 400, height=MAX_PIXELS + 1)]),
+     f"tag 1 ('x'): width must be <= {MAX_PIXELS}, got {10 ** 400};"
+     f" tag 1 ('x'): height must be <= {MAX_PIXELS}, got {MAX_PIXELS + 1}"),
 ])
 def test_json_error_messages_are_exact(text, message):
     with pytest.raises(InvalidInputError) as exc:
@@ -272,3 +277,10 @@ def test_json_round_trip_property(tags, target, space):
     cloud = Cloud(tags=tuple(tags), target_width=target, space_width=space)
     back, _ = cloud_from_json(cloud_to_json(cloud))
     assert back == cloud
+
+
+def test_pixel_bound_is_inclusive():
+    edge = TagBox("x", 1, MAX_PIXELS, MAX_PIXELS)
+    cloud = Cloud(tags=(edge,), target_width=MAX_PIXELS, space_width=MAX_PIXELS)
+    assert validate_cloud(cloud) == []
+    assert cloud_from_json(cloud_to_json(cloud))[0] == cloud

@@ -15,7 +15,7 @@ from tagcloud.sizing import (
     shape_list,
 )
 from tagcloud.tree import Cut, Leaf, internal_count, iter_nodes, leaves
-from .oracles import best_root_shape
+from .oracles import best_root_shape, merge_frontier
 
 
 def test_prune_keeps_trade_off_curve():
@@ -179,6 +179,51 @@ def test_every_node_list_is_pruned_and_sorted():
         table = combine_shapes(tree, shapes)
         for node in iter_nodes(tree):
             assert is_shape_list(shape_list(table[node]))
+
+
+def _tied_trees(seed, count):
+    """Random V/H trees over 3-variant leaves drawn from a few boxes, so
+    equal widths and heights meet in the merges."""
+
+    rng = random.Random(seed)
+    boxes = [TagBox("t", 1, w, h) for w in (20, 40) for h in (10, 20)]
+    for _ in range(count):
+        m = rng.randint(2, 9)
+        tree = tree_of(random_tree(rng, list(range(m))))
+        yield tree, {t: gen_shape_options(rng.choice(boxes)) for t in range(m)}
+
+
+def test_every_cut_matches_the_brute_force_frontier():
+    ties = 0
+    for tree, shapes in _tied_trees(0xF0, 60):
+        table = combine_shapes(tree, shapes)
+        for node in iter_nodes(tree):
+            if isinstance(node, Leaf):
+                continue
+            first, second = shape_list(table[node.first]), shape_list(table[node.second])
+            ties += len({w for w, _ in first} & {w for w, _ in second})
+            ties += len({h for _, h in first} & {h for _, h in second})
+            assert shape_list(table[node]) == merge_frontier(first, second, node.orient,
+                                                             SIDE_GAP)
+    assert ties > 100
+
+
+def test_choices_link_to_child_choices_that_reproduce_them():
+    for tree, shapes in _tied_trees(0xF1, 30):
+        table = combine_shapes(tree, shapes)
+        for node in iter_nodes(tree):
+            if isinstance(node, Leaf):
+                assert all(c.first is None and c.second is None for c in table[node])
+                continue
+            for c in table[node]:
+                a, b = c.first, c.second
+                assert any(a is x for x in table[node.first])
+                assert any(b is x for x in table[node.second])
+                if node.orient == "V":
+                    assert (c.width, c.height) == (a.width + SIDE_GAP + b.width,
+                                                   max(a.height, b.height))
+                else:
+                    assert (c.width, c.height) == (max(a.width, b.width), a.height + b.height)
 
 
 def test_default_leaf_shapes_covers_the_cloud():
