@@ -21,7 +21,15 @@ from .ingest import build_cloud_from_text
 from .inline import BadnessAggregate, line_badnesses
 from .metrics import bbox_area, layout_to_placement, weighted_distance
 from .mincut import layout_mincut
-from .model import Cloud, CloudError, InvalidInputError, cloud_from_json, cloud_to_json
+from .model import (
+    DEFAULT_SPACE_WIDTH,
+    DEFAULT_TARGET_WIDTH,
+    Cloud,
+    CloudError,
+    InvalidInputError,
+    cloud_from_json,
+    cloud_to_json,
+)
 
 
 def _read_text(path: str) -> str:
@@ -115,8 +123,8 @@ def layout_mincut_cmd(input_path, width, seed, shapes, html_path):
               help="Tags to keep.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="Cloud JSON document to write.")
-@click.option("--width", type=int, default=550, show_default=True)
-@click.option("--space", type=int, default=4, show_default=True)
+@click.option("--width", type=int, default=DEFAULT_TARGET_WIDTH, show_default=True)
+@click.option("--space", type=int, default=DEFAULT_SPACE_WIDTH, show_default=True)
 @click.option("--adjacency", type=click.Choice(["filtered", "raw"]),
               default="filtered", show_default=True,
               help="Count co-occurrence on the filtered stream or the raw one.")
@@ -152,7 +160,11 @@ def bench_cmd(inputs_dir, csv_path, seed, shuffles, agg, shapes):
         raise InvalidInputError(f"no .json cloud documents in {inputs_dir}")
     inputs = []
     for f in files:
-        cloud, graph = cloud_from_json(_read_text(str(f)))
+        text = _read_text(str(f))
+        try:
+            cloud, graph = cloud_from_json(text)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{f}: {e}") from e
         inputs.append((f.stem, cloud, graph))
     config = BenchConfig(seed=seed, agg=BadnessAggregate.from_name(agg),
                          shuffles=shuffles, shape_variants=int(shapes))

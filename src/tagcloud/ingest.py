@@ -22,11 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    DEFAULT_SPACE_WIDTH,
+    DEFAULT_TARGET_WIDTH,
     Cloud,
     InvalidInputError,
     RelationGraph,
     TagBox,
     estimate_box,
+    raise_problems,
     width_problems,
 )
 
@@ -134,8 +137,8 @@ def cooccurrence_graph(stream: Sequence[str], retained: Sequence[str]) -> Relati
     return RelationGraph.from_edges(zip(lo.tolist(), hi.tolist(), counts[strong].tolist()))
 
 
-def build_cloud_from_text(text: str, k: int, target_width: int = 550,
-                          space_width: int = 4,
+def build_cloud_from_text(text: str, k: int, target_width: int = DEFAULT_TARGET_WIDTH,
+                          space_width: int = DEFAULT_SPACE_WIDTH,
                           adjacency: str = "filtered") -> tuple[Cloud, RelationGraph]:
     """Full ingest pipeline: text to (cloud, relation graph).
 
@@ -148,9 +151,7 @@ def build_cloud_from_text(text: str, k: int, target_width: int = 550,
         raise InvalidInputError(f"adjacency must be 'filtered' or 'raw', got {adjacency!r}")
     # cloud_from_json's checks, before any tokenizing, so that no
     # document is written that no layout accepts.
-    problems = width_problems(target_width, space_width)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    raise_problems(width_problems(target_width, space_width))
     filtered = tokenize_filter(text)
     selection = build_tag_cloud(filtered, k)
     labels = [t.label for t in selection.tags]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
+    DEFAULT_SPACE_WIDTH,
     Cloud,
     InfeasibleLineError,
     InvalidInputError,
@@ -45,7 +46,7 @@ class BadnessAggregate(enum.Enum):
 
 
 def line_badness(line_tags: Sequence[tuple[int, int]], target_width: int,
-                 space_width: int = 4) -> int:
+                 space_width: int = DEFAULT_SPACE_WIDTH) -> int:
     """Badness of one line of (width, height) boxes.
 
     slack = target - sum(widths) - (k-1)*space.  A negative slack is

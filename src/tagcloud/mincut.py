@@ -32,6 +32,7 @@ from .model import (
     InvalidInputError,
     PlacedCloud,
     RelationGraph,
+    raise_problems,
     validate_cloud,
     validate_graph,
 )
@@ -128,35 +129,52 @@ class Bipartition:
     runs: tuple[FmRun, ...] = ()
 
 
-def _pull_costs(tags: Sequence[int], pulls: Pulls, axis: str):
-    """Penalty for landing in part A vs part B, per tag.
+def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
+                 axis: str, areas: Mapping[int, int] | None):
+    """The checked input both splitters work on, by local id: a tag's
+    position in the sorted, deduplicated group.
 
-    Part A is the left (V cut) or top (H cut) side, so a tag pulled
-    right pays when put in A, and so on.  Pulls orthogonal to the cut
-    axis do not participate.
+    Returns the tags, their areas, the internal edges as (i, j, s) over
+    local ids in sorted (i, j) order, the graph's own order, which fixes
+    the order float strengths are summed in, and each tag's penalty for
+    landing in part A (``cost_a``) or part B (``cost_b``).  Part A is
+    the left (V cut) or top (H cut) side, so a tag pulled right pays
+    when put in A, and so on.  Pulls orthogonal to the cut axis do not
+    participate.
     """
 
+    tags = sorted(set(tags))
+    if len(tags) < 2:
+        raise InvalidInputError("bipartition needs at least 2 tags")
+    area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
+    if min(area) < 1:
+        raise InvalidInputError("tag areas must be >= 1")
+    pulls = pulls or Pulls()
     if axis == "V":
         toward_b, toward_a = pulls.right, pulls.left
     elif axis == "H":
         toward_b, toward_a = pulls.bottom, pulls.top
     else:
         raise InvalidInputError(f"axis must be 'V' or 'H', got {axis!r}")
-    cost_a = {t: float(toward_b.get(t, 0)) for t in tags}
-    cost_b = {t: float(toward_a.get(t, 0)) for t in tags}
-    return cost_a, cost_b
-
-
-def _internal_edges(tags: Sequence[int], graph: RelationGraph):
-    """Edges among the sorted ``tags`` in the graph's sorted (i, j) order,
-    which fixes the order float strengths are summed in."""
-
+    cost_a = [float(toward_b.get(t, 0)) for t in tags]
+    cost_b = [float(toward_a.get(t, 0)) for t in tags]
     adj = graph.adjacency()
-    keep = set(tags)
-    return [(i, j, s) for i in tags for j, s in adj.get(i, ()) if j > i and j in keep]
+    pos = {t: k for k, t in enumerate(tags)}
+    edges = [(k, pos[j], s) for k, i in enumerate(tags)
+             for j, s in adj.get(i, ()) if j > i and j in pos]
+    return tags, area, edges, cost_a, cost_b
 
 
-def _cut_weight(edges, side: Mapping[int, int] | Sequence[int]) -> float:
+def _split_result(tags: Sequence[int], side: Sequence[int], cut_weight: float,
+                  relaxed: bool = False, runs: tuple[FmRun, ...] = ()) -> Bipartition:
+    """The split putting ``tags[k]`` in part B where ``side[k]`` is 1."""
+
+    return Bipartition(tuple(t for t, st in zip(tags, side) if not st),
+                       tuple(t for t, st in zip(tags, side) if st),
+                       cut_weight, relaxed, runs)
+
+
+def _cut_weight(edges, side: Sequence[int]) -> float:
     return float(sum(s for i, j, s in edges if side[i] != side[j]))
 
 
@@ -174,18 +192,17 @@ def _bit_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _exhaustive_objective(tags, bits, edges, cost_a, cost_b) -> np.ndarray:
+def _exhaustive_objective(bits, edges, cost_a, cost_b) -> np.ndarray:
     """Cut weight plus pull penalty of every membership vector (a column
     of ``bits``), summed in edge order, then the A costs, then each tag's
     B-minus-A delta."""
 
-    pos = {t: k for k, t in enumerate(tags)}
     obj = np.zeros(bits.shape[1])
     for i, j, s in edges:
-        obj += (bits[pos[i]] != bits[pos[j]]) * float(s)
-    obj += sum(cost_a.values())
-    for k, t in enumerate(tags):
-        delta = cost_b[t] - cost_a[t]
+        obj += (bits[i] != bits[j]) * float(s)
+    obj += sum(cost_a)
+    for k, (ca, cb) in enumerate(zip(cost_a, cost_b)):
+        delta = cb - ca
         if delta:
             obj += bits[k] * delta
     return obj
@@ -206,19 +223,12 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     is the first vector in the pool and no objective is built.
     """
 
-    tags = sorted(set(tags))
+    tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
-    if n < 2:
-        raise InvalidInputError("bipartition needs at least 2 tags")
     if n > EXHAUSTIVE_LIMIT:
         raise InvalidInputError(
             f"exhaustive bipartition handles at most {EXHAUSTIVE_LIMIT} tags, got {n}")
-    pulls = pulls or Pulls()
-    if areas is None:
-        areas = {t: 1 for t in tags}
-    area_arr = np.array([areas[t] for t in tags], dtype=np.float64)
-    if (area_arr < 1).any():
-        raise InvalidInputError("tag areas must be >= 1")
+    area_arr = np.array(area, dtype=np.float64)
     bits = _bit_rows(n)
     area_b = area_arr @ bits  # exact: the areas are integers
     area_a = area_arr.sum() - area_b
@@ -231,18 +241,14 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     else:
         pool = balanced
 
-    edges = _internal_edges(tags, graph)
-    cost_a, cost_b = _pull_costs(tags, pulls, axis)
     if not edges and cost_a == cost_b:
         # Every vector costs sum(cost_a): the first one in the pool wins.
         v = 1 + int(np.argmax(pool))
     else:
-        obj = _exhaustive_objective(tags, bits, edges, cost_a, cost_b)
+        obj = _exhaustive_objective(bits, edges, cost_a, cost_b)
         v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
-    side = {t: v >> (n - 1 - k) & 1 for k, t in enumerate(tags)}
-    part_a = tuple(t for t in tags if not side[t])
-    part_b = tuple(t for t in tags if side[t])
-    return Bipartition(part_a, part_b, _cut_weight(edges, side), relaxed=relaxed)
+    side = [v >> (n - 1 - k) & 1 for k in range(n)]
+    return _split_result(tags, side, _cut_weight(edges, side), relaxed=relaxed)
 
 
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
@@ -279,27 +285,16 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     illegal moves are held aside and go back once a move is picked.
     """
 
-    tags = sorted(set(tags))
-    n = len(tags)
-    if n < 2:
-        raise InvalidInputError("bipartition needs at least 2 tags")
+    tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     if runs < 1:
         raise InvalidInputError(f"runs must be >= 1, got {runs}")
-    pulls = pulls or Pulls()
-    if areas is None:
-        areas = {t: 1 for t in tags}
-    area = [areas[t] for t in tags]
-    if min(area) < 1:
-        raise InvalidInputError("tag areas must be >= 1")
-    cost_a, cost_b = _pull_costs(tags, pulls, axis)
-    pos = {t: k for k, t in enumerate(tags)}
-    edges = [(pos[i], pos[j], s) for i, j, s in _internal_edges(tags, graph)]
+    n = len(tags)
 
-    numbers = [s for _, _, s in edges] + list(cost_a.values()) + list(cost_b.values())
+    numbers = [s for _, _, s in edges] + cost_a + cost_b
     scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
     sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
-    sca = [int(round(cost_a[t] * scale)) for t in tags]
-    scb = [int(round(cost_b[t] * scale)) for t in tags]
+    sca = [int(round(c * scale)) for c in cost_a]
+    scb = [int(round(c * scale)) for c in cost_b]
     sadj: list[list[tuple[int, int]]] = [[] for _ in tags]
     for i, j, s in sedges:
         sadj[i].append((j, s))
@@ -339,11 +334,8 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
         if best is None or (final_obj, run_idx) < (best[0], best[1]):
             best = (final_obj, run_idx, side[:])
 
-    side = best[2]
-    part_a = tuple(t for t, st in zip(tags, side) if st == 0)
-    part_b = tuple(t for t, st in zip(tags, side) if st == 1)
-    return Bipartition(part_a, part_b, _cut_weight(edges, side),
-                       relaxed=False, runs=tuple(stats))
+    _, best_run, side = best
+    return _split_result(tags, side, stats[best_run].final_cut, runs=tuple(stats))
 
 
 def _scaled_objective(sedges, side, sca, scb) -> int:
@@ -439,13 +431,12 @@ def _fm_refine(adj, side, area_side, count_side, area, s_max, sca, scb,
 
 def bipartition(tags: Sequence[int], graph: RelationGraph,
                 pulls: Pulls | None = None, axis: str = "V",
-                areas: Mapping[int, int] | None = None,
-                fm_runs: int = DEFAULT_FM_RUNS, seed: int = 0) -> Bipartition:
+                areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
     """Route to exhaustive or refinement splitting by set size."""
 
     if len(set(tags)) <= EXHAUSTIVE_LIMIT:
         return bipartition_exhaustive(tags, graph, pulls, axis, areas)
-    return bipartition_fm(tags, graph, pulls, axis, areas, runs=fm_runs, seed=seed)
+    return bipartition_fm(tags, graph, pulls, axis, areas, seed=seed)
 
 
 def _fm_vertical_doomed(est_w: float, total: int, s_max: int, w_max: int) -> bool:
@@ -463,8 +454,7 @@ def _fm_vertical_doomed(est_w: float, total: int, s_max: int, w_max: int) -> boo
 
 
 def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
-                       seed: int = 0, width_bias: float = 1.0,
-                       fm_runs: int = DEFAULT_FM_RUNS) -> Node:
+                       seed: int = 0, width_bias: float = 1.0) -> Node:
     """Recursive bisection of the whole cloud into a slicing tree.
 
     Every region tracks an estimated width and height; a region wider
@@ -481,13 +471,9 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     the seed it always had.
     """
 
-    problems = validate_cloud(cloud)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    raise_problems(validate_cloud(cloud))
     graph = graph or RelationGraph()
-    bad = validate_graph(graph, len(cloud.tags))
-    if bad:
-        raise InvalidInputError("; ".join(bad))
+    raise_problems(validate_graph(graph, len(cloud.tags)))
     if width_bias <= 0:
         raise InvalidInputError(f"width_bias must be positive, got {width_bias}")
 
@@ -496,8 +482,7 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     rng = random.Random(seed)
 
     def split(group: tuple[int, ...], pulls: Pulls, axis: str) -> Bipartition:
-        return bipartition(group, graph, pulls, axis, areas,
-                           fm_runs=fm_runs, seed=rng.getrandbits(64))
+        return bipartition(group, graph, pulls, axis, areas, seed=rng.getrandbits(64))
 
     # The side of each tag outside the current group, relative to the
     # group's region.  One dict per tree: a subtree writes only its own
@@ -575,9 +560,7 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
     Returns the widest attempt that fits; if none fits, the narrowest.
     """
 
-    problems = validate_cloud(cloud)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    raise_problems(validate_cloud(cloud))
     leaf_shapes = default_leaf_shapes(cloud, variants=shape_variants)
     target = cloud.target_width
     bias = 1.0

@@ -31,6 +31,13 @@ class InternalError(CloudError, RuntimeError):
     """An internal invariant broke; indicates a bug, not bad input."""
 
 
+def raise_problems(problems: list[str]) -> None:
+    """Raise one InvalidInputError listing every problem, if there are any."""
+
+    if problems:
+        raise InvalidInputError("; ".join(problems))
+
+
 # Font scale: weight v in 0..9 renders at (8 + 4*v) pt.
 WEIGHT_LEVELS = 10
 MIN_FONT_PT = 8
@@ -309,11 +316,7 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
                      "edges[{}]: strength must be a number", k)
             raw.append((a, b, s))
         graph = RelationGraph.from_edges(raw)
-        bad = [p for p in validate_graph(graph, len(tags))]
-        if bad:
-            raise InvalidInputError("; ".join(bad))
+        raise_problems(validate_graph(graph, len(tags)))
     cloud = Cloud(tags=tuple(tags), target_width=target_width, space_width=space_width)
-    problems = validate_cloud(cloud)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    raise_problems(validate_cloud(cloud))
     return cloud, graph

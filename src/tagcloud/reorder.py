@@ -35,12 +35,12 @@ def nfdh(cloud: Cloud) -> LineLayout:
 
     from .inline import greedy_break
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     return greedy_break(cloud, _by_height(cloud))
 
 
 def _first_fit(cloud: Cloud, order: Sequence[int]) -> LineLayout:
+    if not cloud.tags:
+        raise InvalidInputError("cloud has no tags")
     target, space = cloud.target_width, cloud.space_width
     lines: list[list[int]] = []
     used: list[int] = []
@@ -65,16 +65,12 @@ def _first_fit(cloud: Cloud, order: Sequence[int]) -> LineLayout:
 def ffdh(cloud: Cloud) -> LineLayout:
     """First-fit decreasing height: tags may fill earlier, taller lines."""
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     return _first_fit(cloud, _by_height(cloud))
 
 
 def ffdhw(cloud: Cloud) -> LineLayout:
     """FFDH with decreasing width as the secondary sort key."""
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     return _first_fit(cloud, _by_height_width(cloud))
 
 

@@ -227,7 +227,5 @@ def select_and_place(tree: Node, node_shapes: Mapping[Node, tuple[ShapeChoice, .
     return PlacedCloud(tuple(placements), (chosen.width, chosen.height))
 
 
-def default_leaf_shapes(cloud: Cloud, tags: Sequence[int] | None = None,
-                        variants: int = 3) -> dict[int, ShapeList]:
-    ids = range(len(cloud.tags)) if tags is None else tags
-    return {i: gen_shape_options(cloud.tags[i], variants) for i in ids}
+def default_leaf_shapes(cloud: Cloud, variants: int = 3) -> dict[int, ShapeList]:
+    return {i: gen_shape_options(tag, variants) for i, tag in enumerate(cloud.tags)}

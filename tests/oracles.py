@@ -336,7 +336,7 @@ def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):
     return part_a, part_b, cut_of(side), tuple(stats)
 
 
-def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0, fm_runs=10):
+def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0):
     """The slicing tree built by always running every split it considers.
 
     A region wider than tall is split vertically first; when a half's
@@ -351,8 +351,7 @@ def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0, fm_runs=10
     rng = random.Random(seed)
 
     def split(group, pulls, axis):
-        return bipartition(group, graph, pulls, axis, areas,
-                           fm_runs=fm_runs, seed=rng.getrandbits(64))
+        return bipartition(group, graph, pulls, axis, areas, seed=rng.getrandbits(64))
 
     def rec(group, est_w, est_h, sides):
         if len(group) == 1:

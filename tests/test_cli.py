@@ -239,6 +239,23 @@ def test_bench_directory(scripts, cloud_file, tmp_path):
     assert "mincut" in r.stdout
 
 
+def test_bench_names_the_malformed_document(monkeypatch, capsys, cloud_file, tmp_path):
+    from tagcloud.__main__ import main
+
+    clouds = tmp_path / "clouds"
+    clouds.mkdir()
+    shutil.copy(cloud_file, clouds / "a-good.json")
+    bad = clouds / "b-bad.json"
+    bad.write_text("{not json")
+    csv_out = tmp_path / "report.csv"
+    monkeypatch.setattr("sys.argv", ["bench", "--inputs", str(clouds), "--csv", str(csv_out)])
+    with pytest.raises(SystemExit) as exc:
+        _run(main.commands["bench"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON: ")
+    assert not csv_out.exists()
+
+
 def test_bench_empty_directory(scripts, tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

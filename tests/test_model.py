@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +140,15 @@ def test_json_round_trip_with_graph():
     back, graph2 = cloud_from_json(cloud_to_json(cloud, g))
     assert back == cloud
     assert graph2 == g
+
+
+def test_readme_cloud_example_parses():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    example = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    cloud, graph = cloud_from_json(example.group(1))
+    assert cloud.tags == (estimate_box("gardens", 9), estimate_box("flowers", 4))
+    assert [(t.width, t.height) for t in cloud.tags] == [(226, 74), (124, 40)]
+    assert graph.edges == ((0, 1, 5.0),)
 
 
 def test_json_strict_schema():
