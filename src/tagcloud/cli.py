@@ -32,6 +32,9 @@ from .model import (
 )
 
 
+_AGG_CHOICE = click.Choice([agg.value for agg in BadnessAggregate])
+
+
 def _read_text(path: str) -> str:
     try:
         return pathlib.Path(path).read_text(encoding="utf-8")
@@ -57,8 +60,7 @@ def _write_text(path: str, text: str) -> None:
                    "algorithms sort for themselves.")
 @click.option("--algo", type=click.Choice(list(INLINE_ALGOS)),
               default="dp", show_default=True)
-@click.option("--agg", type=click.Choice(["l1", "l2", "linf"]),
-              default="l2", show_default=True,
+@click.option("--agg", type=_AGG_CHOICE, default="l2", show_default=True,
               help="Badness aggregate minimized by dp/shuffle.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--shuffles", type=int, default=10, show_default=True,
@@ -148,8 +150,7 @@ def ingest_cmd(text_path, k, out_path, width, space, adjacency):
 @click.option("--csv", "csv_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--shuffles", type=int, default=10, show_default=True)
-@click.option("--agg", type=click.Choice(["l1", "l2", "linf"]),
-              default="l2", show_default=True)
+@click.option("--agg", type=_AGG_CHOICE, default="l2", show_default=True)
 @click.option("--shapes", type=click.Choice(["1", "3"]), default="3",
               show_default=True)
 def bench_cmd(inputs_dir, csv_path, seed, shuffles, agg, shapes):

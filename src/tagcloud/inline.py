@@ -14,6 +14,7 @@ programming over break positions.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -110,35 +111,26 @@ def greedy_break(cloud: Cloud, order: Sequence[int] | None = None) -> LineLayout
     """First-fit line filling in the given order.
 
     A tag opens a new line when it no longer fits; a tag wider than the
-    target width always gets a line of its own.
+    target width fits beside no other, so it always gets a line of its
+    own.
     """
 
     if not cloud.tags:
         raise InvalidInputError("cloud has no tags")
     order = _check_order(len(cloud.tags), order)
     target, space = cloud.target_width, cloud.space_width
-    lines: list[tuple[int, ...]] = []
-    current: list[int] = []
+    lines: list[list[int]] = []
     used = 0
     for idx in order:
         w = cloud.tags[idx].width
-        if w > target:
-            if current:
-                lines.append(tuple(current))
-                current, used = [], 0
-            lines.append((idx,))
-            continue
-        if not current:
-            current, used = [idx], w
-        elif used + space + w > target:
-            lines.append(tuple(current))
-            current, used = [idx], w
-        else:
-            current.append(idx)
+        if lines and used + space + w <= target:
+            line.append(idx)
             used += space + w
-    if current:
-        lines.append(tuple(current))
-    return LineLayout(tuple(lines))
+        else:
+            line = [idx]
+            lines.append(line)
+            used = w
+    return LineLayout(tuple(map(tuple, lines)))
 
 
 def _prepare(cloud: Cloud, order: Sequence[int] | None):
@@ -162,13 +154,10 @@ def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
     """
 
     order, bad = _prepare(cloud, order)
-    if agg is BadnessAggregate.MAX:
-        ends = _solve_minimax(bad, _minimax_scores(bad))
-    else:
-        ends = _solve_additive(bad, square=agg is BadnessAggregate.SUM_OF_SQUARES)[-1][2]
+    _, reach, cap = _prefix_scores(bad, agg)
     lines = []
     prev = 0
-    for end in ends:
+    for end in _best_ends(reach, cap):
         lines.append(tuple(order[prev:end]))
         prev = end
     return LineLayout(tuple(lines))
@@ -179,10 +168,11 @@ class BreakTable:
     """DP internals exposed for inspection.
 
     ``t[j]`` is the optimal aggregate over the first j tags; ``K[j]``
-    the start of the final line in the layout chosen for that prefix
-    (K[0] is 0 and unused).  Following n, K[n], K[K[n]], ... back to 0
-    reproduces the chosen break positions, and t never decreases along
-    that chain.
+    the start of a final line that gives that prefix exactly ``t[j]``:
+    the chosen layout's start on its chain, elsewhere the smallest such
+    start (K[0] is 0 and unused).  Following n, K[n], K[K[n]], ... back
+    to 0 reproduces the chosen break positions, and t never decreases
+    along that chain.
     """
 
     t: tuple[int, ...]
@@ -192,19 +182,14 @@ class BreakTable:
 def break_table(cloud: Cloud, order: Sequence[int] | None = None,
                 agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES) -> BreakTable:
     _, bad = _prepare(cloud, order)
-    if agg is BadnessAggregate.MAX:
-        t = _minimax_scores(bad)
-        # off the chosen chain, K[j] is the smallest start reaching t[j]
-        K = [0] + [min(j - 1 - i for i, b in enumerate(bad[j]) if max(t[j - 1 - i], b) == t[j])
-                   for j in range(1, len(bad))]
-        prev = 0
-        for end in _solve_minimax(bad, t):
-            K[end] = prev
-            prev = end
-        return BreakTable(t=tuple(t), K=tuple(K))
-    states = _solve_additive(bad, square=agg is BadnessAggregate.SUM_OF_SQUARES)
-    return BreakTable(t=tuple(s[0] for s in states),
-                      K=tuple(e[-2] if len(e) >= 2 else 0 for _, _, e in states))
+    t, reach, cap = _prefix_scores(bad, agg)
+    # row entry i is the line starting at j-1-i, so the last match is the smallest start
+    K = [0] + [j - len(reach[j]) + reach[j][::-1].index(t[j]) for j in range(1, len(t))]
+    prev = 0
+    for end in _best_ends(reach, cap):
+        K[end] = prev
+        prev = end
+    return BreakTable(t=tuple(t), K=tuple(K))
 
 
 def _line_table(widths: list[int], heights: list[int], target: int,
@@ -235,59 +220,64 @@ def _line_table(widths: list[int], heights: list[int], target: int,
     return bad
 
 
-def _solve_additive(bad: list[list[int]], square: bool):
-    """DP over prefixes; state = (score, line count, end positions).
+def _prefix_scores(bad: list[list[int]], agg: BadnessAggregate):
+    """Optimal score of every prefix, and what each line gives it.
 
-    Returns the best state of every prefix.  Python tuple comparison
-    implements the tie-break exactly: states order by score, then fewer
-    lines, then lexicographic ends.  Appending a line preserves that
-    order (additive scores are strictly monotone), so one best state
-    per prefix suffices.  Every candidate for prefix j appends the same
-    end j to ends of equal length whenever score and count tie, so the
-    previous ends decide the tie and j is appended once, to the winner.
+    Returns ``(t, reach, cap)``: ``t[j]`` is the best aggregate over the
+    first j tags; ``reach[j]`` is laid out like ``bad[j]`` and holds the
+    score of prefix j when that line ends it on top of an optimal
+    shorter prefix; ``cap[j]`` is the most a line ending at j may reach
+    and still lie on an optimal layout.  Only this function knows the
+    aggregate.
+
+    For sums, ``cap`` is ``t`` itself: ``t[j] <= t[v] + cost`` always
+    holds, so ``reach <= t[j]`` picks exactly the lines that end an
+    optimal prefix, and the layouts scoring ``t[n]`` are exactly the
+    paths over such lines.  For the max, ``cap`` is ``t[n]`` everywhere:
+    every position reachable over lines no worse than ``t[n]`` has
+    ``t[v] <= t[n]``, so ``max(t[v], cost) <= t[n]`` picks the same
+    paths as ``cost <= t[n]``.
     """
 
-    best = [(0, 0, ())]
-    for j in range(1, len(bad)):
-        # prev runs over best[j - 1 - i] for entry i of the row
-        score, count, ends = min((prev[0] + (b * b if square else b), prev[1] + 1, prev[2])
-                                 for b, prev in zip(bad[j], reversed(best)))
-        best.append((score, count, ends + (j,)))
-    return best
-
-
-def _minimax_scores(bad: list[list[int]]) -> list[int]:
-    """Optimal worst-line score of every prefix."""
-
+    square = agg is BadnessAggregate.SUM_OF_SQUARES
+    op = max if agg is BadnessAggregate.MAX else operator.add
     t = [0]
-    for j in range(1, len(bad)):
-        t.append(min(map(max, reversed(t), bad[j])))
-    return t
+    reach: list[list[int]] = [[]]
+    for row in bad[1:]:
+        # reversed(t) runs over t[j - 1 - i] for entry i of the row
+        r = list(map(op, reversed(t), map(operator.mul, row, row) if square else row))
+        reach.append(r)
+        t.append(min(r))
+    return t, reach, [t[-1]] * len(t) if agg is BadnessAggregate.MAX else t
 
 
-def _solve_minimax(bad: list[list[int]], t: list[int]) -> tuple[int, ...]:
-    """Minimize the worst line, then line count, then lexicographic ends.
+def _best_ends(reach: list[list[int]], cap: list[int]) -> tuple[int, ...]:
+    """End positions of the optimal layout with the fewest lines, then
+    the lexicographically smallest ends.
 
-    ``t`` (from ``_minimax_scores``) gives the optimal worst line
-    ``t[n]``, but the tie-break cannot ride along (max() is not
-    strictly monotone).  So the lines of the table scoring no worse
-    than ``t[n]`` are the edges of a graph over break positions.  One
-    backward sweep over the rows records, as a bitmask per position,
-    how many lines the rest of the cloud can take from there; a forward
-    walk then takes, at each step, the earliest admissible end that
-    still completes the layout in the fewest lines.
+    The lines with ``reach[j][j - 1 - v] <= cap[j]`` are the edges of a
+    graph over break positions whose paths from 0 to n are exactly the
+    optimal layouts (see ``_prefix_scores``).  One backward sweep over
+    the rows records, as a bitmask per position, how many lines the rest
+    of the cloud can take from there; a forward walk then takes, at each
+    step, the earliest usable end that still completes the layout in the
+    fewest lines.
     """
 
-    n = len(bad) - 1
-    limit = t[n]
-    # counts[v] bit c set <=> the suffix from v splits into exactly c lines
+    n = len(reach) - 1
+    # counts[v] bit c set <=> the suffix from v splits into exactly c usable lines
     counts = [0] * (n + 1)
     counts[n] = 1
     for j in range(n, 0, -1):  # counts[j] is complete once rows > j are done
-        reach = counts[j] << 1
-        for i, b in enumerate(bad[j]):
-            if b <= limit:
-                counts[j - 1 - i] |= reach
+        more = counts[j] << 1
+        if not more:
+            continue
+        limit = cap[j]
+        v = j
+        for r in reach[j]:  # the lines starting at j - 1, j - 2, ...
+            v -= 1
+            if r <= limit:
+                counts[v] |= more
     fewest = (counts[0] & -counts[0]).bit_length() - 1
 
     ends: list[int] = []
@@ -295,6 +285,6 @@ def _solve_minimax(bad: list[list[int]], t: list[int]) -> tuple[int, ...]:
     for remaining in range(fewest, 0, -1):
         # lines from v run out together: once (v, j) is overfull, so is (v, j + 1)
         v = next(j for j in range(v + 1, n + 1)
-                 if bad[j][j - 1 - v] <= limit and counts[j] >> (remaining - 1) & 1)
+                 if reach[j][j - 1 - v] <= cap[j] and counts[j] >> (remaining - 1) & 1)
         ends.append(v)
     return tuple(ends)

@@ -46,10 +46,6 @@ def _first_fit(cloud: Cloud, order: Sequence[int]) -> LineLayout:
     used: list[int] = []
     for idx in order:
         w = cloud.tags[idx].width
-        if w > target:
-            lines.append([idx])
-            used.append(w)
-            continue
         for li in range(len(lines)):
             # remaining capacity must cover the tag plus its leading space
             if target - used[li] >= w + space:

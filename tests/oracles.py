@@ -67,6 +67,43 @@ def best_break(boxes, target, space, agg):
     return (best[0], best[2]) if best else None
 
 
+def reference_break(boxes, target, space, agg):
+    """Prefix DP over ``line_score`` for clouds too big to enumerate.
+
+    Same result as ``best_break``: (score, ends) minimizing (score,
+    number of lines, ends).  Each prefix keeps its best (score, lines,
+    ends) state; a line appended to a better prefix state gives a
+    better state, so one per prefix suffices.  For the max that holds
+    only once the score is fixed, so the minimax prefix scores come
+    first, and the same DP then runs over the lines no worse than the
+    optimum with every score counted as 0.
+    """
+
+    n = len(boxes)
+    # lines[j]: (start, score) of every feasible line ending at tag j - 1;
+    # widening a line leftward only adds width, so stop at the first overfull one
+    lines = [[]]
+    for j in range(1, n + 1):
+        row = []
+        for v in range(j - 1, -1, -1):
+            s = line_score(boxes[v:j], target, space)
+            if s is None:
+                break
+            row.append((v, s))
+        lines.append(row)
+    if agg == "linf":
+        t = [0]
+        for j in range(1, n + 1):
+            t.append(min(max(t[v], s) for v, s in lines[j]))
+        lines = [[(v, 0) for v, s in row if s <= t[n]] for row in lines]
+    best = [(0, 0, ())]
+    for j in range(1, n + 1):
+        best.append(min(((best[v][0] + fold([s], agg), best[v][1] + 1, best[v][2] + (j,))
+                          for v, s in lines[j] if best[v] is not None), default=None))
+    score, _, ends = best[n]
+    return (t[n] if agg == "linf" else score), ends
+
+
 def tree_dims(tree_tuple, leaf_choice, gap):
     """(width, height) of a slicing tree once every leaf picked a shape.
 

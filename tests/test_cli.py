@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import tagcloud
 from tagcloud.bench import INLINE_ALGOS
 from tagcloud.cli import _run
-from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, InternalError
+from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, InternalError, InvalidInputError
 
 COMMANDS = ("layout-inline", "layout-mincut", "ingest", "bench")
 MODULE = (sys.executable, "-m", "tagcloud")
@@ -414,3 +414,77 @@ def test_layout_commands_never_exit_two(fuzz_dir, command, text, algo):
     if command == "layout-inline":
         argv += ["--algo", algo, "--shuffles", "3"]
     assert _exit_code(main.commands[command], argv) in (0, 1)
+
+
+# Letter runs just short of, at and past the shortest taggable word
+# (six letters), some with non-ASCII letters: "İ" lowercases to two
+# characters, the others to letters outside a-z.
+_RUNS = st.one_of(st.text("abcxyz", min_size=5, max_size=7),
+                  st.text("abcxyzéßİΩ", min_size=5, max_size=7))
+
+
+@st.composite
+def ingest_texts(draw):
+    """Texts of up to 40 words drawn from a few letter runs, so words
+    repeat and pair up."""
+
+    vocabulary = draw(st.lists(_RUNS, min_size=1, max_size=5))
+    words = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=40))
+    return draw(st.sampled_from([" ", "\n", ", "])).join(words)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=ingest_texts(), k=st.integers(1, 20),
+       option=st.sampled_from([None, "--k", "--width", "--space"]),
+       value=st.sampled_from([0, -1, MAX_PIXELS, MAX_PIXELS + 1]),
+       adjacency=st.sampled_from(["filtered", "raw"]))
+@example(text="", k=5, option=None, value=0, adjacency="filtered")
+@example(text="", k=5, option=None, value=0, adjacency="raw")
+def test_ingest_never_exits_two(fuzz_dir, text, k, option, value, adjacency):
+    from tagcloud.__main__ import main
+
+    corpus = fuzz_dir / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    out = fuzz_dir / "ingested.json"
+    out.unlink(missing_ok=True)
+    argv = ["ingest", "--text", str(corpus), "--out", str(out), "--k", str(k),
+            "--adjacency", adjacency]
+    if option is not None:  # the last --k wins
+        argv += [option, str(value)]
+    code = _exit_code(main.commands["ingest"], argv)
+    assert code in (0, 1)
+    if code == 0:  # what ingest writes, the layouts accept
+        tagcloud.cloud_from_json(out.read_text(encoding="utf-8"))
+
+
+@st.composite
+def bench_documents(draw):
+    """A document from ``cloud_documents``, or one ingested from an
+    ``ingest_texts`` text (the text itself if ingest refuses it)."""
+
+    if draw(st.booleans()):
+        return draw(cloud_documents())
+    text = draw(ingest_texts())
+    try:
+        return tagcloud.cloud_to_json(*tagcloud.build_cloud_from_text(
+            text, draw(st.integers(1, 20)), adjacency=draw(st.sampled_from(["filtered", "raw"]))))
+    except InvalidInputError:
+        return text
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(texts=st.lists(bench_documents(), min_size=1, max_size=3),
+       shuffles=st.sampled_from([0, 1, 3]))
+def test_bench_never_exits_two(fuzz_dir, texts, shuffles):
+    from tagcloud.__main__ import main
+
+    clouds = fuzz_dir / "bench"
+    shutil.rmtree(clouds, ignore_errors=True)
+    clouds.mkdir()
+    for i, text in enumerate(texts):
+        (clouds / f"doc{i}.json").write_text(text, encoding="utf-8")
+    argv = ["bench", "--inputs", str(clouds), "--csv", str(fuzz_dir / "bench.csv"),
+            "--shuffles", str(shuffles)]
+    assert _exit_code(main.commands["bench"], argv) in (0, 1)

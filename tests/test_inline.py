@@ -17,8 +17,11 @@ from tagcloud import (
     line_badness,
     line_badnesses,
 )
+from tagcloud.bench import order_indices
+from tagcloud.synthetic import random_cloud, topic_cloud
+
 from .conftest import make_cloud
-from .oracles import best_break, fold, line_score
+from .oracles import best_break, fold, line_score, reference_break
 
 L1, L2, LINF = BadnessAggregate.SUM, BadnessAggregate.SUM_OF_SQUARES, BadnessAggregate.MAX
 
@@ -160,6 +163,39 @@ def test_dp_matches_exhaustive(agg):
             assert [i for line in layout.lines for i in line] == order
 
 
+def scale_cases():
+    """(cloud, order) pairs of seeded synthetic clouds of 50-1000 tags,
+    narrow and wide, each in the given, alpha and weight orders."""
+
+    clouds = [random_cloud(seed, n, width) for seed, n, width in
+              ((1, 50, 250), (2, 200, 550), (3, 500, 300), (4, 1000, 800))]
+    clouds += [topic_cloud(seed, k=k, target_width=width)[0] for seed, k, width in
+               ((5, 50, 550), (6, 100, 250))]
+    for cloud in clouds:
+        for name in ("given", "alpha", "weight"):
+            yield cloud, order_indices(cloud, name)
+
+
+def test_reference_dp_matches_exhaustive():
+    rng = random.Random(20261019)
+    cases = [(make_cloud(rng, rng.randint(1, 9)), None) for _ in range(30)]
+    for cloud, order in cases + list(tie_heavy_cases()):
+        boxes = boxes_of(cloud, order or range(len(cloud.tags)))
+        for agg in ("l1", "l2", "linf"):
+            assert (reference_break(boxes, cloud.target_width, cloud.space_width, agg)
+                    == best_break(boxes, cloud.target_width, cloud.space_width, agg))
+
+
+@pytest.mark.parametrize("agg", [L1, L2, LINF])
+def test_dp_matches_reference_dp_at_scale(agg):
+    for cloud, order in list(scale_cases()) + list(tie_heavy_cases()):
+        layout = dp_break(cloud, order, agg)
+        boxes = boxes_of(cloud, order)
+        score, ends = reference_break(boxes, cloud.target_width, cloud.space_width, agg.value)
+        assert layout_badness(cloud, layout, agg) == score
+        assert ends_of(layout) == ends
+
+
 @pytest.mark.parametrize("agg", [L1, L2, LINF])
 def test_dp_never_worse_than_greedy(agg):
     rng = random.Random(99)
@@ -230,6 +266,38 @@ def test_break_table_chain_reconstructs_dp(agg):
             folded = (max(table.t[k], line) if agg is LINF
                       else table.t[k] + fold([line], agg.value))
             assert folded == table.t[j]
+
+
+@pytest.mark.parametrize("agg", [L1, L2, LINF])
+def test_break_table_off_chain_start_is_smallest(agg):
+    # off the chosen chain, K[j] is the smallest start whose line gives
+    # prefix j exactly t[j]
+    rng = random.Random(17)
+    cases = [(make_cloud(rng, rng.randint(1, 30)), None) for _ in range(30)]
+    # the first five tags have three optimal l1 layouts of three lines,
+    # ends (1, 4, 5), (2, 3, 5) and (2, 4, 5); the tie-break picks the
+    # first, but the smallest start of a last line is 3
+    boxes = ((20, 12), (10, 12), (10, 10), (10, 12), (20, 10), (10, 12))
+    cases.append((Cloud(tags=tuple(TagBox(f"t{i}", 1, w, h) for i, (w, h) in enumerate(boxes)),
+                        target_width=40, space_width=4), None))
+    for cloud, order in cases + list(tie_heavy_cases()):
+        n = len(cloud.tags)
+        table = break_table(cloud, order, agg)
+        chain = set(ends_of(dp_break(cloud, order, agg)))
+        boxes = boxes_of(cloud, order or range(n))
+        for j in range(1, n + 1):
+            if j in chain:
+                continue
+            starts = []
+            for v in range(j):
+                line = line_score(boxes[v:j], cloud.target_width, cloud.space_width)
+                if line is None:
+                    continue
+                folded = (max(table.t[v], line) if agg is LINF
+                          else table.t[v] + fold([line], agg.value))
+                if folded == table.t[j]:
+                    starts.append(v)
+            assert table.K[j] == min(starts), (j, starts)
 
 
 def test_break_table_not_pointwise_monotone():
