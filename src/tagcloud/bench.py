@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .inline import BadnessAggregate, dp_break, greedy_break, line_badnesses
 from .metrics import bbox_area, layout_to_placement, weighted_distance
 from .mincut import layout_mincut
-from .model import Cloud, LineLayout, RelationGraph
+from .model import Cloud, InvalidInputError, LineLayout, RelationGraph
 from .reorder import RNG_ALGORITHM, ffdh, ffdhw, nfdh, shuffle_best
 
 
@@ -28,6 +28,10 @@ class BenchConfig:
     agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES
     shuffles: int = 10
     shape_variants: int = 3
+
+    def __post_init__(self):
+        if self.shuffles < 1:
+            raise InvalidInputError(f"shuffle count must be >= 1, got {self.shuffles}")
 
 
 @dataclass(frozen=True)

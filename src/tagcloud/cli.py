@@ -102,8 +102,6 @@ def layout_mincut_cmd(input_path, width, seed, shapes, html_path):
 
     cloud, graph = _load_cloud(input_path)
     if width is not None:
-        if width < 1:
-            raise InvalidInputError(f"--width must be >= 1, got {width}")
         cloud = Cloud(tags=cloud.tags, target_width=width,
                       space_width=cloud.space_width)
     result = layout_mincut(cloud, graph, seed=seed, shape_variants=int(shapes))
@@ -156,6 +154,8 @@ def ingest_cmd(text_path, k, out_path, width, space, adjacency):
 def bench_cmd(inputs_dir, csv_path, seed, shuffles, agg, shapes):
     """Compare every layout method over a directory of clouds."""
 
+    config = BenchConfig(seed=seed, agg=BadnessAggregate.from_name(agg),
+                         shuffles=shuffles, shape_variants=int(shapes))
     files = sorted(pathlib.Path(inputs_dir).glob("*.json"))
     if not files:
         raise InvalidInputError(f"no .json cloud documents in {inputs_dir}")
@@ -167,8 +167,6 @@ def bench_cmd(inputs_dir, csv_path, seed, shuffles, agg, shapes):
         except InvalidInputError as e:
             raise InvalidInputError(f"{f}: {e}") from e
         inputs.append((f.stem, cloud, graph))
-    config = BenchConfig(seed=seed, agg=BadnessAggregate.from_name(agg),
-                         shuffles=shuffles, shape_variants=int(shapes))
     report = run_benchmark(inputs, config)
     _write_text(csv_path, report.to_csv())
     click.echo(report.to_text(), nl=False)

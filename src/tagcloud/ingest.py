@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,26 +69,11 @@ def importance(f: int, r: int, t: int) -> int:
     return 10 * (t - r) // (f - r + 1)
 
 
-@dataclass(frozen=True)
-class TagSelection:
-    """Outcome of picking the top-k words of a token stream."""
-
-    tags: tuple[TagBox, ...]
-    frequencies: dict[str, int]
-    requested_k: int
-
-    @property
-    def shortfall(self) -> bool:
-        """True when the stream had fewer distinct words than asked for."""
-
-        return len(self.tags) < self.requested_k
-
-
-def build_tag_cloud(stream: Sequence[str], k: int) -> TagSelection:
+def build_tag_cloud(stream: Sequence[str], k: int) -> tuple[TagBox, ...]:
     """Pick the k most frequent words and weight them by importance.
 
-    Count ties resolve alphabetically.  A stream with fewer distinct
-    words than k keeps them all; check :attr:`TagSelection.shortfall`.
+    Count ties resolve alphabetically.  A stream with fewer than k
+    distinct words gives fewer than k tags, one per word.
     """
 
     if k < 1:
@@ -100,9 +84,8 @@ def build_tag_cloud(stream: Sequence[str], k: int) -> TagSelection:
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     top = max(c for _, c in ranked)
     low = min(c for _, c in ranked)
-    tags = tuple(estimate_box(word, importance(top, low, count))
+    return tuple(estimate_box(word, importance(top, low, count))
                  for word, count in ranked)
-    return TagSelection(tags=tags, frequencies=dict(freq), requested_k=k)
 
 
 def cooccurrence_graph(stream: Sequence[str], retained: Sequence[str]) -> RelationGraph:
@@ -153,10 +136,7 @@ def build_cloud_from_text(text: str, k: int, target_width: int = DEFAULT_TARGET_
     # document is written that no layout accepts.
     raise_problems(width_problems(target_width, space_width))
     filtered = tokenize_filter(text)
-    selection = build_tag_cloud(filtered, k)
-    labels = [t.label for t in selection.tags]
+    tags = build_tag_cloud(filtered, k)
     edge_stream = filtered if adjacency == "filtered" else tokenize(text)
-    graph = cooccurrence_graph(edge_stream, labels)
-    cloud = Cloud(tags=selection.tags, target_width=target_width,
-                  space_width=space_width)
-    return cloud, graph
+    graph = cooccurrence_graph(edge_stream, [t.label for t in tags])
+    return Cloud(tags=tags, target_width=target_width, space_width=space_width), graph

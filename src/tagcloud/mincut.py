@@ -539,7 +539,6 @@ class MincutResult:
     placed: PlacedCloud
     tree: Node
     iterations: int
-    width_bias: float
 
 
 # Width-estimate retry loop constants: shrink when the packed cloud
@@ -564,12 +563,12 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
     leaf_shapes = default_leaf_shapes(cloud, variants=shape_variants)
     target = cloud.target_width
     bias = 1.0
-    attempts: list[tuple[PlacedCloud, Node, float]] = []
+    attempts: list[tuple[PlacedCloud, Node]] = []
     for _ in range(MAX_WIDTH_RETRIES):
         tree = build_slicing_tree(cloud, graph, seed=seed, width_bias=bias)
         table = combine_shapes(tree, leaf_shapes)
         placed = select_and_place(tree, table, target)
-        attempts.append((placed, tree, bias))
+        attempts.append((placed, tree))
         w = placed.bbox[0]
         if w > target:
             bias *= SHRINK_FACTOR
@@ -579,8 +578,7 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
             break
     fitting = [a for a in attempts if a[0].bbox[0] <= target]
     if fitting:
-        placed, tree, bias = max(fitting, key=lambda a: a[0].bbox[0])
+        placed, tree = max(fitting, key=lambda a: a[0].bbox[0])
     else:
-        placed, tree, bias = min(attempts, key=lambda a: a[0].bbox[0])
-    return MincutResult(placed=placed, tree=tree, iterations=len(attempts),
-                        width_bias=bias)
+        placed, tree = min(attempts, key=lambda a: a[0].bbox[0])
+    return MincutResult(placed=placed, tree=tree, iterations=len(attempts))

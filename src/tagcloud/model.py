@@ -135,9 +135,6 @@ class RelationGraph:
             adj.setdefault(j, []).append((i, s))
         return adj
 
-    def total_strength(self) -> float:
-        return sum(s for _, _, s in self.edges)
-
 
 @dataclass(frozen=True)
 class LineLayout:

@@ -79,8 +79,6 @@ def shuffle_best(cloud: Cloud, k: int = 10,
     reproduces the same layout.
     """
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     if k < 1:
         raise InvalidInputError(f"shuffle count must be >= 1, got {k}")
     rng = random.Random(seed)

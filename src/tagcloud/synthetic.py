@@ -54,24 +54,14 @@ def topic_stream(seed: int, topics: int = 4, words_per_topic: int = 30,
     return stream[:length]
 
 
-def zipf_stream(seed: int, vocabulary: int = 120, length: int = 1000) -> list[str]:
-    """Topic-free Zipf stream over one vocabulary."""
-
-    rng = random.Random(seed)
-    vocab = _topic_vocabulary(0, vocabulary)
-    weights = _zipf_weights(vocabulary)
-    return rng.choices(vocab, weights, k=length)
-
-
 def topic_cloud(seed: int, k: int = 50, target_width: int = 550,
                 topics: int = 4, length: int = 6000) -> tuple[Cloud, RelationGraph]:
     """Cloud plus co-occurrence graph from a topic-structured stream."""
 
     stream = topic_stream(seed, topics=topics, length=length)
-    selection = build_tag_cloud(stream, k)
-    labels = [t.label for t in selection.tags]
-    graph = cooccurrence_graph(stream, labels)
-    return Cloud(tags=selection.tags, target_width=target_width), graph
+    tags = build_tag_cloud(stream, k)
+    graph = cooccurrence_graph(stream, [t.label for t in tags])
+    return Cloud(tags=tags, target_width=target_width), graph
 
 
 # Realistic spread of weight levels: many faint tags, few heavy ones.

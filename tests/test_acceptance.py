@@ -11,7 +11,6 @@ import random
 import statistics
 import time
 from functools import lru_cache
-from html.parser import HTMLParser
 
 from tagcloud import (
     Cloud,
@@ -34,7 +33,7 @@ from tagcloud.mincut import bipartition_fm, build_slicing_tree
 from tagcloud.reorder import ffdhw
 from tagcloud.sizing import SIDE_GAP, combine_shapes, is_shape_list, select_and_place
 from tagcloud.synthetic import random_cloud, topic_cloud
-from tagcloud.tree import Cut, Leaf, internal_count, leaves
+from tagcloud.tree import internal_count, leaves
 from tagcloud.htmlgen import emit_nested_tables
 from tagcloud.ingest import cooccurrence_graph, importance
 
@@ -46,6 +45,7 @@ from .oracles import (
     pair_counts,
     tree_dims,
 )
+from .structure import Cells, each_tag_once, lines_fit, no_overlap, random_tree, tree_of
 
 AGGS = (BadnessAggregate.SUM, BadnessAggregate.SUM_OF_SQUARES, BadnessAggregate.MAX)
 
@@ -63,20 +63,6 @@ def dp_suite():
 def corpora():
     """Ten planted-topic corpora at k=50, with their relation graphs."""
     return tuple(topic_cloud(seed, k=50) for seed in range(10))
-
-
-def random_tree(rng, tags):
-    if len(tags) == 1:
-        return ("leaf", tags[0])
-    cut = rng.randint(1, len(tags) - 1)
-    return (rng.choice("VH"), random_tree(rng, tags[:cut]),
-            random_tree(rng, tags[cut:]))
-
-
-def tree_of(spec):
-    if spec[0] == "leaf":
-        return Leaf(spec[1])
-    return Cut(spec[0], tree_of(spec[1]), tree_of(spec[2]))
 
 
 # ------------------------------------------------------------- criteria
@@ -233,47 +219,6 @@ def test_c10_max_aggregate_grows_taller():
     assert m > s
 
 
-# -- criterion 11 helpers ------------------------------------------------
-
-def _no_overlap(placed):
-    ps = placed.placements
-    for i in range(len(ps)):
-        a = ps[i]
-        for b in ps[i + 1:]:
-            disjoint = (a.x + a.width <= b.x or b.x + b.width <= a.x
-                        or a.y + a.height <= b.y or b.y + b.height <= a.y)
-            assert disjoint, f"tags {a.tag} and {b.tag} overlap"
-
-
-def _each_tag_once(placed, n):
-    assert sorted(p.tag for p in placed.placements) == list(range(n))
-
-
-def _lines_fit(cloud, layout):
-    for line in layout.lines:
-        width = (sum(cloud.tags[i].width for i in line)
-                 + (len(line) - 1) * cloud.space_width)
-        assert width <= cloud.target_width or len(line) == 1
-
-
-class _Cells(HTMLParser):
-    def __init__(self):
-        super().__init__()
-        self.stack = []
-        self.tds = 0
-
-    def handle_starttag(self, tag, attrs):
-        if tag in ("table", "tr", "td", "span", "html", "body", "head",
-                   "style", "title", "div"):
-            self.stack.append(tag)
-        if tag == "td":
-            self.tds += 1
-
-    def handle_endtag(self, tag):
-        if self.stack and self.stack[-1] == tag:
-            self.stack.pop()
-
-
 def test_c11_structural_invariants_1000_checks():
     checks = 0
     rng = random.Random(0x1000)
@@ -284,9 +229,9 @@ def test_c11_structural_invariants_1000_checks():
         n = len(cloud.tags)
         for layout in (dp_break(cloud), nfdh(cloud), ffdhw(cloud)):
             placed = layout_to_placement(layout, cloud)
-            _no_overlap(placed)
-            _each_tag_once(placed, n)
-            _lines_fit(cloud, layout)
+            no_overlap(placed)
+            each_tag_once(placed, n)
+            lines_fit(cloud, layout)
             checks += 3
 
     # min-cut pipeline: overlap and coverage, plus tree leaf permutations
@@ -295,8 +240,8 @@ def test_c11_structural_invariants_1000_checks():
         cloud, graph = topic_cloud(seed, k=30)
         res = layout_mincut(cloud, graph, seed=seed)
         results.append((cloud, res))
-        _no_overlap(res.placed)
-        _each_tag_once(res.placed, len(cloud.tags))
+        no_overlap(res.placed)
+        each_tag_once(res.placed, len(cloud.tags))
         assert sorted(leaves(res.tree)) == list(range(len(cloud.tags)))
         checks += 3
 
@@ -318,7 +263,7 @@ def test_c11_structural_invariants_1000_checks():
     # nested-table markup parses with two cells per cut
     for cloud, res in results[:15]:
         html = emit_nested_tables(res.tree, res.placed, cloud)
-        parser = _Cells()
+        parser = Cells()
         parser.feed(html)
         assert not parser.stack, "unbalanced markup"
         assert parser.tds == 2 * internal_count(res.tree)

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import tagcloud
 from tagcloud.bench import INLINE_ALGOS
 from tagcloud.cli import _run
+from tagcloud.inline import BadnessAggregate
 from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, InternalError, InvalidInputError
+from .structure import Cells, each_tag_once, inside_bbox, lines_fit, no_overlap
 
 COMMANDS = ("layout-inline", "layout-mincut", "ingest", "bench")
 MODULE = (sys.executable, "-m", "tagcloud")
@@ -157,8 +159,10 @@ def test_layout_mincut_rejects_non_finite_strength(scripts, tmp_path):
 
 
 def test_layout_mincut_width_override(scripts, cloud_file):
-    r = run(scripts["layout-mincut"], "--input", str(cloud_file), "--width", "0")
-    assert r.returncode == 1
+    for width in ("0", "-5"):
+        r = run(scripts["layout-mincut"], "--input", str(cloud_file), "--width", width)
+        assert r.returncode == 1
+        assert r.stderr == f"error: target_width must be >= 1, got {width}\n"
     r = run(scripts["layout-mincut"], "--input", str(cloud_file), "--width", "400")
     assert r.returncode == 0
 
@@ -254,6 +258,29 @@ def test_bench_names_the_malformed_document(monkeypatch, capsys, cloud_file, tmp
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON: ")
     assert not csv_out.exists()
+
+
+@pytest.mark.parametrize("shuffles", ["0", "-3"])
+def test_bench_rejects_shuffle_count_before_any_layout(monkeypatch, capsys, cloud_file,
+                                                      tmp_path, shuffles):
+    from tagcloud import bench
+    from tagcloud.__main__ import main
+
+    clouds = tmp_path / "clouds"
+    clouds.mkdir()
+    shutil.copy(cloud_file, clouds / "one.json")
+    csv_out = tmp_path / "report.csv"
+    calls = []
+    real = bench.greedy_break
+    monkeypatch.setattr(bench, "greedy_break", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr("sys.argv", ["bench", "--inputs", str(clouds), "--csv", str(csv_out),
+                                     "--shuffles", shuffles])
+    with pytest.raises(SystemExit) as exc:
+        _run(main.commands["bench"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: shuffle count must be >= 1, got {shuffles}\n"
+    assert not csv_out.exists()
+    assert calls == []
 
 
 def test_bench_empty_directory(scripts, tmp_path):
@@ -398,6 +425,11 @@ def _huge(field):
     return json.dumps(doc)
 
 
+# Twelve short tags, several to a line.
+_SHORT_TAGS = json.dumps({"target_width": 100, "tags": [
+    {"label": f"t{i}", "weight": i % 10, "width": 20 + i, "height": 12 + i} for i in range(12)]})
+
+
 @pytest.mark.parametrize("command", ["layout-inline", "layout-mincut"])
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
@@ -405,15 +437,40 @@ def _huge(field):
 @example(text=_huge("target_width"), algo="dp")
 @example(text=_huge("width"), algo="dp")
 @example(text=_huge("height"), algo="dp")
+@example(text=_SHORT_TAGS, algo="greedy")
 def test_layout_commands_never_exit_two(fuzz_dir, command, text, algo):
     from tagcloud.__main__ import main
 
     doc = fuzz_dir / "doc.json"
     doc.write_text(text, encoding="utf-8")
-    argv = [command, "--input", str(doc)]
+    html = fuzz_dir / "doc.html"
+    html.unlink(missing_ok=True)
+    argv = [command, "--input", str(doc), "--html", str(html)]
     if command == "layout-inline":
         argv += ["--algo", algo, "--shuffles", "3"]
-    assert _exit_code(main.commands[command], argv) in (0, 1)
+    code = _exit_code(main.commands[command], argv)
+    assert code in (0, 1)
+    if code == 1:
+        return
+    # The written page, then the same layout through the library (the
+    # commands' defaults: given order, l2, seed 0).
+    cloud, graph = tagcloud.cloud_from_json(text)
+    n = len(cloud.tags)
+    cells = Cells()
+    cells.feed(html.read_text(encoding="utf-8"))
+    assert sorted(cells.labels) == sorted(t.label for t in cloud.tags)
+    assert not cells.stack, "unbalanced markup"
+    if command == "layout-mincut":
+        assert cells.tds == 2 * (n - 1)
+        placed = tagcloud.layout_mincut(cloud, graph).placed
+    else:
+        layout = INLINE_ALGOS[algo](cloud, list(range(n)), BadnessAggregate.SUM_OF_SQUARES,
+                                    3, 0)
+        lines_fit(cloud, layout)
+        placed = tagcloud.layout_to_placement(layout, cloud)
+    each_tag_once(placed, n)
+    no_overlap(placed)
+    inside_bbox(placed)
 
 
 # Letter runs just short of, at and past the shortest taggable word

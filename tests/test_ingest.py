@@ -57,17 +57,14 @@ def test_importance_validates():
 
 def test_build_tag_cloud_ranks_by_count_then_word():
     stream = ["banana"] * 3 + ["apples"] * 3 + ["cherry"] * 5 + ["damson"]
-    sel = build_tag_cloud(stream, 3)
-    assert [t.label for t in sel.tags] == ["cherry", "apples", "banana"]
-    assert sel.tags[0].weight == importance(5, 3, 5)
-    assert not sel.shortfall
-    assert sel.frequencies["damson"] == 1
+    tags = build_tag_cloud(stream, 3)
+    assert [t.label for t in tags] == ["cherry", "apples", "banana"]
+    assert tags[0].weight == importance(5, 3, 5)
 
 
 def test_build_tag_cloud_weights_follow_importance():
     stream = ["wwwwww"] * 10 + ["xxxxxx"] * 6 + ["yyyyyy"] * 2
-    sel = build_tag_cloud(stream, 3)
-    weights = {t.label: t.weight for t in sel.tags}
+    weights = {t.label: t.weight for t in build_tag_cloud(stream, 3)}
     assert weights == {
         "wwwwww": importance(10, 2, 10),
         "xxxxxx": importance(10, 2, 6),
@@ -76,9 +73,8 @@ def test_build_tag_cloud_weights_follow_importance():
 
 
 def test_build_tag_cloud_shortfall():
-    sel = build_tag_cloud(["onewrd", "onewrd"], 5)
-    assert sel.shortfall
-    assert len(sel.tags) == 1
+    tags = build_tag_cloud(["onewrd", "onewrd"], 5)
+    assert [t.label for t in tags] == ["onewrd"]
 
 
 def test_build_tag_cloud_validates():
@@ -243,10 +239,10 @@ def test_cooccurrence_matches_counter_reference(name, text, adjacency):
 def test_build_cloud_from_text_matches_reference_pipeline(name, text, adjacency):
     def reference(k):
         filtered = oracles.tokenize_filter(text)
-        selection = build_tag_cloud(filtered, k)
+        tags = build_tag_cloud(filtered, k)
         stream = filtered if adjacency == "filtered" else tokenize(text)
-        graph = oracles.cooccurrence_graph(stream, [t.label for t in selection.tags])
-        return cloud_to_json(Cloud(tags=selection.tags, target_width=550), graph)
+        graph = oracles.cooccurrence_graph(stream, [t.label for t in tags])
+        return cloud_to_json(Cloud(tags=tags, target_width=550), graph)
 
     for k in (1, 50, 200):
         got = _raised(lambda: cloud_to_json(*build_cloud_from_text(text, k, adjacency=adjacency)))

@@ -27,6 +27,7 @@ from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.tree import Cut, Leaf, leaves
 from .conftest import make_cloud
 from .oracles import best_bipartition, fm_bipartition, slicing_tree_reference
+from .structure import each_tag_once, inside_bbox, no_overlap
 
 
 def test_expand_hyperedges_clique_counts():
@@ -491,11 +492,6 @@ def test_slicing_tree_matches_reference(case, cloud, graph, seed, bias, runs):
         assert got.orient == "V"
 
 
-def overlap(a, b):
-    return not (a.x + a.width <= b.x or b.x + b.width <= a.x
-                or a.y + a.height <= b.y or b.y + b.height <= a.y)
-
-
 def test_layout_mincut_produces_disjoint_placements():
     rng = random.Random(3)
     for trial in range(5):
@@ -503,14 +499,9 @@ def test_layout_mincut_produces_disjoint_placements():
                            w_range=(12, 160), h_range=(12, 50))
         g = random_graph(rng, len(cloud.tags), density=0.2)
         result = layout_mincut(cloud, g, seed=trial)
-        ps = result.placed.placements
-        assert sorted(p.tag for p in ps) == list(range(len(cloud.tags)))
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                assert not overlap(ps[i], ps[j])
-        bw, bh = result.placed.bbox
-        for p in ps:
-            assert p.x + p.width <= bw and p.y + p.height <= bh
+        each_tag_once(result.placed, len(cloud.tags))
+        no_overlap(result.placed)
+        inside_bbox(result.placed)
         assert 1 <= result.iterations <= 8
 
 

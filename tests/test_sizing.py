@@ -16,6 +16,7 @@ from tagcloud.sizing import (
 )
 from tagcloud.tree import Cut, Leaf, internal_count, iter_nodes, leaves
 from .oracles import best_root_shape, merge_frontier
+from .structure import random_tree, tree_of
 
 
 def test_prune_keeps_trade_off_curve():
@@ -70,14 +71,6 @@ def test_gen_shape_options_validates():
         gen_shape_options(TagBox("x", 1, 0, 10))
 
 
-def tree_of(spec):
-    """("V"|"H", left, right) tuples -> Cut/Leaf nodes."""
-
-    if spec[0] == "leaf":
-        return Leaf(spec[1])
-    return Cut(spec[0], tree_of(spec[1]), tree_of(spec[2]))
-
-
 def test_combine_beside_worked_example():
     tree = Cut("V", Leaf(0), Leaf(1))
     table = combine_shapes(tree, {0: ((5, 20), (10, 10)), 1: ((10, 10), (20, 5))})
@@ -97,14 +90,6 @@ def test_combine_requires_shape_lists():
         combine_shapes(tree, {0: ((10, 10), (5, 20)), 1: ((10, 10),)})
     with pytest.raises(InvalidInputError):
         combine_shapes(tree, {0: ((10, 10),)})  # leaf 1 missing
-
-
-def random_tree(rng, tags):
-    if len(tags) == 1:
-        return ("leaf", tags[0])
-    cut = rng.randint(1, len(tags) - 1)
-    return (rng.choice("VH"), random_tree(rng, tags[:cut]),
-            random_tree(rng, tags[cut:]))
 
 
 def test_select_and_place_matches_exhaustive():

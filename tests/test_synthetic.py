@@ -1,7 +1,7 @@
 from collections import Counter
 
 from tagcloud.ingest import MIN_WORD_LENGTH, tokenize_filter
-from tagcloud.synthetic import random_cloud, topic_cloud, topic_stream, zipf_stream
+from tagcloud.synthetic import random_cloud, topic_cloud, topic_stream
 
 
 def test_topic_stream_is_deterministic_and_sized():
@@ -16,12 +16,6 @@ def test_topic_stream_words_survive_the_ingest_filter():
     stream = topic_stream(seed=1, length=500)
     assert all(len(w) >= MIN_WORD_LENGTH for w in stream)
     assert tokenize_filter(" ".join(stream)) == stream
-
-
-def test_zipf_stream_is_skewed():
-    counts = Counter(zipf_stream(seed=5, vocabulary=50, length=5000))
-    ranked = [c for _, c in counts.most_common()]
-    assert ranked[0] > 3 * ranked[len(ranked) // 2]
 
 
 def test_topic_cloud_has_tags_and_edges():
