@@ -271,18 +271,25 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     every tag has every gain 0: no move changes the objective, so each
     run would make one pass, roll every move back and keep its start.
     That case returns run 0's start at once, with the ``runs`` records
-    the full loop would have made.
+    the full loop would have made, before any refinement state is built.
 
     Gains are integers (fractional strengths are scaled by 1000 and
     rounded first).  Tags are renumbered by their position in the
     sorted group, so per-tag state lives in lists and id order is tag
-    order.  The unlocked tags wait in a heap of (-gain, id) entries, so
-    the highest gain and then the smallest id comes out first.  A move
-    pushes a new entry for each neighbor whose gain rises.  A neighbor
-    whose gain falls keeps its old entry, which comes out too early and
-    goes back in with the current gain.  Entries of locked tags and
-    superseded entries are dropped as they come out; live entries of
-    illegal moves are held aside and go back once a move is picked.
+    order.  The unlocked tags wait in a heap of plain integers
+    ``-gain * n + id`` for the group's n tags: since ``0 <= id < n``
+    they sort exactly as (-gain, id) pairs, so the highest gain and then
+    the smallest id comes out first, and the remainder and the floor
+    quotient by n give both back.  The keys stay Python integers:
+    strengths up to ``MAX_TOTAL_STRENGTH``, scaled, overflow any machine
+    integer and lose the id in a float.  The adjacency carries each
+    edge's key step, ``2 * n`` times its scaled strength, and is built
+    once per split.  A move pushes a new entry for each neighbor whose
+    gain rises.  A neighbor whose gain falls keeps its old entry, which
+    comes out too early and goes back in with the current gain.  Entries
+    of locked tags and superseded entries are dropped as they come out;
+    live entries of illegal moves are held aside and go back once a move
+    is picked.
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
@@ -292,40 +299,41 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
 
     numbers = [s for _, _, s in edges] + cost_a + cost_b
     scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
-    sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
     sca = [int(round(c * scale)) for c in cost_a]
     scb = [int(round(c * scale)) for c in cost_b]
-    sadj: list[list[tuple[int, int]]] = [[] for _ in tags]
-    for i, j, s in sedges:
-        sadj[i].append((j, s))
-        sadj[j].append((i, s))
+    rng = random.Random(seed)
+    if not edges and sca == scb:
+        # Every gain is 0: each run would keep its start, so run 0 wins.
+        side, _, _ = _fm_start(rng, area)
+        obj = _scaled_objective((), side, sca, scb) / scale
+        run = FmRun(initial_cut=0.0, final_cut=0.0, initial_objective=obj,
+                    final_objective=obj, passes=1)
+        return _split_result(tags, side, 0.0, runs=(run,) * runs)
+
+    sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
+    # A heap key is -gain * n + id.  An edge of strength s moves its
+    # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
+    # At the start of a pass -gain is the tag's pull delta plus the
+    # strength of all its edges, less twice that of its cut edges.
+    wedges = [(i, j, 2 * n * s) for i, j, s in sedges]
+    wadj: list[list[tuple[int, int]]] = [[] for _ in tags]
+    pull_key = [n * (b - a) for a, b in zip(sca, scb)]  # in part A
+    edge_key = list(range(n))  # the id, plus n times all its strength
+    for i, j, w in wedges:
+        wadj[i].append((j, w))
+        wadj[j].append((i, w))
+        edge_key[i] += w >> 1
+        edge_key[j] += w >> 1
     s_max = max(area)
 
-    rng = random.Random(seed)
     best: tuple[int, int, list[int]] | None = None
     stats = []
     for run_idx in range(runs):
-        order = list(range(n))
-        rng.shuffle(order)
-        side = [0] * n
-        area_side = [0, 0]
-        count_side = [0, 0]
-        for t in order:  # lighter side first keeps the difference <= s_max
-            dest = 0 if area_side[0] <= area_side[1] else 1
-            side[t] = dest
-            area_side[dest] += area[t]
-            count_side[dest] += 1
+        side, area_side, count_side = _fm_start(rng, area)
         initial_obj = _scaled_objective(sedges, side, sca, scb)
         initial_cut = _cut_weight(edges, side)
-        if not edges and sca == scb:
-            # Every gain is 0: each run would keep its start, so run 0 wins.
-            stats = [FmRun(initial_cut=initial_cut, final_cut=initial_cut,
-                           initial_objective=initial_obj / scale,
-                           final_objective=initial_obj / scale, passes=1)] * runs
-            best = (initial_obj, run_idx, side)
-            break
-        final_obj, passes = _fm_refine(sadj, side, area_side, count_side,
-                                       area, s_max, sca, scb, initial_obj)
+        final_obj, passes = _fm_refine(wadj, wedges, pull_key, edge_key, side, area_side,
+                                       count_side, area, s_max, initial_obj)
         stats.append(FmRun(initial_cut=initial_cut,
                            final_cut=_cut_weight(edges, side),
                            initial_objective=initial_obj / scale,
@@ -338,13 +346,31 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     return _split_result(tags, side, stats[best_run].final_cut, runs=tuple(stats))
 
 
+def _fm_start(rng: random.Random, area: Sequence[int]):
+    """A seeded random order, each tag to the lighter side so far (which
+    keeps the area difference within the largest tag's): the side list
+    and the per-side areas and counts."""
+
+    order = list(range(len(area)))
+    rng.shuffle(order)
+    side = [0] * len(area)
+    area_side = [0, 0]
+    count_side = [0, 0]
+    for t in order:
+        dest = 0 if area_side[0] <= area_side[1] else 1
+        side[t] = dest
+        area_side[dest] += area[t]
+        count_side[dest] += 1
+    return side, area_side, count_side
+
+
 def _scaled_objective(sedges, side, sca, scb) -> int:
     cut = sum(s for i, j, s in sedges if side[i] != side[j])
     return cut + sum(scb[t] if st else sca[t] for t, st in enumerate(side))
 
 
-def _fm_refine(adj, side, area_side, count_side, area, s_max, sca, scb,
-               obj: int) -> tuple[int, int]:
+def _fm_refine(adj, wedges, pull_key, edge_key, side, area_side, count_side, area,
+               s_max, obj: int) -> tuple[int, int]:
     """Refine ``side`` (a list indexed by local id) in place; returns
     (final objective, passes run)."""
 
@@ -354,32 +380,33 @@ def _fm_refine(adj, side, area_side, count_side, area, s_max, sca, scb,
     while True:
         passes += 1
         start_obj = obj
-        # key[t] is -gain(t) while t is unlocked and None once it moved,
-        # so that the heap's smallest (key, id) is the move to try first.
-        key = []
-        for t in range(n):
-            st = side[t]
-            k = scb[t] - sca[t] if st == 0 else sca[t] - scb[t]
-            for u, s in adj[t]:
-                k += -s if side[u] != st else s
-            key.append(k)
-        heap = list(zip(key, range(n)))
+        # key[t] is -gain(t) * n + t while t is unlocked and None once
+        # it moved, so that the heap's smallest key is the move to try
+        # first: the highest gain, then the smallest id.
+        key = [e - p if side[t] else e + p
+               for t, (e, p) in enumerate(zip(edge_key, pull_key))]
+        for i, j, w in wedges:
+            if side[i] != side[j]:
+                key[i] -= w
+                key[j] -= w
+        heap = key[:]
         heapq.heapify(heap)
 
         moves: list[tuple[int, int]] = []  # (tag, side it came from)
-        objs = [obj]
-        valid = [abs(area_side[0] - area_side[1]) <= s_max]
+        # The best prefix so far (moves kept, objective after them):
+        # the lowest objective within the area bound, the shortest first.
+        best_p, best_obj = 0, obj
 
         while heap:
             t = -1
             illegal = []
             while heap:
                 entry = heappop(heap)
-                k, u = entry
+                u = entry % n
                 ku = key[u]
-                if ku != k:
-                    if ku is not None and k < ku:
-                        heappush(heap, (ku, u))  # overstated gain: rank it again
+                if ku != entry:
+                    if ku is not None and entry < ku:
+                        heappush(heap, ku)  # overstated gain: rank it again
                     continue
                 src = side[u]
                 if (count_side[src] == 1  # never empty a side
@@ -393,7 +420,7 @@ def _fm_refine(adj, side, area_side, count_side, area, s_max, sca, scb,
                 heappush(heap, entry)
             if t < 0:
                 break
-            obj += key[t]
+            obj += key[t] // n
             key[t] = None
             side[t] = 1 - src
             area_side[src] -= area[t]
@@ -401,22 +428,18 @@ def _fm_refine(adj, side, area_side, count_side, area, s_max, sca, scb,
             count_side[src] -= 1
             count_side[1 - src] += 1
             moves.append((t, src))
-            objs.append(obj)
-            valid.append(abs(area_side[0] - area_side[1]) <= s_max)
-            for u, s in adj[t]:
+            if obj < best_obj and abs(area_side[0] - area_side[1]) <= s_max:
+                best_p, best_obj = len(moves), obj
+            for u, w in adj[t]:
                 k = key[u]
                 if k is None:
                     continue
                 if side[u] != src:
-                    key[u] = k + 2 * s  # its old entry still comes out early enough
-                elif s:
-                    k = key[u] = k - 2 * s
-                    heappush(heap, (k, u))
+                    key[u] = k + w  # its old entry still comes out early enough
+                elif w:
+                    k = key[u] = k - w
+                    heappush(heap, k)
 
-        best_p, best_obj = 0, objs[0]
-        for p in range(1, len(objs)):
-            if valid[p] and objs[p] < best_obj:
-                best_p, best_obj = p, objs[p]
         for t, src in reversed(moves[best_p:]):
             cur = side[t]
             side[t] = src

@@ -15,6 +15,7 @@ from tagcloud import (
     layout_mincut,
 )
 from tagcloud import mincut
+from tagcloud.model import MAX_TOTAL_STRENGTH
 from tagcloud.mincut import (
     EXHAUSTIVE_LIMIT,
     SIDES,
@@ -259,6 +260,44 @@ def test_fm_matches_sorted_scan_reference(case, tags, g, pulls, axis, areas, run
     assert_fm_matches_reference(tags, g, pulls, axis, areas, runs, seed=case)
 
 
+def fm_huge_strength_cases():
+    """Groups of 13-40 tags whose strengths nearly use up
+    ``MAX_TOTAL_STRENGTH``: most edges carry about MAX / E, a few small
+    ones sit beside them, and pulls are as large.  Integer-valued cases
+    keep a scale of 1; in fractional ones an edge of 0.5 scales every
+    strength by 1000, so the heap keys reach about 1e300 and beyond."""
+
+    rng = random.Random(0x81C5)
+    for case in range(16):
+        fractional = case % 2 == 1
+        n = 13 if case % 4 == 0 else rng.randint(13, 40)
+        tags = sorted(rng.sample(range(n + 10), n))
+        pairs = [(i, j) for k, i in enumerate(tags) for j in tags[k + 1:]
+                 if rng.random() < 0.4]
+        cap = MAX_TOTAL_STRENGTH / (len(pairs) + 2 * n)
+        edges = [(i, j, cap * rng.uniform(0.5, 0.99) if rng.random() < 0.8
+                  else round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
+                 for i, j in pairs]
+        if fractional:
+            edges[0] = (*pairs[0], 0.5)
+        g = RelationGraph.from_edges(edges)
+        axis = rng.choice("VH")
+        pulls = Pulls(**{side: {t: rng.choice([cap * 0.75, cap, 3, 0.5 if fractional else 1])
+                                for t in tags if rng.random() < 0.2}
+                         for side in SIDES if rng.random() < 0.5})
+        areas = {t: rng.randint(1, 9) for t in tags}
+        yield case, fractional, tags, g, pulls, axis, areas, rng.choice([1, 3, 10])
+
+
+@pytest.mark.parametrize("case, fractional, tags, g, pulls, axis, areas, runs",
+                         list(fm_huge_strength_cases()))
+def test_fm_matches_reference_at_huge_strengths(case, fractional, tags, g, pulls, axis,
+                                                 areas, runs):
+    assert max(s for _, _, s in g.edges) > 1e296
+    assert any(not float(s).is_integer() for _, _, s in g.edges) == fractional
+    assert_fm_matches_reference(tags, g, pulls, axis, areas, runs, seed=case)
+
+
 def fm_edge_free_cases():
     """Seeded edge-free FM inputs of 13-400 tags, each with a pull kind:
     none, the same pull toward both sides of the cut axis, a pull
@@ -361,6 +400,40 @@ def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_
         assert got.relaxed == (area_kind == "dominant")
         # only a one-sided pull makes the objective differ between vectors
         assert bool(built) == (kind == "one-sided"), kind
+
+
+def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
+    """A group split V, then H, then H again, then a twin group with the
+    same local edges split twice: the five objectives share the edge
+    part, and each split must add its own pulls, so any reuse of the
+    objective across calls keeps the pull terms out of it.  The pulls
+    put the group's first two tags on alternating sides, so a pull term
+    carried over from the split before lands them on the wrong side."""
+
+    rng = random.Random(0x5A4E)
+    for n in (6, 9, EXHAUSTIVE_LIMIT):
+        local = [(i, j, rng.randint(1, 4)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        offset = 100
+        g = RelationGraph.from_edges(local + [(i + offset, j + offset, s)
+                                              for i, j, s in local])
+        group, twin = list(range(n)), [t + offset for t in range(n)]
+        areas = {t: rng.randint(1, 5) for t in group + twin}
+        strong = sum(s for _, _, s in local) + 1  # outweighs any cut
+        for tags, side, axis, in_b in ((group, "right", "V", True),
+                                       (group, "top", "H", False),
+                                       (group, "bottom", "H", True),
+                                       (twin, "left", "V", False),
+                                       (twin, "bottom", "H", True)):
+            pulls = Pulls(**{side: {tags[0]: strong, tags[1]: strong}})
+            got = bipartition_exhaustive(tags, g, pulls, axis, areas)
+            toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
+                                  else (pulls.bottom, pulls.top))
+            want = best_bipartition(tags, g.edges, areas,
+                                    {t: toward_b.get(t, 0) for t in tags},
+                                    {t: toward_a.get(t, 0) for t in tags})
+            assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
+            assert set(tags[:2]) <= set(got.part_b if in_b else got.part_a)
 
 
 def test_fm_runs_never_worsen_their_start():

@@ -1,0 +1,224 @@
+"""Alternating parent/change benchmark pairs, written as BENCH_<topic>.json.
+
+    python3 tools/bench_pairs.py --topic NAME --parent REV --workdir DIR \\
+        --run text-mincut=11-20 --run plain-mincut=21-23 [--claim text-mincut:latency_ms.p50]
+
+The change is this checkout, as its files stand.  The parent is a
+``git archive`` of REV unpacked under ``--workdir`` (the directory must
+not already hold one), so both sides run ``perfbench/run.py`` from their
+own tree with the same settings: ``BENCHMARK.json``'s ``run_seconds``
+per run.  For each ``--run WORKLOAD=SEEDS`` entry, pair k runs seed k
+on both sides; the parent goes first in pairs 1, 3, 5, ...  The JSON
+holds, per workload and end-to-end metric, each side's median and
+quartiles (inclusive method), the pairs the change won, ties, the
+change/parent ratio of the medians, the parent's interquartile range
+and the verdict against the metric's bound.  It also holds the
+same-output check (``output_sha256`` and ``quality.area_kpx`` on 1 s
+runs of seeds 1-3 of every workload), optionally one traced run per
+side, and the machine line.
+
+A metric's verdict is ``WORSE THAN BOUND`` when the change/parent ratio
+of the medians is worse than its ``BENCHMARK.json`` bound,
+``unresolved`` when the parent's interquartile range over its median is
+wider than the bound and some change run does not beat every parent
+run, and ``ok`` otherwise.  A ``--claim WORKLOAD:METRIC`` is met when
+the change wins at least nine tenths of that workload's pairs, the
+medians differ by more than the parent's interquartile range, no more
+change runs fail than parent runs, and every run is correct.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+SAME_SEEDS = (1, 2, 3)  # the same-output check, 1 s each
+
+
+def seed_range(text: str) -> list[int]:
+    """``11-20`` or ``1,4,7`` (or a mix) as a list of seeds."""
+
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` call in ``tree``: its JSON line plus the
+    report lines the JSON leaves out."""
+
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["machine"] = lines[0].split(" python=", 1)[1]
+    for line in lines:
+        if line.startswith("output_sha256="):
+            result["output_sha256"] = line.split("=", 1)[1]
+    return result
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarize(pairs: list[dict[str, dict]], name: str, better: str) -> dict:
+    vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+    sign = -1 if better == "lower" else 1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+    ties = sum(c == p for p, c in zip(vals["parent"], vals["change"]))
+    stats = {side: quartiles(vals[side]) for side in SIDES}
+    return {**stats, "change_wins": wins, "ties": ties,
+            "median_ratio_change_over_parent":
+                round(stats["change"]["median"] / stats["parent"]["median"], 4),
+            "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4),
+            "separated": all(sign * (c - p) > 0
+                             for p in vals["parent"] for c in vals["change"])}
+
+
+def bound_verdict(s: dict, spec: dict) -> str:
+    """One ``summarize`` row against its ``BENCHMARK.json`` entry."""
+
+    worse = (s["median_ratio_change_over_parent"] - 1) * (
+        1 if spec["better"] == "lower" else -1)
+    if worse > spec["bound"]:
+        return "WORSE THAN BOUND"
+    if s["parent_iqr"] > spec["bound"] * abs(s["parent"]["median"]) and not s["separated"]:
+        return "unresolved"
+    return "ok"
+
+
+def claim_met(row: dict, name: str, better: str) -> tuple[bool, float]:
+    """Whether a workload's row bears out a gain on ``name``, and the gain."""
+
+    s = row[name]
+    gain = s["parent"]["median"] - s["change"]["median"]
+    if better == "higher":
+        gain = -gain
+    met = (s["change_wins"] >= 0.9 * row["pairs"] and gain > s["parent_iqr"]
+           and row["failed"]["change"] <= row["failed"]["parent"] and row["correct"])
+    return met, gain
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--topic", required=True, help="writes BENCH_<topic>.json")
+    parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
+    parser.add_argument("--workdir", required=True, type=Path,
+                        help="directory to unpack the parent into")
+    parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEEDS")
+    parser.add_argument("--trace-seed", type=int, help="also run one traced pass per side")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
+    parser.add_argument("--change", default="", help="what the change does")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
+    all_workloads = [w["name"] for w in bench["workloads"]]
+    runs = {}
+    for entry in args.run:
+        workload, _, seeds = entry.partition("=")
+        runs[workload] = seed_range(seeds)
+
+    rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    parent_tree = args.workdir / f"parent-{rev}"
+    parent_tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+    trees = {"parent": parent_tree, "change": ROOT}
+
+    def both(workload: str, seed: int, seconds: float, trace: int, parent_first: bool):
+        order = SIDES if parent_first else SIDES[::-1]
+        out = {side: run_bench(trees[side], workload, seed, seconds, trace) for side in order}
+        print(f"{workload} seed={seed} trace={trace} " + " ".join(
+            f"{side}: p50={out[side]['metrics'].get('latency_ms.p50', {}).get('value', '-')}"
+            f" correct={out[side]['correct']}" for side in SIDES), flush=True)
+        return out
+
+    doc = {"topic": args.topic, "change": args.change, "parent_commit": rev,
+           "command": f"python3 perfbench/run.py --workload W --seed S"
+                      f" --seconds {seconds:g} --trace 0",
+           "protocol": "alternating parent/change pairs, parent from a git archive of"
+                       f" {rev}, change from the working tree; the parent runs first in"
+                       " pairs 1, 3, 5, ...; medians and quartiles (inclusive method)",
+           "machine": None, "claim": args.claim, "workloads": {}}
+    verdicts = []
+    for workload, seeds in runs.items():
+        pairs = [both(workload, seed, seconds, 0, k % 2 == 0)
+                 for k, seed in enumerate(seeds)]
+        doc["machine"] = pairs[0]["change"]["machine"]
+        row = {"seeds": seeds, "pairs": len(pairs),
+               "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+               "correct": all(p[side]["correct"] for p in pairs for side in SIDES)}
+        for name, spec in end_to_end.items():
+            s = row[name] = summarize(pairs, name, spec["better"])
+            s["verdict"] = bound_verdict(s, spec)
+            verdicts.append(f"{workload:13} {name:17} parent {s['parent']['median']:>12.4f}"
+                            f" change {s['change']['median']:>12.4f}"
+                            f" ratio {s['median_ratio_change_over_parent']:.4f}"
+                            f" wins {s['change_wins']}/{len(pairs)}"
+                            f" bound {spec['bound']:.2f} {s['verdict']}")
+        doc["workloads"][workload] = row
+
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        row = doc["workloads"][workload]
+        s = row[name]
+        met, gain = claim_met(row, name, end_to_end[name]["better"])
+        doc["claim"] = {"workload": workload, "metric": name, "met": met,
+                        "median_gain": round(gain, 4), "parent_iqr": s["parent_iqr"],
+                        "change_wins": s["change_wins"],
+                        "pairs": row["pairs"]}
+
+    rows, same = [], True
+    for workload in all_workloads:
+        for seed in SAME_SEEDS:
+            out = both(workload, seed, 1, 0, True)
+            keys = [(out[side].get("output_sha256"),
+                     out[side]["metrics"]["quality.area_kpx"]["value"]) for side in SIDES]
+            same &= keys[0] == keys[1]
+            rows += [f"{workload} seed={seed} {side} output_sha256={k[0]}"
+                     f" area_kpx={k[1]:.3f} correct={str(out[side]['correct']).lower()}"
+                     f" failed={out[side]['failed']}" for side, k in zip(SIDES, keys)]
+    doc["same_layouts"] = {"seeds": list(SAME_SEEDS), "seconds": 1,
+                           "identical": same, "rows": rows}
+
+    if args.trace_seed is not None:
+        doc["traced"] = {"seed": args.trace_seed, "seconds": 1, "workloads": {}}
+        for workload in all_workloads:
+            out = both(workload, args.trace_seed, 1, 1, True)
+            doc["traced"]["workloads"][workload] = {
+                side: {"correct": out[side]["correct"],
+                       **{k: v["value"] for k, v in out[side]["metrics"].items()}}
+                for side in SIDES}
+
+    path = ROOT / f"BENCH_{args.topic}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    for line in verdicts:
+        print(line)
+    print(f"same layouts on seeds {SAME_SEEDS}: {same}")
+    if doc["claim"]:
+        print(f"claim {args.claim}: {'met' if doc['claim']['met'] else 'NOT met'}")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
