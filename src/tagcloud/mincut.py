@@ -111,7 +111,11 @@ def compute_pulls(group: Sequence[int], graph: RelationGraph,
 
 @dataclass(frozen=True)
 class FmRun:
-    """Per-run refinement diagnostics (cut weights use raw strengths)."""
+    """Per-run refinement diagnostics (cut weights use raw strengths).
+
+    ``passes`` counts the passes the run takes, whether worked out or
+    recalled from an earlier run of the same split.
+    """
 
     initial_cut: float
     final_cut: float
@@ -290,6 +294,20 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     of locked tags and superseded entries are dropped as they come out;
     live entries of illegal moves are held aside and go back once a move
     is picked.
+
+    The runs of one split often converge, and a pass depends only on
+    the side vector it starts from: the keys, per-side areas and counts
+    and the objective all follow from it.  So each call keeps one memo
+    from every pass-start side vector it has met (as bytes) to how the
+    run from there ends: the final side, objective and cut, and the
+    passes left, with the objective and cut at that side.  A run that
+    meets a known side copies that ending and stops, and its record is
+    the one the full run would have made.  The pass-start scan, which
+    walks every edge to set the keys, also sums the scaled cut, for a
+    run's start objective, and lists the raw strengths of the cut edges
+    in edge order, for ``FmRun.initial_cut`` and ``final_cut``.  Their
+    sum makes ``_cut_weight``'s additions in its order, so the cuts stay
+    bit-identical where strengths pass 2**53.
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
@@ -305,45 +323,43 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     if not edges and sca == scb:
         # Every gain is 0: each run would keep its start, so run 0 wins.
         side, _, _ = _fm_start(rng, area)
-        obj = _scaled_objective((), side, sca, scb) / scale
+        obj = sum(sca) / scale  # sca == scb: the pulls cost the same either way
         run = FmRun(initial_cut=0.0, final_cut=0.0, initial_objective=obj,
                     final_objective=obj, passes=1)
         return _split_result(tags, side, 0.0, runs=(run,) * runs)
 
-    sedges = [(i, j, int(round(s * scale))) for i, j, s in edges]
     # A heap key is -gain * n + id.  An edge of strength s moves its
     # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
     # At the start of a pass -gain is the tag's pull delta plus the
-    # strength of all its edges, less twice that of its cut edges.
-    wedges = [(i, j, 2 * n * s) for i, j, s in sedges]
+    # strength of all its edges, less twice that of its cut edges.  Each
+    # edge keeps its raw strength too, for the runs' cut records.
+    wedges = [(i, j, 2 * n * int(round(s * scale)), s) for i, j, s in edges]
     wadj: list[list[tuple[int, int]]] = [[] for _ in tags]
     pull_key = [n * (b - a) for a, b in zip(sca, scb)]  # in part A
     edge_key = list(range(n))  # the id, plus n times all its strength
-    for i, j, w in wedges:
+    for i, j, w, _ in wedges:
         wadj[i].append((j, w))
         wadj[j].append((i, w))
         edge_key[i] += w >> 1
         edge_key[j] += w >> 1
     s_max = max(area)
 
-    best: tuple[int, int, list[int]] | None = None
+    memo: dict[bytes, tuple] = {}
+    best: tuple[int, bytes, float] | None = None
     stats = []
-    for run_idx in range(runs):
+    for _ in range(runs):
         side, area_side, count_side = _fm_start(rng, area)
-        initial_obj = _scaled_objective(sedges, side, sca, scb)
-        initial_cut = _cut_weight(edges, side)
-        final_obj, passes = _fm_refine(wadj, wedges, pull_key, edge_key, side, area_side,
-                                       count_side, area, s_max, initial_obj)
-        stats.append(FmRun(initial_cut=initial_cut,
-                           final_cut=_cut_weight(edges, side),
+        initial_obj, initial_cut, final, final_obj, final_cut, passes = _fm_refine(
+            memo, wadj, wedges, pull_key, edge_key, sca, scb, area, s_max,
+            side, area_side, count_side)
+        stats.append(FmRun(initial_cut=initial_cut, final_cut=final_cut,
                            initial_objective=initial_obj / scale,
-                           final_objective=final_obj / scale,
-                           passes=passes))
-        if best is None or (final_obj, run_idx) < (best[0], best[1]):
-            best = (final_obj, run_idx, side[:])
+                           final_objective=final_obj / scale, passes=passes))
+        if best is None or final_obj < best[0]:  # ties keep the earlier run
+            best = (final_obj, final, final_cut)
 
-    _, best_run, side = best
-    return _split_result(tags, side, stats[best_run].final_cut, runs=tuple(stats))
+    _, side, cut = best
+    return _split_result(tags, side, cut, runs=tuple(stats))
 
 
 def _fm_start(rng: random.Random, area: Sequence[int]):
@@ -364,31 +380,43 @@ def _fm_start(rng: random.Random, area: Sequence[int]):
     return side, area_side, count_side
 
 
-def _scaled_objective(sedges, side, sca, scb) -> int:
-    cut = sum(s for i, j, s in sedges if side[i] != side[j])
-    return cut + sum(scb[t] if st else sca[t] for t, st in enumerate(side))
+def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
+               side, area_side, count_side):
+    """One run's passes from ``side`` (a list indexed by local id, changed
+    in place): returns its start objective and cut, its final side as
+    bytes, final objective and cut, and the passes it takes.
 
-
-def _fm_refine(adj, wedges, pull_key, edge_key, side, area_side, count_side, area,
-               s_max, obj: int) -> tuple[int, int]:
-    """Refine ``side`` (a list indexed by local id) in place; returns
-    (final objective, passes run)."""
+    ``memo`` maps each pass-start side this split has met, as bytes, to
+    (objective, cut, final side, final objective, final cut, passes
+    left) of the run from there.
+    """
 
     heappop, heappush = heapq.heappop, heapq.heappush
     n = len(side)
-    passes = 0
+    trail = []  # (side, objective, cut) at the start of each pass run here
+    obj = None
     while True:
-        passes += 1
-        start_obj = obj
+        state = bytes(side)
+        end = memo.get(state)
+        if end is not None:
+            break
         # key[t] is -gain(t) * n + t while t is unlocked and None once
         # it moved, so that the heap's smallest key is the move to try
         # first: the highest gain, then the smallest id.
         key = [e - p if side[t] else e + p
                for t, (e, p) in enumerate(zip(edge_key, pull_key))]
-        for i, j, w in wedges:
+        cut_w, cut_s = 0, []  # the cut edges' key steps and raw strengths
+        for i, j, w, s in edges:
             if side[i] != side[j]:
                 key[i] -= w
                 key[j] -= w
+                cut_w += w
+                cut_s.append(s)
+        cut = float(sum(cut_s))  # _cut_weight's additions, in its order
+        if obj is None:
+            obj = cut_w // (2 * n) + sum(b if st else a for a, b, st in zip(sca, scb, side))
+        trail.append((state, obj, cut))
+        start_obj = obj
         heap = key[:]
         heapq.heapify(heap)
 
@@ -448,8 +476,15 @@ def _fm_refine(adj, wedges, pull_key, edge_key, side, area_side, count_side, are
             count_side[cur] -= 1
             count_side[src] += 1
         obj = best_obj
-        if best_obj >= start_obj:
-            return obj, passes
+        if best_obj >= start_obj:  # every move rolled back: side is state
+            end = (obj, cut, state, obj, cut, 0)
+            break
+
+    _, _, final, final_obj, final_cut, left = end
+    for k, (state, o, c) in enumerate(trail):
+        memo[state] = (o, c, final, final_obj, final_cut, len(trail) - k + left)
+    initial_obj, initial_cut = trail[0][1:] if trail else end[:2]
+    return initial_obj, initial_cut, final, final_obj, final_cut, len(trail) + left
 
 
 def bipartition(tags: Sequence[int], graph: RelationGraph,

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 SPEC = importlib.util.spec_from_file_location(
@@ -72,3 +74,84 @@ def test_claim_needs_wins_a_gain_past_the_iqr_no_more_failures_and_correct_runs(
     assert not bench_pairs.claim_met(claim_row(correct=False), "latency_ms.p50", "lower")[0]
     # Read the other way round, the same runs are a loss.
     assert not bench_pairs.claim_met(claim_row(), "latency_ms.p50", "higher")[0]
+
+
+def test_a_side_without_a_finished_run_has_no_verdict_and_no_claim():
+    crashed = [{"parent": {"metrics": {"latency_ms.p50": {"value": 10}}},
+                "change": {"metrics": {}}}] * 3
+    s = bench_pairs.summarize(crashed, "latency_ms.p50", "lower")
+    assert bench_pairs.bound_verdict(s, SPEC) == "no runs"
+    row = {"pairs": 3, "failed": {"parent": 0, "change": 3}, "correct": False,
+           "latency_ms.p50": s}
+    assert bench_pairs.claim_met(row, "latency_ms.p50", "lower") == (False, None)
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def test_trees_sit_side_by_side_and_the_change_holds_uncommitted_edits(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    for name, text in (("a.txt", "old"), ("gone.txt", "x"), (".gitignore", "*.log\n")):
+        (repo / name).write_text(text)
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    (repo / "a.txt").write_text("new")
+    (repo / "gone.txt").unlink()
+    (repo / "sub").mkdir()
+    (repo / "sub" / "b.txt").write_text("untracked")
+    (repo / "run.log").write_text("ignored")
+
+    trees = bench_pairs.make_trees(repo, "HEAD", tmp_path / "work")
+    assert {t.parent for t in trees.values()} == {tmp_path / "work"}
+    parent, change = trees["parent"], trees["change"]
+    assert (parent / "a.txt").read_text() == "old"
+    assert (change / "a.txt").read_text() == "new"
+    assert (change / "sub" / "b.txt").read_text() == "untracked"
+    assert (parent / "gone.txt").exists() and not (change / "gone.txt").exists()
+    assert not (change / "run.log").exists() and not (parent / "sub").exists()
+
+
+STUB_RUN = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if {crash} and args["--seed"] == "2":
+    sys.exit(1)
+print(f"workload={{args['--workload']}} seed={{args['--seed']}} python=3 stub")
+print("output_sha256=abc")
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0, "metrics": {{
+    "latency_ms.p50": {{"value": {p50}, "unit": "ms"}},
+    "quality.area_kpx": {{"value": 1.0, "unit": "kpx"}}}}}}))
+"""
+
+
+def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written(
+        tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "latency_ms.p50", "better": "lower", "bound": 0.25},
+                       {"name": "quality.area_kpx", "better": "lower", "bound": 0.06}]}))
+    run_py = repo / "perfbench" / "run.py"
+    run_py.write_text(STUB_RUN.format(crash=False, p50=10.0))
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    # The change is faster, but its seed-2 run exits 1.
+    run_py.write_text(STUB_RUN.format(crash=True, p50=5.0))
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    assert bench_pairs.main(["--topic", "stub", "--workdir", str(tmp_path / "work"),
+                             "--run", "w=1-3", "--claim", "w:latency_ms.p50"]) == 0
+    doc = json.loads((repo / "BENCH_stub.json").read_text())
+    row = doc["workloads"]["w"]
+    assert row["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 1, 0]}
+    assert row["failed"] == {"parent": 0, "change": 1} and not row["correct"]
+    assert row["latency_ms.p50"]["change_wins"] == 2
+    assert row["latency_ms.p50"]["change"]["median"] == 5.0
+    assert not doc["claim"]["met"]
+    assert not doc["same_layouts"]["identical"]  # the seed-2 check exited 1 too

@@ -298,6 +298,37 @@ def test_fm_matches_reference_at_huge_strengths(case, fractional, tags, g, pulls
     assert_fm_matches_reference(tags, g, pulls, axis, areas, runs, seed=case)
 
 
+def fm_converging_cases():
+    """Small dense groups of 13-20 tags with areas of 1-3, integer or
+    fractional strengths, with and without pulls: ten runs of such a
+    split keep meeting the same pass-start sides."""
+
+    rng = random.Random(0x5EC0)
+    for case in range(8):
+        n = rng.randint(13, 20)
+        tags = sorted(rng.sample(range(n + 5), n))
+        fractional = case % 2 == 1
+        g = RelationGraph.from_edges(
+            (i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
+            for k, i in enumerate(tags) for j in tags[k + 1:] if rng.random() < 0.9)
+        pulls = Pulls(**{side: {t: rng.choice([1, 3, 0.5]) for t in tags if rng.random() < 0.3}
+                         for side in SIDES if case % 4 >= 2})
+        areas = {t: rng.randint(1, 3) for t in tags}
+        yield case, tags, g, pulls, rng.choice("VH"), areas
+
+
+@pytest.mark.parametrize("case, tags, g, pulls, axis, areas", list(fm_converging_cases()))
+def test_fm_recalls_converged_runs_exactly(monkeypatch, case, tags, g, pulls, axis, areas):
+    executed = []  # heapify runs once per pass that is worked out
+    heapify = mincut.heapq.heapify
+    monkeypatch.setattr(mincut.heapq, "heapify",
+                        lambda heap: executed.append(1) or heapify(heap))
+    assert_fm_matches_reference(tags, g, pulls, axis, areas, runs=10, seed=case)
+    executed.clear()
+    part = bipartition_fm(tags, g, pulls, axis, areas, runs=10, seed=case)
+    assert 0 < len(executed) < sum(r.passes for r in part.runs)
+
+
 def fm_edge_free_cases():
     """Seeded edge-free FM inputs of 13-400 tags, each with a pull kind:
     none, the same pull toward both sides of the cut axis, a pull

@@ -3,11 +3,14 @@
     python3 tools/bench_pairs.py --topic NAME --parent REV --workdir DIR \\
         --run text-mincut=11-20 --run plain-mincut=21-23 [--claim text-mincut:latency_ms.p50]
 
-The change is this checkout, as its files stand.  The parent is a
-``git archive`` of REV unpacked under ``--workdir`` (the directory must
-not already hold one), so both sides run ``perfbench/run.py`` from their
-own tree with the same settings: ``BENCHMARK.json``'s ``run_seconds``
-per run.  For each ``--run WORKLOAD=SEEDS`` entry, pair k runs seed k
+The parent is a ``git archive`` of REV unpacked into
+``--workdir``/parent-REV; the change is a copy of this checkout's
+tracked and untracked, non-ignored files as they stand, in
+``--workdir``/change (neither directory may exist yet).  So both sides
+run ``perfbench/run.py`` from sibling trees with the same settings:
+``BENCHMARK.json``'s ``run_seconds`` per run.  A run that exits
+non-zero is recorded with its exit code and counts as failed and
+incorrect.  For each ``--run WORKLOAD=SEEDS`` entry, pair k runs seed k
 on both sides; the parent goes first in pairs 1, 3, 5, ...  The JSON
 holds, per workload and end-to-end metric, each side's median and
 quartiles (inclusive method), the pairs the change won, ties, the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -58,14 +62,39 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit_code": proc.returncode, "correct": False, "failed": 1, "metrics": {},
+                "stderr": proc.stderr[-2000:]}
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
+    result = {"exit_code": 0, **json.loads(lines[-1])}
     result["machine"] = lines[0].split(" python=", 1)[1]
     for line in lines:
         if line.startswith("output_sha256="):
             result["output_sha256"] = line.split("=", 1)[1]
     return result
+
+
+def make_trees(root: Path, rev: str, workdir: Path) -> dict[str, Path]:
+    """Both sides' trees under ``workdir``: the parent unpacked from a
+    ``git archive`` of ``rev``, the change copied from ``root``'s tracked
+    and untracked, non-ignored files as they stand."""
+
+    trees = {"parent": workdir / f"parent-{rev}", "change": workdir / "change"}
+    for tree in trees.values():
+        tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=root, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, capture_output=True,
+                            check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        if (root / name).is_file():  # not a tracked file deleted in the checkout
+            dest = trees["change"] / name
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest)
+    return trees
 
 
 def quartiles(values: list[float]) -> dict:
@@ -77,10 +106,19 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict[str, dict]], name: str, better: str) -> dict:
-    vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+    """Each side's quartiles over its runs that report ``name``, and wins
+    and ties over the pairs where both do; empty when either side has
+    no such run."""
+
+    vals = {side: [p[side]["metrics"][name]["value"] for p in pairs
+                   if name in p[side]["metrics"]] for side in SIDES}
+    if not (vals["parent"] and vals["change"]):
+        return {}
+    both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+            for p in pairs if all(name in p[side]["metrics"] for side in SIDES)]
     sign = -1 if better == "lower" else 1
-    wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
-    ties = sum(c == p for p, c in zip(vals["parent"], vals["change"]))
+    wins = sum(sign * (c - p) > 0 for p, c in both)
+    ties = sum(c == p for p, c in both)
     stats = {side: quartiles(vals[side]) for side in SIDES}
     return {**stats, "change_wins": wins, "ties": ties,
             "median_ratio_change_over_parent":
@@ -93,6 +131,8 @@ def summarize(pairs: list[dict[str, dict]], name: str, better: str) -> dict:
 def bound_verdict(s: dict, spec: dict) -> str:
     """One ``summarize`` row against its ``BENCHMARK.json`` entry."""
 
+    if "change" not in s:
+        return "no runs"
     worse = (s["median_ratio_change_over_parent"] - 1) * (
         1 if spec["better"] == "lower" else -1)
     if worse > spec["bound"]:
@@ -102,10 +142,13 @@ def bound_verdict(s: dict, spec: dict) -> str:
     return "ok"
 
 
-def claim_met(row: dict, name: str, better: str) -> tuple[bool, float]:
-    """Whether a workload's row bears out a gain on ``name``, and the gain."""
+def claim_met(row: dict, name: str, better: str) -> tuple[bool, float | None]:
+    """Whether a workload's row bears out a gain on ``name``, and the gain
+    (None without a run on either side)."""
 
     s = row[name]
+    if "change" not in s:
+        return False, None
     gain = s["parent"]["median"] - s["change"]["median"]
     if better == "higher":
         gain = -gain
@@ -119,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--topic", required=True, help="writes BENCH_<topic>.json")
     parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
     parser.add_argument("--workdir", required=True, type=Path,
-                        help="directory to unpack the parent into")
+                        help="directory to put the parent and change trees in")
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEEDS")
     parser.add_argument("--trace-seed", type=int, help="also run one traced pass per side")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
@@ -137,12 +180,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
-    parent_tree = args.workdir / f"parent-{rev}"
-    parent_tree.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
-                             check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-    trees = {"parent": parent_tree, "change": ROOT}
+    trees = make_trees(ROOT, rev, args.workdir)
 
     def both(workload: str, seed: int, seconds: float, trace: int, parent_first: bool):
         order = SIDES if parent_first else SIDES[::-1]
@@ -155,21 +193,28 @@ def main(argv: list[str] | None = None) -> int:
     doc = {"topic": args.topic, "change": args.change, "parent_commit": rev,
            "command": f"python3 perfbench/run.py --workload W --seed S"
                       f" --seconds {seconds:g} --trace 0",
-           "protocol": "alternating parent/change pairs, parent from a git archive of"
-                       f" {rev}, change from the working tree; the parent runs first in"
-                       " pairs 1, 3, 5, ...; medians and quartiles (inclusive method)",
+           "protocol": "alternating parent/change pairs from sibling trees: parent"
+                       f" unpacked from a git archive of {rev}, change copied from the"
+                       " checkout's tracked and untracked, non-ignored files; the parent"
+                       " runs first in pairs 1, 3, 5, ...; medians and quartiles (inclusive"
+                       " method); a run that exits non-zero counts as failed and incorrect",
            "machine": None, "claim": args.claim, "workloads": {}}
     verdicts = []
     for workload, seeds in runs.items():
         pairs = [both(workload, seed, seconds, 0, k % 2 == 0)
                  for k, seed in enumerate(seeds)]
-        doc["machine"] = pairs[0]["change"]["machine"]
+        doc["machine"] = doc["machine"] or next(
+            (p[side]["machine"] for p in pairs for side in SIDES if "machine" in p[side]), None)
         row = {"seeds": seeds, "pairs": len(pairs),
+               "exit_codes": {side: [p[side]["exit_code"] for p in pairs] for side in SIDES},
                "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
                "correct": all(p[side]["correct"] for p in pairs for side in SIDES)}
         for name, spec in end_to_end.items():
             s = row[name] = summarize(pairs, name, spec["better"])
             s["verdict"] = bound_verdict(s, spec)
+            if "change" not in s:
+                verdicts.append(f"{workload:13} {name:17} {s['verdict']}")
+                continue
             verdicts.append(f"{workload:13} {name:17} parent {s['parent']['median']:>12.4f}"
                             f" change {s['change']['median']:>12.4f}"
                             f" ratio {s['median_ratio_change_over_parent']:.4f}"
@@ -183,17 +228,18 @@ def main(argv: list[str] | None = None) -> int:
         s = row[name]
         met, gain = claim_met(row, name, end_to_end[name]["better"])
         doc["claim"] = {"workload": workload, "metric": name, "met": met,
-                        "median_gain": round(gain, 4), "parent_iqr": s["parent_iqr"],
-                        "change_wins": s["change_wins"],
-                        "pairs": row["pairs"]}
+                        "median_gain": None if gain is None else round(gain, 4),
+                        "parent_iqr": s.get("parent_iqr"),
+                        "change_wins": s.get("change_wins"), "pairs": row["pairs"]}
 
     rows, same = [], True
     for workload in all_workloads:
         for seed in SAME_SEEDS:
             out = both(workload, seed, 1, 0, True)
             keys = [(out[side].get("output_sha256"),
-                     out[side]["metrics"]["quality.area_kpx"]["value"]) for side in SIDES]
-            same &= keys[0] == keys[1]
+                     out[side]["metrics"].get("quality.area_kpx", {}).get("value", -1.0))
+                    for side in SIDES]
+            same &= keys[0] == keys[1] and all(out[side]["exit_code"] == 0 for side in SIDES)
             rows += [f"{workload} seed={seed} {side} output_sha256={k[0]}"
                      f" area_kpx={k[1]:.3f} correct={str(out[side]['correct']).lower()}"
                      f" failed={out[side]['failed']}" for side, k in zip(SIDES, keys)]
