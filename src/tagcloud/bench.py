@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .inline import BadnessAggregate, dp_break, greedy_break, line_badnesses
 from .metrics import bbox_area, layout_to_placement, weighted_distance
 from .mincut import layout_mincut
-from .model import Cloud, InvalidInputError, LineLayout, RelationGraph
+from .model import Cloud, InvalidInputError, LineLayout, PlacedCloud, RelationGraph
 from .reorder import RNG_ALGORITHM, ffdh, ffdhw, nfdh, shuffle_best
 
 
@@ -125,6 +125,23 @@ def method_table(config: BenchConfig) -> dict[str, Callable]:
     }
 
 
+def _row(name: str, method: str, placed: PlacedCloud, graph: RelationGraph | None,
+         elapsed: float, badness: list[int] | None = None,
+         iterations: int | None = None) -> BenchRow:
+    """One report row; a 2-D placement has no lines, so no ``badness``."""
+
+    return BenchRow(
+        cloud=name,
+        method=method,
+        badness_l1=None if badness is None else sum(badness),
+        badness_l2=None if badness is None else sum(b * b for b in badness),
+        area_kpx=bbox_area(placed),
+        weighted_dist=weighted_distance(placed, graph) if graph and graph.edges else None,
+        time_ms=elapsed,
+        iterations=iterations,
+    )
+
+
 def run_benchmark(inputs: Sequence[tuple[str, Cloud, RelationGraph | None]],
                   config: BenchConfig | None = None) -> BenchReport:
     config = config or BenchConfig()
@@ -134,32 +151,12 @@ def run_benchmark(inputs: Sequence[tuple[str, Cloud, RelationGraph | None]],
             start = time.perf_counter()
             layout: LineLayout = fn(cloud, graph)
             elapsed = (time.perf_counter() - start) * 1000
-            badness = line_badnesses(cloud, layout)
-            placed = layout_to_placement(layout, cloud)
-            rows.append(BenchRow(
-                cloud=name,
-                method=method,
-                badness_l1=sum(badness),
-                badness_l2=sum(b * b for b in badness),
-                area_kpx=bbox_area(placed),
-                weighted_dist=(weighted_distance(placed, graph)
-                               if graph and graph.edges else None),
-                time_ms=elapsed,
-                iterations=None,
-            ))
+            rows.append(_row(name, method, layout_to_placement(layout, cloud), graph,
+                             elapsed, badness=line_badnesses(cloud, layout)))
         start = time.perf_counter()
         result = layout_mincut(cloud, graph, seed=config.seed,
                                shape_variants=config.shape_variants)
         elapsed = (time.perf_counter() - start) * 1000
-        rows.append(BenchRow(
-            cloud=name,
-            method="mincut",
-            badness_l1=None,  # no lines to score in a 2-D placement
-            badness_l2=None,
-            area_kpx=bbox_area(result.placed),
-            weighted_dist=(weighted_distance(result.placed, graph)
-                           if graph and graph.edges else None),
-            time_ms=elapsed,
-            iterations=result.iterations,
-        ))
+        rows.append(_row(name, "mincut", result.placed, graph, elapsed,
+                         iterations=result.iterations))
     return BenchReport(rows=tuple(rows), config=config)

@@ -183,10 +183,7 @@ def _run(command) -> None:
     except click.ClickException as e:
         e.show(file=sys.stderr)
         sys.exit(1)
-    except InvalidInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
-    except OSError as e:
+    except (InvalidInputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(1)
     except CloudError as e:

@@ -28,8 +28,6 @@ from .model import (
     RelationGraph,
     TagBox,
     estimate_box,
-    raise_problems,
-    width_problems,
 )
 
 MIN_WORD_LENGTH = 6
@@ -132,9 +130,6 @@ def build_cloud_from_text(text: str, k: int, target_width: int = DEFAULT_TARGET_
 
     if adjacency not in ("filtered", "raw"):
         raise InvalidInputError(f"adjacency must be 'filtered' or 'raw', got {adjacency!r}")
-    # cloud_from_json's checks, before any tokenizing, so that no
-    # document is written that no layout accepts.
-    raise_problems(width_problems(target_width, space_width))
     filtered = tokenize_filter(text)
     tags = build_tag_cloud(filtered, k)
     edge_stream = filtered if adjacency == "filtered" else tokenize(text)

@@ -115,8 +115,6 @@ def greedy_break(cloud: Cloud, order: Sequence[int] | None = None) -> LineLayout
     own.
     """
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     order = _check_order(len(cloud.tags), order)
     target, space = cloud.target_width, cloud.space_width
     lines: list[list[int]] = []
@@ -136,8 +134,6 @@ def greedy_break(cloud: Cloud, order: Sequence[int] | None = None) -> LineLayout
 def _prepare(cloud: Cloud, order: Sequence[int] | None):
     """Checked order and the line table of the tags taken in it."""
 
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     order = _check_order(len(cloud.tags), order)
     widths = [cloud.tags[i].width for i in order]
     heights = [cloud.tags[i].height for i in order]

@@ -33,7 +33,6 @@ from .model import (
     PlacedCloud,
     RelationGraph,
     raise_problems,
-    validate_cloud,
     validate_graph,
 )
 from .sizing import combine_shapes, default_leaf_shapes, select_and_place
@@ -257,24 +256,23 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
 
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
                    pulls: Pulls | None = None, axis: str = "V",
-                   areas: Mapping[int, int] | None = None,
-                   runs: int = DEFAULT_FM_RUNS, seed: int = 0) -> Bipartition:
+                   areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
     """Iterative improvement split for larger tag sets.
 
-    Each run starts from a seeded random partition balanced by greedy
-    assignment, then repeats passes of single-tag moves: always the
-    highest-gain unlocked tag whose move keeps both sides populated and
-    the area difference within twice the largest tag's area, the
-    smallest tag id first among equal gains.  Moved tags lock for the
-    rest of the pass; at pass end the best prefix of the move sequence
-    whose area difference is within the largest tag's area is kept.
-    Passes repeat until one fails to improve.  The best of all runs
-    wins (ties: earliest run).
+    Each of ``DEFAULT_FM_RUNS`` runs starts from a seeded random
+    partition balanced by greedy assignment, then repeats passes of
+    single-tag moves: always the highest-gain unlocked tag whose move
+    keeps both sides populated and the area difference within twice
+    the largest tag's area, the smallest tag id first among equal gains.
+    Moved tags lock for the rest of the pass; at pass end the best
+    prefix of the move sequence whose area difference is within the
+    largest tag's area is kept.  Passes repeat until one fails to
+    improve.  The best of all runs wins (ties: earliest run).
 
     A group with no internal edges and the same cost on both sides for
     every tag has every gain 0: no move changes the objective, so each
     run would make one pass, roll every move back and keep its start.
-    That case returns run 0's start at once, with the ``runs`` records
+    That case returns run 0's start at once, with the run records
     the full loop would have made, before any refinement state is built.
 
     Gains are integers (fractional strengths are scaled by 1000 and
@@ -311,8 +309,6 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
-    if runs < 1:
-        raise InvalidInputError(f"runs must be >= 1, got {runs}")
     n = len(tags)
 
     numbers = [s for _, _, s in edges] + cost_a + cost_b
@@ -326,7 +322,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
         obj = sum(sca) / scale  # sca == scb: the pulls cost the same either way
         run = FmRun(initial_cut=0.0, final_cut=0.0, initial_objective=obj,
                     final_objective=obj, passes=1)
-        return _split_result(tags, side, 0.0, runs=(run,) * runs)
+        return _split_result(tags, side, 0.0, runs=(run,) * DEFAULT_FM_RUNS)
 
     # A heap key is -gain * n + id.  An edge of strength s moves its
     # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
@@ -347,7 +343,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     memo: dict[bytes, tuple] = {}
     best: tuple[int, bytes, float] | None = None
     stats = []
-    for _ in range(runs):
+    for _ in range(DEFAULT_FM_RUNS):
         side, area_side, count_side = _fm_start(rng, area)
         initial_obj, initial_cut, final, final_obj, final_cut, passes = _fm_refine(
             memo, wadj, wedges, pull_key, edge_key, sca, scb, area, s_max,
@@ -529,7 +525,6 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     the seed it always had.
     """
 
-    raise_problems(validate_cloud(cloud))
     graph = graph or RelationGraph()
     raise_problems(validate_graph(graph, len(cloud.tags)))
     if width_bias <= 0:
@@ -553,7 +548,6 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
         pulls = compute_pulls(group, graph, sides)
         total = sum(areas[t] for t in group)
         part = None
-        orient = "H"
         if est_w > est_h:
             if len(group) > EXHAUSTIVE_LIMIT and _fm_vertical_doomed(
                     est_w, total, max(areas[t] for t in group),
@@ -566,25 +560,21 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
                 share_b = est_w * (1 - frac_a)
                 if (share_a >= max(widths[t] for t in cand.part_a)
                         and share_b >= max(widths[t] for t in cand.part_b)):
-                    part, orient = cand, "V"
-                elif len(group) <= EXHAUSTIVE_LIMIT and not (
+                    sides.update(dict.fromkeys(cand.part_b, "right"))
+                    first = rec(cand.part_a, share_a, est_h)
+                    sides.update(dict.fromkeys(cand.part_a, "left"))
+                    return Cut("V", first, rec(cand.part_b, share_b, est_h))
+                if len(group) <= EXHAUSTIVE_LIMIT and not (
                         pulls.left or pulls.right or pulls.top or pulls.bottom):
                     rng.getrandbits(64)  # the reused split's seed
                     part = cand  # enumeration ignores the axis without pulls
         if part is None:
             part = split(group, pulls, "H")
         frac_a = sum(areas[t] for t in part.part_a) / total
-        if orient == "V":
-            sides.update(dict.fromkeys(part.part_b, "right"))
-            first = rec(part.part_a, est_w * frac_a, est_h)
-            sides.update(dict.fromkeys(part.part_a, "left"))
-            second = rec(part.part_b, est_w * (1 - frac_a), est_h)
-        else:
-            sides.update(dict.fromkeys(part.part_b, "bottom"))
-            first = rec(part.part_a, est_w, est_h * frac_a)
-            sides.update(dict.fromkeys(part.part_a, "top"))
-            second = rec(part.part_b, est_w, est_h * (1 - frac_a))
-        return Cut(orient, first, second)
+        sides.update(dict.fromkeys(part.part_b, "bottom"))
+        first = rec(part.part_a, est_w, est_h * frac_a)
+        sides.update(dict.fromkeys(part.part_a, "top"))
+        return Cut("H", first, rec(part.part_b, est_w, est_h * (1 - frac_a)))
 
     total_area = sum(areas.values())
     est_w = cloud.target_width * width_bias
@@ -617,7 +607,6 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
     Returns the widest attempt that fits; if none fits, the narrowest.
     """
 
-    raise_problems(validate_cloud(cloud))
     leaf_shapes = default_leaf_shapes(cloud, variants=shape_variants)
     target = cloud.target_width
     bias = 1.0

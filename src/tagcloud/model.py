@@ -71,9 +71,19 @@ class TagBox:
 
 @dataclass(frozen=True)
 class Cloud:
+    """Tags to lay out, the target line width and the inter-tag space.
+
+    A Cloud checks itself when it is built: one that breaks any
+    constraint raises InvalidInputError listing every problem (see
+    :func:`validate_cloud`), so every Cloud a layout gets is valid.
+    """
+
     tags: tuple[TagBox, ...]
     target_width: int
     space_width: int = DEFAULT_SPACE_WIDTH
+
+    def __post_init__(self):
+        raise_problems(validate_cloud(self))
 
 
 # Largest accepted edge strength, and largest accepted sum of all of
@@ -192,26 +202,26 @@ def _pixel_problem(name: str, value: int, low: int) -> str | None:
     return None
 
 
-def width_problems(target_width: int, space_width: int) -> list[str]:
-    """The cloud-wide width checks of :func:`validate_cloud`."""
-
-    problems = (_pixel_problem("target_width", target_width, 1),
-                _pixel_problem("space_width", space_width, 0))
-    return [p for p in problems if p]
-
-
 def validate_cloud(cloud: Cloud) -> list[str]:
-    """Collect every constraint violation instead of failing on the first."""
+    """Collect every constraint violation instead of failing on the first.
+
+    Labels longer than 40 characters are cut to their first 40, then
+    ``…``, in the messages.
+    """
 
     problems: list[str] = []
     if not cloud.tags:
         problems.append("tags non-empty: cloud has no tags")
-    problems += width_problems(cloud.target_width, cloud.space_width)
+    problems += filter(None, (_pixel_problem("target_width", cloud.target_width, 1),
+                              _pixel_problem("space_width", cloud.space_width, 0)))
     for i, tag in enumerate(cloud.tags):
         if (tag.label and 0 <= tag.weight < WEIGHT_LEVELS
                 and 1 <= tag.width <= MAX_PIXELS and 1 <= tag.height <= MAX_PIXELS):
             continue  # the common case builds no message
-        where = f"tag {i} ({tag.label!r})"
+        label = tag.label
+        if isinstance(label, str) and len(label) > 40:
+            label = label[:40] + "…"
+        where = f"tag {i} ({label!r})"
         if not tag.label:
             problems.append(f"{where}: empty label")
         if not 0 <= tag.weight < WEIGHT_LEVELS:
@@ -314,6 +324,4 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
             raw.append((a, b, s))
         graph = RelationGraph.from_edges(raw)
         raise_problems(validate_graph(graph, len(tags)))
-    cloud = Cloud(tags=tuple(tags), target_width=target_width, space_width=space_width)
-    raise_problems(validate_cloud(cloud))
-    return cloud, graph
+    return Cloud(tags=tuple(tags), target_width=target_width, space_width=space_width), graph

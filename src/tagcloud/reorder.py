@@ -39,8 +39,6 @@ def nfdh(cloud: Cloud) -> LineLayout:
 
 
 def _first_fit(cloud: Cloud, order: Sequence[int]) -> LineLayout:
-    if not cloud.tags:
-        raise InvalidInputError("cloud has no tags")
     target, space = cloud.target_width, cloud.space_width
     lines: list[list[int]] = []
     used: list[int] = []

@@ -124,7 +124,7 @@ def test_c05_fm_finds_the_bridge():
 
     hits = 0
     for master in range(10):
-        bp = bipartition_fm(tags, graph, areas=areas, runs=10, seed=master)
+        bp = bipartition_fm(tags, graph, areas=areas, seed=master)
         assert bp.runs  # diagnostics must be present
         for run in bp.runs:
             assert run.final_cut <= run.initial_cut

@@ -212,6 +212,21 @@ def test_ingest_rejects_widths_no_layout_accepts(monkeypatch, capsys, tmp_path,
     assert not out.exists()
 
 
+def test_ingest_rejects_tags_no_layout_accepts(monkeypatch, capsys, tmp_path):
+    from tagcloud.__main__ import main
+    from .test_ingest import HUGE_WORD_MESSAGE, HUGE_WORD_TEXT
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(HUGE_WORD_TEXT)
+    out = tmp_path / "x.json"
+    monkeypatch.setattr("sys.argv", ["ingest", "--text", str(corpus), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        _run(main.commands["ingest"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {HUGE_WORD_MESSAGE}\n"
+    assert not out.exists()
+
+
 def test_ingest_zero_width_exits_one(scripts, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("winter summer winter summer autumn\n")

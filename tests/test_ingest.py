@@ -11,7 +11,7 @@ from tagcloud import (
     importance,
 )
 from tagcloud.ingest import MIN_WORD_LENGTH, tokenize, tokenize_filter
-from tagcloud.model import cloud_to_json
+from tagcloud.model import MAX_PIXELS, cloud_to_json
 from . import oracles
 from .oracles import pair_counts
 
@@ -263,3 +263,22 @@ def test_build_cloud_from_text_rejects_widths_no_layout_accepts(width, space, me
     cloud, _ = build_cloud_from_text("gardens flowers gardens", 2, target_width=1,
                                      space_width=0)
     assert (cloud.target_width, cloud.space_width) == (1, 0)
+
+
+# Five copies of a 600,000-letter word and one other word: the long word
+# weighs 8 and is 17,600,000 px wide, past MAX_PIXELS.
+HUGE_WORD_TEXT = " ".join(["w" * 600_000] * 5 + ["garden"])
+HUGE_WORD_MESSAGE = (f"tag 0 ({'w' * 40 + '…'!r}): width must be <= {MAX_PIXELS},"
+                     " got 17600000")
+
+
+def test_build_cloud_from_text_rejects_tags_no_layout_accepts():
+    with pytest.raises(InvalidInputError) as exc:
+        build_cloud_from_text(HUGE_WORD_TEXT, 5)
+    assert str(exc.value) == HUGE_WORD_MESSAGE
+
+
+def test_build_cloud_from_text_reports_the_text_before_the_widths():
+    with pytest.raises(InvalidInputError) as exc:
+        build_cloud_from_text("", 5, target_width=0)
+    assert str(exc.value) == "token stream is empty"

@@ -100,11 +100,24 @@ def test_order_must_be_permutation():
 
 
 def test_empty_cloud_rejected():
-    empty = Cloud(tags=(), target_width=100)
-    with pytest.raises(InvalidInputError):
-        greedy_break(empty)
-    with pytest.raises(InvalidInputError):
-        dp_break(empty)
+    with pytest.raises(InvalidInputError) as exc:
+        greedy_break(Cloud(tags=(), target_width=100))
+    assert str(exc.value) == "tags non-empty: cloud has no tags"
+
+
+@pytest.mark.parametrize("breaker", [greedy_break, dp_break])
+def test_invalid_cloud_never_reaches_line_breaking(breaker):
+    with pytest.raises(InvalidInputError) as exc:
+        breaker(Cloud((TagBox("a", 0, 0, 5), TagBox("", 12, 7, -3)),
+                      target_width=-5, space_width=-2))
+    assert str(exc.value) == "; ".join([
+        "target_width must be >= 1, got -5",
+        "space_width must be >= 0, got -2",
+        "tag 0 ('a'): width must be >= 1, got 0",
+        "tag 1 (''): empty label",
+        "tag 1 (''): weight range is 0..9, got 12",
+        "tag 1 (''): height must be >= 1, got -3",
+    ])
 
 
 def test_dp_tie_breaks_to_fewer_lines_then_lex():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import re
@@ -56,17 +57,36 @@ def test_tagbox_area():
 
 
 def test_validate_cloud_collects_all_problems():
-    cloud = Cloud(tags=(
-        TagBox("", 12, 0, 20),
-        TagBox("ok", 3, 30, 20),
-    ), target_width=0, space_width=-1)
-    problems = validate_cloud(cloud)
-    assert any("target_width" in p for p in problems)
-    assert any("space_width" in p for p in problems)
-    assert any("empty label" in p for p in problems)
-    assert any("weight range is 0..9" in p for p in problems)
-    assert any("width must be >= 1" in p for p in problems)
-    assert len(problems) == 5
+    with pytest.raises(InvalidInputError) as exc:
+        Cloud(tags=(
+            TagBox("", 12, 0, 20),
+            TagBox("ok", 3, 30, 20),
+        ), target_width=0, space_width=-1)
+    assert str(exc.value) == "; ".join([
+        "target_width must be >= 1, got 0",
+        "space_width must be >= 0, got -1",
+        "tag 0 (''): empty label",
+        "tag 0 (''): weight range is 0..9, got 12",
+        "tag 0 (''): width must be >= 1, got 0",
+    ])
+
+
+def test_cloud_checks_itself_when_replaced():
+    cloud = Cloud(tags=(TagBox("ok", 3, 30, 20),), target_width=100)
+    with pytest.raises(InvalidInputError) as exc:
+        dataclasses.replace(cloud, target_width=0)
+    assert str(exc.value) == "target_width must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("label, shown", [
+    ("x" * 600_000, repr("x" * 40 + "…")),
+    ("y" * 40, repr("y" * 40)),
+    (5, "5"),  # a library caller's non-string label is shown, not measured
+])
+def test_validate_cloud_caps_long_labels(label, shown):
+    with pytest.raises(InvalidInputError) as exc:
+        Cloud(tags=(TagBox(label, 1, 0, 20),), target_width=100)
+    assert str(exc.value) == f"tag 0 ({shown}): width must be >= 1, got 0"
 
 
 def test_relation_graph_normalizes_and_merges():

@@ -116,10 +116,9 @@ def test_reorder_layouts_are_permutations():
 
 
 def test_reorder_rejects_empty_and_bad_k():
-    empty = Cloud(tags=(), target_width=100)
     for fn in (nfdh, ffdh, ffdhw):
         with pytest.raises(InvalidInputError):
-            fn(empty)
+            fn(Cloud(tags=(), target_width=100))
     cloud = Cloud(tags=(TagBox("a", 1, 10, 10),), target_width=100)
     with pytest.raises(InvalidInputError):
         shuffle_best(cloud, 0)
