@@ -17,7 +17,7 @@ from tagcloud import (
     font_size_pt,
     validate_cloud,
 )
-from tagcloud.model import MAX_PIXELS, validate_graph
+from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, validate_graph
 
 
 def test_font_scale():
@@ -127,6 +127,30 @@ def test_relation_graph_rejects_bad_edges():
 def test_relation_graph_rejects_non_finite_and_bool_edges(raw, match):
     with pytest.raises(InvalidInputError, match=match):
         RelationGraph.from_edges(raw)
+
+
+_FINITE = f"strength must be positive and finite (at most {MAX_TOTAL_STRENGTH:g}), got"
+_TOTAL = f"total strength exceeds {MAX_TOTAL_STRENGTH:g}"
+
+
+@pytest.mark.parametrize("raw, message", [
+    pytest.param([(True, 2, 1)], "edge (True,2): endpoints must be integers, not booleans",
+                 id="bool-endpoint"),
+    pytest.param([(0, 1, 1), (3, 3, 1.0)], "self-loop on tag 3", id="self-loop"),
+    pytest.param([(0, 1, 0.0)], f"edge (0,1): {_FINITE} 0.0", id="zero"),
+    pytest.param([(0, 1, float("nan"))], f"edge (0,1): {_FINITE} nan", id="nan"),
+    pytest.param([(1, 0, float("inf"))], f"edge (1,0): {_FINITE} inf", id="inf"),
+    pytest.param([(0, 1, 10 ** 400)], f"edge (0,1): {_FINITE} {10 ** 400}", id="huge-int"),
+    pytest.param([(0, 1, 1), (-1, 1, 1.0)], "edge (-1,1): negative tag index", id="negative"),
+    pytest.param([(0, 1, 6e299), (2, 3, 6e299)], f"edge (2,3): {_TOTAL}", id="total"),
+    pytest.param([(0, 1, 6e299), (1, 0, 6e299)], f"edge (1,0): {_TOTAL}", id="total-merged"),
+    pytest.param([(0, 1, 6e299), (2, 3, 6e299), (4, 4, 1)], f"edge (2,3): {_TOTAL}",
+                 id="total-then-self-loop"),
+])
+def test_relation_graph_error_messages_are_exact(raw, message):
+    with pytest.raises(InvalidInputError) as exc:
+        RelationGraph.from_edges(raw)
+    assert str(exc.value) == message
 
 
 def test_validate_graph_flags_non_finite_strength_and_total():
@@ -260,6 +284,11 @@ def _with(base, **fields):
     (_doc(edges=[_EDGE, _with(_EDGE, strength=None)]), "edges[1]: missing field strength"),
     (_doc(edges=[_EDGE, _with(_EDGE, a=1.0)]), "edges[1]: endpoints must be integers"),
     (_doc(edges=[_EDGE, _with(_EDGE, strength="1")]), "edges[1]: strength must be a number"),
+    (_doc(edges=[_EDGE, _with(_EDGE, a=1)]), "self-loop on tag 1"),
+    (_doc(edges=[_with(_EDGE, strength=-1)]),
+     f"edge (0,1): strength must be positive and finite (at most {MAX_TOTAL_STRENGTH:g}), got -1"),
+    (_doc(edges=[_EDGE, _with(_EDGE, a=4, b=0), _with(_EDGE, a=1, b=3)]),
+     "edge (0,4): tag index out of range 0..1; edge (1,3): tag index out of range 0..1"),
     (_doc(tags=[_TAG, _with(_TAG, label="", weight=10, width=0, height=-1)]),
      "tag 1 (''): empty label; tag 1 (''): weight range is 0..9, got 10;"
      " tag 1 (''): width must be >= 1, got 0; tag 1 (''): height must be >= 1, got -1"),
