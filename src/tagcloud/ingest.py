@@ -115,7 +115,7 @@ def cooccurrence_graph(stream: Sequence[str], retained: Sequence[str]) -> Relati
                               return_counts=True)
     strong = counts >= MIN_COOCCURRENCE
     lo, hi = np.divmod(codes[strong], k)
-    return RelationGraph.from_edges(zip(lo.tolist(), hi.tolist(), counts[strong].tolist()))
+    return RelationGraph(zip(lo.tolist(), hi.tolist(), counts[strong].tolist()))
 
 
 def build_cloud_from_text(text: str, k: int, target_width: int = DEFAULT_TARGET_WIDTH,

@@ -32,8 +32,6 @@ from .model import (
     InvalidInputError,
     PlacedCloud,
     RelationGraph,
-    raise_problems,
-    validate_graph,
 )
 from .sizing import combine_shapes, default_leaf_shapes, select_and_place
 from .tree import Cut, Leaf, Node
@@ -69,7 +67,7 @@ def expand_hyperedges(hg: Hypergraph) -> RelationGraph:
         if members[0] < 0:
             raise InvalidInputError(f"hyperedge {k} has a negative tag index")
         raw.extend((a, b, 1) for a, b in itertools.combinations(members, 2))
-    return RelationGraph.from_edges(raw)
+    return RelationGraph(raw)
 
 
 @dataclass(frozen=True)
@@ -526,7 +524,7 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     """
 
     graph = graph or RelationGraph()
-    raise_problems(validate_graph(graph, len(cloud.tags)))
+    graph.check_fits(len(cloud.tags))
     if width_bias <= 0:
         raise InvalidInputError(f"width_bias must be positive, got {width_bias}")
 

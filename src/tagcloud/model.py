@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 
 class CloudError(Exception):
@@ -97,20 +96,23 @@ MAX_TOTAL_STRENGTH = 1e300
 class RelationGraph:
     """Weighted undirected relations over tag indices.
 
-    Edges are stored normalized as (i, j, strength) with i < j, one
-    entry per unordered pair.  Use :meth:`from_edges` to build one from
-    raw pairs; parallel contributions are merged by summing strengths.
+    A graph checks and normalizes itself when it is built, from any
+    iterable of raw (a, b, strength) edges: it raises InvalidInputError
+    on the first bad edge, then stores the edges as (i, j, strength)
+    with i < j, one entry per unordered pair in sorted order, parallel
+    contributions merged by summing strengths.  The total strength is
+    checked on those stored edges, so rebuilding a graph from its own
+    edges, or from its JSON, accepts it again.  Whether the tag indices
+    fit a cloud is :meth:`check_fits`'s job.
     """
 
     edges: tuple[tuple[int, int, float], ...] = ()
 
-    @classmethod
-    def from_edges(cls, raw: Iterable[tuple[int, int, float]]) -> "RelationGraph":
+    def __post_init__(self):
         merged: dict[tuple[int, int], float] = {}
-        total = 0.0
-        for a, b, s in raw:
-            if isinstance(a, bool) or isinstance(b, bool):
-                raise InvalidInputError(f"edge ({a},{b}): endpoints must be integers, not booleans")
+        for a, b, s in self.edges:
+            if type(a) is not int or type(b) is not int:  # bool is no endpoint
+                raise InvalidInputError(f"edge ({a},{b}): endpoints must be integers")
             if a == b:
                 raise InvalidInputError(f"self-loop on tag {a}")
             if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
@@ -119,14 +121,27 @@ class RelationGraph:
                     f" (at most {MAX_TOTAL_STRENGTH:g}), got {s}")
             if a < 0 or b < 0:
                 raise InvalidInputError(f"edge ({a},{b}): negative tag index")
+            key = (a, b) if a < b else (b, a)
+            merged[key] = merged.get(key, 0) + s
+        edges = tuple((i, j, merged[i, j]) for i, j in sorted(merged))
+        total = 0.0
+        for i, j, s in edges:
             total += s
             if total > MAX_TOTAL_STRENGTH:
                 raise InvalidInputError(
-                    f"edge ({a},{b}): total strength exceeds {MAX_TOTAL_STRENGTH:g}")
-            key = (a, b) if a < b else (b, a)
-            merged[key] = merged.get(key, 0) + s
-        edges = tuple((i, j, merged[(i, j)]) for i, j in sorted(merged))
-        return cls(edges)
+                    f"edge ({i},{j}): total strength exceeds {MAX_TOTAL_STRENGTH:g}")
+        object.__setattr__(self, "edges", edges)
+        # The largest endpoint, off the fields so that eq, hash and
+        # dataclasses.replace see only the edges.
+        object.__setattr__(self, "_top", max((j for _, j in merged), default=-1))
+
+    def check_fits(self, n_tags: int) -> None:
+        """Raise InvalidInputError naming every edge whose tag index is
+        not below ``n_tags``; reads no edge when the graph fits."""
+
+        if self._top >= n_tags:
+            raise_problems([f"edge ({i},{j}): tag index out of range 0..{n_tags - 1}"
+                            for i, j, _ in self.edges if j >= n_tags])
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         """Each tag's neighbors, in the order of the sorted (i, j) edges.
@@ -233,24 +248,6 @@ def validate_cloud(cloud: Cloud) -> list[str]:
     return problems
 
 
-def validate_graph(graph: RelationGraph, n_tags: int) -> list[str]:
-    problems = []
-    total = 0.0
-    for i, j, s in graph.edges:
-        if i == j:
-            problems.append(f"edge ({i},{j}): self-loop")
-        if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
-            problems.append(f"edge ({i},{j}): strength must be positive and finite"
-                            f" (at most {MAX_TOTAL_STRENGTH:g}), got {s}")
-        else:
-            total += s
-        if not (0 <= i < n_tags) or not (0 <= j < n_tags):
-            problems.append(f"edge ({i},{j}): tag index out of range 0..{n_tags - 1}")
-    if total > MAX_TOTAL_STRENGTH:
-        problems.append(f"total strength exceeds {MAX_TOTAL_STRENGTH:g}")
-    return problems
-
-
 def cloud_to_json(cloud: Cloud, graph: RelationGraph | None = None) -> str:
     doc: dict = {
         "target_width": cloud.target_width,
@@ -322,6 +319,6 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
             _require(isinstance(s, (int, float)) and not isinstance(s, bool),
                      "edges[{}]: strength must be a number", k)
             raw.append((a, b, s))
-        graph = RelationGraph.from_edges(raw)
-        raise_problems(validate_graph(graph, len(tags)))
+        graph = RelationGraph(raw)
+        graph.check_fits(len(tags))
     return Cloud(tags=tuple(tags), target_width=target_width, space_width=space_width), graph

@@ -234,7 +234,7 @@ def cooccurrence_graph(stream, retained):
     missing = [w for w in retained if w not in vocabulary]
     if missing:
         raise InvalidInputError(f"retained words absent from the stream: {missing[:5]}")
-    return RelationGraph.from_edges(
+    return RelationGraph(
         (i, j, c) for (i, j), c in pair_counts(stream, retained).items()
         if c >= MIN_COOCCURRENCE)
 

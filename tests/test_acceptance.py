@@ -105,7 +105,7 @@ def test_c04_bipartition_matches_exhaustive():
         edges = [(i, j, rng.randint(1, 9))
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.4]
-        graph = RelationGraph.from_edges(edges)
+        graph = RelationGraph(edges)
         areas = {t: rng.randint(1, 50) for t in tags}
         got = bipartition(tags, graph, areas=areas)
         _, _, want_cut, _ = best_bipartition(tags, edges, areas)
@@ -118,7 +118,7 @@ def test_c05_fm_finds_the_bridge():
     edges = [(i, j, 2.0) for i in range(10) for j in range(i + 1, 10)]
     edges += [(i, j, 2.0) for i in range(10, 20) for j in range(i + 1, 20)]
     edges.append((0, 10, 1.0))
-    graph = RelationGraph.from_edges(edges)
+    graph = RelationGraph(edges)
     tags = list(range(20))
     areas = {t: 1 for t in tags}
 

@@ -26,7 +26,7 @@ def test_weighted_distance_uses_lower_left_corners():
         Placement(0, 0, 0, 10, 10),    # lower-left (0, 10)
         Placement(1, 30, 40, 10, 10),  # lower-left (30, 50)
     ), bbox=(40, 50))
-    g = RelationGraph.from_edges([(0, 1, 2.0)])
+    g = RelationGraph([(0, 1, 2.0)])
     assert weighted_distance(placed, g) == 2.0 * math.hypot(30, 40)
 
 
@@ -36,13 +36,13 @@ def test_weighted_distance_sums_over_edges():
         Placement(1, 10, 0, 10, 10),
         Placement(2, 20, 0, 10, 10),
     ), bbox=(30, 10))
-    g = RelationGraph.from_edges([(0, 1, 1.0), (0, 2, 3.0)])
+    g = RelationGraph([(0, 1, 1.0), (0, 2, 3.0)])
     assert weighted_distance(placed, g) == 10 + 3 * 20
 
 
 def test_weighted_distance_rejects_dangling_edges():
     placed = PlacedCloud(placements=(Placement(0, 0, 0, 10, 10),), bbox=(10, 10))
-    g = RelationGraph.from_edges([(0, 3, 1.0)])
+    g = RelationGraph([(0, 3, 1.0)])
     with pytest.raises(InvalidInputError):
         weighted_distance(placed, g)
 

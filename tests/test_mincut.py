@@ -49,7 +49,7 @@ def test_expand_hyperedges_rejects_degenerate():
 
 
 def test_compute_pulls_sums_by_side():
-    g = RelationGraph.from_edges([(0, 5, 2.0), (1, 5, 1.0), (0, 6, 3.0), (0, 1, 9.0)])
+    g = RelationGraph([(0, 5, 2.0), (1, 5, 1.0), (0, 6, 3.0), (0, 1, 9.0)])
     pulls = compute_pulls([0, 1], g, {5: "right", 6: "top"})
     assert pulls.right == {0: 2.0, 1: 1.0}
     assert pulls.top == {0: 3.0}
@@ -57,7 +57,7 @@ def test_compute_pulls_sums_by_side():
 
 
 def test_compute_pulls_requires_assigned_sides():
-    g = RelationGraph.from_edges([(0, 5, 2.0)])
+    g = RelationGraph([(0, 5, 2.0)])
     with pytest.raises(InvalidInputError):
         compute_pulls([0], g, {})
     with pytest.raises(InvalidInputError):
@@ -65,7 +65,7 @@ def test_compute_pulls_requires_assigned_sides():
 
 
 def test_exhaustive_cuts_the_weak_middle_edge():
-    g = RelationGraph.from_edges([(0, 1, 3), (1, 2, 1), (2, 3, 3)])
+    g = RelationGraph([(0, 1, 3), (1, 2, 1), (2, 3, 3)])
     part = bipartition_exhaustive([0, 1, 2, 3], g)
     assert (part.part_a, part.part_b) == ((0, 1), (2, 3))
     assert part.cut_weight == 1.0
@@ -115,7 +115,7 @@ def test_exhaustive_size_limits():
     ([0, 1, 2], {"axis": "X"}, "axis must be 'V' or 'H', got 'X'"),
 ])
 def test_splitters_reject_bad_input_alike(splitter, tags, kw, message):
-    g = RelationGraph.from_edges([(0, 1, 1.0)])
+    g = RelationGraph([(0, 1, 1.0)])
     with pytest.raises(InvalidInputError) as exc:
         splitter(tags, g, **kw)
     assert str(exc.value) == message
@@ -133,7 +133,7 @@ def random_graph(rng, n, density=0.5, max_strength=9):
         for j in range(i + 1, n):
             if rng.random() < density:
                 edges.append((i, j, rng.randint(1, max_strength)))
-    return RelationGraph.from_edges(edges) if edges else RelationGraph()
+    return RelationGraph(edges) if edges else RelationGraph()
 
 
 def test_exhaustive_matches_reference_search():
@@ -183,7 +183,7 @@ def two_cliques(size=10, bridge=1.0):
             for j in range(i + 1, base + size):
                 edges.append((i, j, 2.0))
     edges.append((size - 1, size, bridge))
-    return RelationGraph.from_edges(edges)
+    return RelationGraph(edges)
 
 
 def test_fm_finds_the_bridge_cut():
@@ -213,7 +213,7 @@ def fm_reference_cases():
             edges = [(i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
                      for i in range(universe) for j in range(i + 1, universe)
                      if rng.random() < 6 / universe]
-            g = RelationGraph.from_edges(edges) if edges else RelationGraph()
+            g = RelationGraph(edges) if edges else RelationGraph()
         axis = rng.choice("VH")
         pulls = Pulls(**{side: {t: rng.choice([1, 2, 0.5]) for t in tags if rng.random() < 0.15}
                          for side in SIDES if rng.random() < 0.5})
@@ -231,7 +231,7 @@ def fm_reference_cases():
         tags = sorted(rng.sample(range(n + 10), n))
         density = 1.0 if case % 2 == 0 else 0.6
         fractional = case % 4 >= 2
-        g = RelationGraph.from_edges(
+        g = RelationGraph(
             (i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
             for k, i in enumerate(tags) for j in tags[k + 1:] if rng.random() < density)
         areas = {t: rng.randint(1, 6) for t in tags}
@@ -282,7 +282,7 @@ def fm_huge_strength_cases():
                  for i, j in pairs]
         if fractional:
             edges[0] = (*pairs[0], 0.5)
-        g = RelationGraph.from_edges(edges)
+        g = RelationGraph(edges)
         axis = rng.choice("VH")
         pulls = Pulls(**{side: {t: rng.choice([cap * 0.75, cap, 3, 0.5 if fractional else 1])
                                 for t in tags if rng.random() < 0.2}
@@ -310,7 +310,7 @@ def fm_converging_cases():
         n = rng.randint(13, 20)
         tags = sorted(rng.sample(range(n + 5), n))
         fractional = case % 2 == 1
-        g = RelationGraph.from_edges(
+        g = RelationGraph(
             (i, j, round(rng.uniform(0.1, 4), 3) if fractional else rng.randint(1, 9))
             for k, i in enumerate(tags) for j in tags[k + 1:] if rng.random() < 0.9)
         pulls = Pulls(**{side: {t: rng.choice([1, 3, 0.5]) for t in tags if rng.random() < 0.3}
@@ -450,7 +450,7 @@ def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
         local = [(i, j, rng.randint(1, 4)) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.4]
         offset = 100
-        g = RelationGraph.from_edges(local + [(i + offset, j + offset, s)
+        g = RelationGraph(local + [(i + offset, j + offset, s)
                                               for i, j, s in local])
         group, twin = list(range(n)), [t + offset for t in range(n)]
         areas = {t: rng.randint(1, 5) for t in group + twin}
@@ -500,7 +500,7 @@ def test_fm_respects_area_balance():
 
 
 def test_fm_handles_fractional_strengths():
-    g = RelationGraph.from_edges(
+    g = RelationGraph(
         [(i, j, 0.5) for i in range(14) for j in range(i + 1, 14)])
     part = bipartition_fm(list(range(14)), g, seed=1)
     assert len(part.part_a) == 7
@@ -510,7 +510,7 @@ def test_dispatcher_picks_by_size():
     g = two_cliques(size=7)  # 14 tags > exhaustive limit
     part = bipartition(list(range(14)), g, seed=2)
     assert part.runs  # refinement ran
-    small = bipartition(list(range(4)), RelationGraph.from_edges([(0, 1, 1)]))
+    small = bipartition(list(range(4)), RelationGraph([(0, 1, 1)]))
     assert not small.runs  # enumeration has no run stats
     assert EXHAUSTIVE_LIMIT == 12
 

@@ -4,7 +4,7 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tagcloud import (
     Cloud,
@@ -17,7 +17,7 @@ from tagcloud import (
     font_size_pt,
     validate_cloud,
 )
-from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, validate_graph
+from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH
 
 
 def test_font_scale():
@@ -90,28 +90,30 @@ def test_validate_cloud_caps_long_labels(label, shown):
 
 
 def test_relation_graph_normalizes_and_merges():
-    g = RelationGraph.from_edges([(3, 1, 2.0), (1, 3, 1.0), (0, 2, 5)])
+    assert RelationGraph(((2, 1, 1.0),)).edges == ((1, 2, 1.0),)
+    g = RelationGraph([(3, 1, 2.0), (1, 3, 1.0), (0, 2, 5)])
     assert g.edges == ((0, 2, 5), (1, 3, 3.0))
+    assert dataclasses.replace(g, edges=((3, 2, 1.0), (2, 3, 1.0))).edges == ((2, 3, 2.0),)
     adj = g.adjacency()
     assert adj[3] == [(1, 3.0)]
     assert adj[0] == [(2, 5)]
 
 
 def test_relation_graph_builds_adjacency_once():
-    g = RelationGraph.from_edges([(0, 1, 1), (1, 2, 2)])
+    g = RelationGraph([(0, 1, 1), (1, 2, 2)])
     assert g.adjacency() is g.adjacency()
-    same = RelationGraph.from_edges([(1, 0, 1), (2, 1, 2)])
+    same = RelationGraph([(1, 0, 1), (2, 1, 2)])
     assert g == same and hash(g) == hash(same)
     assert RelationGraph().adjacency() == {}
 
 
 def test_relation_graph_rejects_bad_edges():
     with pytest.raises(InvalidInputError):
-        RelationGraph.from_edges([(2, 2, 1.0)])
+        RelationGraph([(2, 2, 1.0)])
     with pytest.raises(InvalidInputError):
-        RelationGraph.from_edges([(0, 1, 0.0)])
+        RelationGraph([(0, 1, 0.0)])
     with pytest.raises(InvalidInputError):
-        RelationGraph.from_edges([(-1, 1, 1.0)])
+        RelationGraph([(-1, 1, 1.0)])
 
 
 @pytest.mark.parametrize("raw, match", [
@@ -121,12 +123,12 @@ def test_relation_graph_rejects_bad_edges():
     ([(0, 1, 1e301)], "finite"),
     ([(0, 1, 6e299), (1, 0, 6e299)], "total strength"),  # one merged pair
     ([(0, 1, 6e299), (2, 3, 6e299)], "total strength"),
-    ([(True, 2, 1)], "booleans"),
-    ([(0, False, 1)], "booleans"),
+    ([(True, 2, 1)], "endpoints must be integers"),
+    ([(0, False, 1)], "endpoints must be integers"),
 ])
 def test_relation_graph_rejects_non_finite_and_bool_edges(raw, match):
     with pytest.raises(InvalidInputError, match=match):
-        RelationGraph.from_edges(raw)
+        RelationGraph(raw)
 
 
 _FINITE = f"strength must be positive and finite (at most {MAX_TOTAL_STRENGTH:g}), got"
@@ -134,8 +136,14 @@ _TOTAL = f"total strength exceeds {MAX_TOTAL_STRENGTH:g}"
 
 
 @pytest.mark.parametrize("raw, message", [
-    pytest.param([(True, 2, 1)], "edge (True,2): endpoints must be integers, not booleans",
-                 id="bool-endpoint"),
+    pytest.param([(True, 2, 1)], "edge (True,2): endpoints must be integers", id="bool-endpoint"),
+    # A float endpoint once reached layout_mincut, which failed with
+    # "external neighbor 0.5 of the group has no assigned side"; an
+    # integral one went into JSON that cloud_from_json rejects.
+    pytest.param([(0.5, 1, 3), (0, 2, 1)], "edge (0.5,1): endpoints must be integers",
+                 id="float-endpoint"),
+    pytest.param([(0.0, 1, 2)], "edge (0.0,1): endpoints must be integers",
+                 id="integral-float-endpoint"),
     pytest.param([(0, 1, 1), (3, 3, 1.0)], "self-loop on tag 3", id="self-loop"),
     pytest.param([(0, 1, 0.0)], f"edge (0,1): {_FINITE} 0.0", id="zero"),
     pytest.param([(0, 1, float("nan"))], f"edge (0,1): {_FINITE} nan", id="nan"),
@@ -143,29 +151,35 @@ _TOTAL = f"total strength exceeds {MAX_TOTAL_STRENGTH:g}"
     pytest.param([(0, 1, 10 ** 400)], f"edge (0,1): {_FINITE} {10 ** 400}", id="huge-int"),
     pytest.param([(0, 1, 1), (-1, 1, 1.0)], "edge (-1,1): negative tag index", id="negative"),
     pytest.param([(0, 1, 6e299), (2, 3, 6e299)], f"edge (2,3): {_TOTAL}", id="total"),
-    pytest.param([(0, 1, 6e299), (1, 0, 6e299)], f"edge (1,0): {_TOTAL}", id="total-merged"),
-    pytest.param([(0, 1, 6e299), (2, 3, 6e299), (4, 4, 1)], f"edge (2,3): {_TOTAL}",
+    pytest.param([(0, 1, 6e299), (1, 0, 6e299)], f"edge (0,1): {_TOTAL}", id="total-merged"),
+    pytest.param([(0, 1, 6e299), (2, 3, 6e299), (4, 4, 1)], "self-loop on tag 4",
                  id="total-then-self-loop"),
 ])
 def test_relation_graph_error_messages_are_exact(raw, message):
     with pytest.raises(InvalidInputError) as exc:
-        RelationGraph.from_edges(raw)
+        RelationGraph(raw)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidInputError) as exc:
+        dataclasses.replace(RelationGraph(), edges=raw)
     assert str(exc.value) == message
 
 
-def test_validate_graph_flags_non_finite_strength_and_total():
-    assert validate_graph(RelationGraph(edges=((0, 1, float("nan")),)), 2)
-    assert validate_graph(RelationGraph(edges=((0, 1, float("inf")),)), 2)
-    assert validate_graph(RelationGraph(edges=((0, 1, 1e300),)), 2) == []
-    assert validate_graph(RelationGraph(edges=((0, 1, 10 ** 400),)), 2)
-    huge = RelationGraph(edges=((0, 1, 6e299), (1, 2, 6e299)))
-    assert any("total strength" in p for p in validate_graph(huge, 3))
+def test_relation_graph_checks_strength_and_total():
+    for bad in (float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(InvalidInputError, match="finite"):
+            RelationGraph(((0, 1, bad),))
+    assert RelationGraph(((0, 1, 1e300),)).edges == ((0, 1, 1e300),)
+    with pytest.raises(InvalidInputError, match="total strength"):
+        RelationGraph(((0, 1, 6e299), (1, 2, 6e299)))
 
 
-def test_validate_graph_index_bounds():
-    g = RelationGraph(edges=((0, 5, 1.0),))
-    assert validate_graph(g, 3)
-    assert validate_graph(g, 6) == []
+def test_check_fits_index_bounds():
+    g = RelationGraph(((0, 5, 1.0),))
+    with pytest.raises(InvalidInputError) as exc:
+        g.check_fits(3)
+    assert str(exc.value) == "edge (0,5): tag index out of range 0..2"
+    g.check_fits(6)
+    RelationGraph().check_fits(1)
 
 
 def test_json_round_trip_without_graph():
@@ -179,7 +193,7 @@ def test_json_round_trip_without_graph():
 def test_json_round_trip_with_graph():
     cloud = Cloud(tags=(TagBox("a", 0, 10, 14), TagBox("b", 1, 12, 17)),
                   target_width=100)
-    g = RelationGraph.from_edges([(0, 1, 2.5)])
+    g = RelationGraph([(0, 1, 2.5)])
     back, graph2 = cloud_from_json(cloud_to_json(cloud, g))
     assert back == cloud
     assert graph2 == g
@@ -336,6 +350,39 @@ def test_json_round_trip_property(tags, target, space):
     cloud = Cloud(tags=tuple(tags), target_width=target, space_width=space)
     back, _ = cloud_from_json(cloud_to_json(cloud))
     assert back == cloud
+
+
+# Mostly valid raw edges: distinct integer endpoints in 0..7, with now
+# and then a float or boolean endpoint, and strengths from small
+# integers to past the total bound.
+_endpoints = st.sampled_from([0.0, True] + list(range(8)) * 6)
+_strengths = st.one_of(
+    st.integers(1, 10 ** 6),
+    st.floats(min_value=0, max_value=MAX_TOTAL_STRENGTH, exclude_min=True),
+    st.sampled_from([MAX_TOTAL_STRENGTH / 13, MAX_TOTAL_STRENGTH / 2, MAX_TOTAL_STRENGTH]),
+)
+_raw_edges = st.lists(st.tuples(_endpoints, st.integers(1, 7), _strengths).map(
+    lambda e: (e[0], (int(e[0]) + e[1]) % 8, e[2])), min_size=1, max_size=10)
+
+
+@given(_raw_edges, st.integers(0, 2))
+@example([(0.0, 1, 2)], 0)
+# Summed in this order the strengths stay within the bound; merged and
+# in sorted order, as the JSON stores them, they pass it.
+@example([(2, 3, 1.6444152535397159e+299), (2, 3, 8.426085805350081e+298),
+          (2, 1, 1.0376150565834709e+299), (3, 2, 1.6821211761077313e+299),
+          (0, 2, 1.3228659626548222e+299), (0, 1, 8.893920267665438e+298),
+          (0, 2, 4.0541199420660896e+298), (1, 0, 5.934060449111175e+298),
+          (1, 2, 1.2786323438737463e+299), (1, 0, 3.0353156082123684e+298)], 0)
+def test_graph_json_round_trip_property(raw, extra):
+    try:
+        graph = RelationGraph(raw)
+    except InvalidInputError:
+        assume(False)
+    n = max(j for _, j, _ in graph.edges) + 1 + extra
+    cloud = Cloud(tags=(TagBox("t", 1, 10, 12),) * n, target_width=100)
+    _, back = cloud_from_json(cloud_to_json(cloud, graph))
+    assert back == graph
 
 
 def test_pixel_bound_is_inclusive():
