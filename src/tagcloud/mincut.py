@@ -108,16 +108,10 @@ def compute_pulls(group: Sequence[int], graph: RelationGraph,
 
 @dataclass(frozen=True)
 class FmRun:
-    """Per-run refinement diagnostics (cut weights use raw strengths).
+    """Per-run refinement diagnostics: ``passes`` counts the passes the
+    run takes, whether worked out or recalled from an earlier run of the
+    same split."""
 
-    ``passes`` counts the passes the run takes, whether worked out or
-    recalled from an earlier run of the same split.
-    """
-
-    initial_cut: float
-    final_cut: float
-    initial_objective: float
-    final_objective: float
     passes: int
 
 
@@ -166,17 +160,16 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
     return tags, area, edges, cost_a, cost_b
 
 
-def _split_result(tags: Sequence[int], side: Sequence[int], cut_weight: float,
+def _split_result(tags: Sequence[int], side: Sequence[int], edges,
                   relaxed: bool = False, runs: tuple[FmRun, ...] = ()) -> Bipartition:
-    """The split putting ``tags[k]`` in part B where ``side[k]`` is 1."""
+    """The split putting ``tags[k]`` in part B where ``side[k]`` is 1,
+    with its cut weight: the raw strengths of the cut edges summed in
+    edge order, so the same split always weighs the same."""
 
     return Bipartition(tuple(t for t, st in zip(tags, side) if not st),
                        tuple(t for t, st in zip(tags, side) if st),
-                       cut_weight, relaxed, runs)
-
-
-def _cut_weight(edges, side: Sequence[int]) -> float:
-    return float(sum(s for i, j, s in edges if side[i] != side[j]))
+                       float(sum(s for i, j, s in edges if side[i] != side[j])),
+                       relaxed, runs)
 
 
 @functools.cache
@@ -249,7 +242,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
         obj = _exhaustive_objective(bits, edges, cost_a, cost_b)
         v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
     side = [v >> (n - 1 - k) & 1 for k in range(n)]
-    return _split_result(tags, side, _cut_weight(edges, side), relaxed=relaxed)
+    return _split_result(tags, side, edges, relaxed=relaxed)
 
 
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
@@ -295,15 +288,12 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     the side vector it starts from: the keys, per-side areas and counts
     and the objective all follow from it.  So each call keeps one memo
     from every pass-start side vector it has met (as bytes) to how the
-    run from there ends: the final side, objective and cut, and the
-    passes left, with the objective and cut at that side.  A run that
-    meets a known side copies that ending and stops, and its record is
-    the one the full run would have made.  The pass-start scan, which
-    walks every edge to set the keys, also sums the scaled cut, for a
-    run's start objective, and lists the raw strengths of the cut edges
-    in edge order, for ``FmRun.initial_cut`` and ``final_cut``.  Their
-    sum makes ``_cut_weight``'s additions in its order, so the cuts stay
-    bit-identical where strengths pass 2**53.
+    run from there ends: the final side and objective and the passes
+    left.  A run that meets a known side copies that ending and stops,
+    and its record is the one the full run would have made.  The
+    pass-start scan, which walks every edge to set the keys, also sums
+    the scaled cut for a run's start objective.  Only the winning side's
+    cut is weighed in raw strengths, once, by ``_split_result``.
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
@@ -317,43 +307,36 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     if not edges and sca == scb:
         # Every gain is 0: each run would keep its start, so run 0 wins.
         side, _, _ = _fm_start(rng, area)
-        obj = sum(sca) / scale  # sca == scb: the pulls cost the same either way
-        run = FmRun(initial_cut=0.0, final_cut=0.0, initial_objective=obj,
-                    final_objective=obj, passes=1)
-        return _split_result(tags, side, 0.0, runs=(run,) * DEFAULT_FM_RUNS)
+        return _split_result(tags, side, edges, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)
 
     # A heap key is -gain * n + id.  An edge of strength s moves its
     # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
     # At the start of a pass -gain is the tag's pull delta plus the
-    # strength of all its edges, less twice that of its cut edges.  Each
-    # edge keeps its raw strength too, for the runs' cut records.
-    wedges = [(i, j, 2 * n * int(round(s * scale)), s) for i, j, s in edges]
+    # strength of all its edges, less twice that of its cut edges.
+    wedges = [(i, j, 2 * n * int(round(s * scale))) for i, j, s in edges]
     wadj: list[list[tuple[int, int]]] = [[] for _ in tags]
     pull_key = [n * (b - a) for a, b in zip(sca, scb)]  # in part A
     edge_key = list(range(n))  # the id, plus n times all its strength
-    for i, j, w, _ in wedges:
+    for i, j, w in wedges:
         wadj[i].append((j, w))
         wadj[j].append((i, w))
         edge_key[i] += w >> 1
         edge_key[j] += w >> 1
     s_max = max(area)
 
-    memo: dict[bytes, tuple] = {}
-    best: tuple[int, bytes, float] | None = None
+    memo: dict[bytes, tuple[bytes, int, int]] = {}
+    best: tuple[int, bytes] | None = None
     stats = []
     for _ in range(DEFAULT_FM_RUNS):
         side, area_side, count_side = _fm_start(rng, area)
-        initial_obj, initial_cut, final, final_obj, final_cut, passes = _fm_refine(
+        final, final_obj, passes = _fm_refine(
             memo, wadj, wedges, pull_key, edge_key, sca, scb, area, s_max,
             side, area_side, count_side)
-        stats.append(FmRun(initial_cut=initial_cut, final_cut=final_cut,
-                           initial_objective=initial_obj / scale,
-                           final_objective=final_obj / scale, passes=passes))
+        stats.append(FmRun(passes=passes))
         if best is None or final_obj < best[0]:  # ties keep the earlier run
-            best = (final_obj, final, final_cut)
+            best = (final_obj, final)
 
-    _, side, cut = best
-    return _split_result(tags, side, cut, runs=tuple(stats))
+    return _split_result(tags, best[1], edges, runs=tuple(stats))
 
 
 def _fm_start(rng: random.Random, area: Sequence[int]):
@@ -377,17 +360,16 @@ def _fm_start(rng: random.Random, area: Sequence[int]):
 def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
                side, area_side, count_side):
     """One run's passes from ``side`` (a list indexed by local id, changed
-    in place): returns its start objective and cut, its final side as
-    bytes, final objective and cut, and the passes it takes.
+    in place): returns its final side as bytes, its final objective and
+    the passes it takes.
 
     ``memo`` maps each pass-start side this split has met, as bytes, to
-    (objective, cut, final side, final objective, final cut, passes
-    left) of the run from there.
+    (final side, final objective, passes left) of the run from there.
     """
 
     heappop, heappush = heapq.heappop, heapq.heappush
     n = len(side)
-    trail = []  # (side, objective, cut) at the start of each pass run here
+    trail = []  # the side at the start of each pass run here
     obj = None
     while True:
         state = bytes(side)
@@ -399,17 +381,15 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
         # first: the highest gain, then the smallest id.
         key = [e - p if side[t] else e + p
                for t, (e, p) in enumerate(zip(edge_key, pull_key))]
-        cut_w, cut_s = 0, []  # the cut edges' key steps and raw strengths
-        for i, j, w, s in edges:
+        cut_w = 0  # the cut edges' key steps
+        for i, j, w in edges:
             if side[i] != side[j]:
                 key[i] -= w
                 key[j] -= w
                 cut_w += w
-                cut_s.append(s)
-        cut = float(sum(cut_s))  # _cut_weight's additions, in its order
         if obj is None:
             obj = cut_w // (2 * n) + sum(b if st else a for a, b, st in zip(sca, scb, side))
-        trail.append((state, obj, cut))
+        trail.append(state)
         start_obj = obj
         heap = key[:]
         heapq.heapify(heap)
@@ -471,14 +451,13 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
             count_side[src] += 1
         obj = best_obj
         if best_obj >= start_obj:  # every move rolled back: side is state
-            end = (obj, cut, state, obj, cut, 0)
+            end = (state, obj, 0)
             break
 
-    _, _, final, final_obj, final_cut, left = end
-    for k, (state, o, c) in enumerate(trail):
-        memo[state] = (o, c, final, final_obj, final_cut, len(trail) - k + left)
-    initial_obj, initial_cut = trail[0][1:] if trail else end[:2]
-    return initial_obj, initial_cut, final, final_obj, final_cut, len(trail) + left
+    final, final_obj, left = end
+    for k, state in enumerate(trail):
+        memo[state] = (final, final_obj, len(trail) - k + left)
+    return final, final_obj, len(trail) + left
 
 
 def bipartition(tags: Sequence[int], graph: RelationGraph,

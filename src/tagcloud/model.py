@@ -115,6 +115,8 @@ class RelationGraph:
                 raise InvalidInputError(f"edge ({a},{b}): endpoints must be integers")
             if a == b:
                 raise InvalidInputError(f"self-loop on tag {a}")
+            if not isinstance(s, (int, float)) or isinstance(s, bool):
+                raise InvalidInputError(f"edge ({a},{b}): strength must be a number")
             if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
                 raise InvalidInputError(
                     f"edge ({a},{b}): strength must be positive and finite"

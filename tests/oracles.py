@@ -12,9 +12,17 @@ import random
 from collections import Counter
 
 from tagcloud.ingest import MIN_COOCCURRENCE, MIN_WORD_LENGTH, tokenize
-from tagcloud.mincut import bipartition, compute_pulls
+from tagcloud.mincut import (
+    GROW_FACTOR,
+    LOW_USE_FRACTION,
+    MAX_WIDTH_RETRIES,
+    SHRINK_FACTOR,
+    bipartition,
+    build_slicing_tree,
+    compute_pulls,
+)
 from tagcloud.model import InvalidInputError, RelationGraph
-from tagcloud.sizing import prune_shapes
+from tagcloud.sizing import combine_shapes, default_leaf_shapes, prune_shapes, select_and_place
 from tagcloud.tree import Cut, Leaf
 
 
@@ -248,8 +256,7 @@ def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):
     side-count and area checks.  ``cost_a``/``cost_b`` give each tag's
     float penalty for landing in part A/B.
 
-    Returns (part_a, part_b, cut, runs) with one (initial_cut, final_cut,
-    initial_objective, final_objective, passes) tuple per run.
+    Returns (part_a, part_b, cut, passes) with one pass count per run.
     """
 
     tags = sorted(set(tags))
@@ -360,11 +367,8 @@ def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):
             side[t] = dest
             area_side[dest] += areas[t]
             count_side[dest] += 1
-        initial_obj = objective(side)
-        initial_cut = cut_of(side)
-        final_obj, passes = refine(side, area_side, count_side, initial_obj)
-        stats.append((initial_cut, cut_of(side), initial_obj / scale,
-                      final_obj / scale, passes))
+        final_obj, passes = refine(side, area_side, count_side, objective(side))
+        stats.append(passes)
         if best is None or (final_obj, run_idx) < (best[0], best[1]):
             best = (final_obj, run_idx, dict(side))
     side = best[2]
@@ -416,3 +420,41 @@ def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0):
     est_w = cloud.target_width * width_bias
     est_h = sum(areas.values()) / est_w
     return rec(tuple(range(len(cloud.tags))), est_w, est_h, {})
+
+
+def mincut_attempts_reference(cloud, graph=None, seed=0, shape_variants=3):
+    """``layout_mincut``'s width attempts replayed one by one, and the
+    attempt it should return.
+
+    Each attempt builds, sizes and places a tree for the current width
+    bias; the bias shrinks after an overflow, grows below three quarters
+    of the target, and the loop stops on a width in between or after
+    ``MAX_WIDTH_RETRIES`` attempts.  The answer is the widest attempt
+    that fits the target, the earliest among equal widths; if none
+    fits, the narrowest, again the earliest.  Returns (placed, tree,
+    attempt widths).
+    """
+
+    leaf_shapes = default_leaf_shapes(cloud, variants=shape_variants)
+    target = cloud.target_width
+    bias = 1.0
+    attempts = []
+    for _ in range(MAX_WIDTH_RETRIES):
+        tree = build_slicing_tree(cloud, graph, seed=seed, width_bias=bias)
+        placed = select_and_place(tree, combine_shapes(tree, leaf_shapes), target)
+        attempts.append((placed, tree))
+        width = placed.bbox[0]
+        if width > target:
+            bias *= SHRINK_FACTOR
+        elif width < LOW_USE_FRACTION * target:
+            bias *= GROW_FACTOR
+        else:
+            break
+    widths = [placed.bbox[0] for placed, _ in attempts]
+    fitting = [k for k, w in enumerate(widths) if w <= target]
+    if fitting:
+        pick = sorted(fitting, key=lambda k: (-widths[k], k))[0]
+    else:
+        pick = sorted(range(len(widths)), key=lambda k: (widths[k], k))[0]
+    placed, tree = attempts[pick]
+    return placed, tree, widths

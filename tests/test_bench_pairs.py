@@ -27,11 +27,13 @@ def test_summarize_counts_wins_in_the_better_direction():
     assert lower["change"]["median"] == 9
     assert lower["median_ratio_change_over_parent"] == 0.9
     assert lower["parent_iqr"] == 1
+    assert lower["parent_spread"] == 0.1  # IQR 1 over median 10
     higher = bench_pairs.summarize(pairs, "latency_ms.p50", "higher")
     assert (higher["change_wins"], higher["ties"]) == (1, 1)
     assert not lower["separated"] and not higher["separated"]
     apart = bench_pairs.summarize([pair(10, 7), pair(9, 8)], "latency_ms.p50", "lower")
     assert apart["separated"]
+    assert apart["parent_spread"] == 0.0526  # IQR 0.5 over median 9.5
 
 
 SPEC = {"name": "latency_ms.p50", "better": "lower", "bound": 0.25}

@@ -19,6 +19,7 @@ from tagcloud.model import MAX_TOTAL_STRENGTH
 from tagcloud.mincut import (
     DEFAULT_FM_RUNS,
     EXHAUSTIVE_LIMIT,
+    MAX_WIDTH_RETRIES,
     SIDES,
     Pulls,
     bipartition_exhaustive,
@@ -28,7 +29,12 @@ from tagcloud.mincut import (
 from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.tree import Cut, Leaf, leaves
 from .conftest import make_cloud
-from .oracles import best_bipartition, fm_bipartition, slicing_tree_reference
+from .oracles import (
+    best_bipartition,
+    fm_bipartition,
+    mincut_attempts_reference,
+    slicing_tree_reference,
+)
 from .structure import each_tag_once, inside_bbox, no_overlap
 
 
@@ -243,7 +249,7 @@ def fm_reference_cases():
 
 
 def assert_fm_matches_reference(tags, g, pulls, axis, areas, seed):
-    """Same parts, cut weight and per-run records as the sorted-scan FM."""
+    """Same parts, cut weight and per-run pass counts as the sorted-scan FM."""
 
     toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                           else (pulls.bottom, pulls.top))
@@ -252,7 +258,7 @@ def assert_fm_matches_reference(tags, g, pulls, axis, areas, seed):
     want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, DEFAULT_FM_RUNS, seed=seed)
     got = bipartition_fm(tags, g, pulls, axis, areas, seed=seed)
     assert (got.part_a, got.part_b, got.cut_weight) == want[:3]
-    assert tuple(dataclasses.astuple(r) for r in got.runs) == want[3]
+    assert tuple(r.passes for r in got.runs) == want[3]
 
 
 @pytest.mark.parametrize("case, tags, g, pulls, axis, areas, runs", list(fm_reference_cases()))
@@ -477,8 +483,10 @@ def test_fm_runs_never_worsen_their_start():
         n = rng.randint(13, 24)
         g = random_graph(rng, n, density=0.3)
         part = bipartition_fm(list(range(n)), g, seed=trial)
+        starts = random.Random(trial)  # replays each run's start, in run order
         for run in part.runs:
-            assert run.final_objective <= run.initial_objective
+            start, _, _ = mincut._fm_start(starts, [1] * n)
+            assert part.cut_weight <= sum(s for i, j, s in g.edges if start[i] != start[j])
             assert run.passes >= 1
         # both sides populated, all tags used
         assert len(part.part_a) + len(part.part_b) == n
@@ -610,6 +618,37 @@ def test_layout_mincut_produces_disjoint_placements():
         no_overlap(result.placed)
         inside_bbox(result.placed)
         assert 1 <= result.iterations <= 8
+
+
+def mincut_attempt_cases():
+    """Clouds whose attempt choice each show a different part of the
+    rule: (case, cloud, seed)."""
+
+    # Breaks on its third attempt, the one fitting attempt of the widest width.
+    yield "fits", dataclasses.replace(random_cloud(0, 8), target_width=320), 0
+    # All 8 attempts run; five fit at one width with different layouts.
+    yield "fits-after-every-retry", dataclasses.replace(random_cloud(41, 15),
+                                                        target_width=240), 41
+    # A target below the widest tag: every attempt overflows, all at one
+    # width with 8 different layouts.
+    cloud = random_cloud(0, 30)
+    widest = max(t.width for t in cloud.tags)
+    yield "misses", dataclasses.replace(cloud, target_width=widest * 4 // 5), 0
+
+
+@pytest.mark.parametrize("case, cloud, seed", list(mincut_attempt_cases()))
+def test_layout_mincut_returns_the_widest_fitting_attempt(case, cloud, seed):
+    placed, tree, widths = mincut_attempts_reference(cloud, seed=seed)
+    got = layout_mincut(cloud, seed=seed)
+    assert (got.placed, got.tree, got.iterations) == (placed, tree, len(widths))
+    target = cloud.target_width
+    fitting = [w for w in widths if w <= target]
+    if case == "fits":
+        assert len(widths) == 3 and widths[-1] > min(widths)
+    elif case == "fits-after-every-retry":
+        assert len(widths) == MAX_WIDTH_RETRIES and fitting.count(max(fitting)) > 1
+    else:
+        assert len(widths) == MAX_WIDTH_RETRIES and not fitting
 
 
 def test_layout_mincut_single_tag():

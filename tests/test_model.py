@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pathlib
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -145,6 +146,13 @@ _TOTAL = f"total strength exceeds {MAX_TOTAL_STRENGTH:g}"
     pytest.param([(0.0, 1, 2)], "edge (0.0,1): endpoints must be integers",
                  id="integral-float-endpoint"),
     pytest.param([(0, 1, 1), (3, 3, 1.0)], "self-loop on tag 3", id="self-loop"),
+    # These once escaped as TypeError, or (True) were stored as 1.
+    pytest.param([(0, 1, "2")], "edge (0,1): strength must be a number", id="str-strength"),
+    pytest.param([(0, 1, 1), (2, 1, Decimal(2))], "edge (2,1): strength must be a number",
+                 id="decimal-strength"),
+    pytest.param([(0, 1, None)], "edge (0,1): strength must be a number", id="none-strength"),
+    pytest.param([(0, 1, True)], "edge (0,1): strength must be a number", id="bool-strength"),
+    pytest.param([(2, 2, "2")], "self-loop on tag 2", id="self-loop-before-strength-type"),
     pytest.param([(0, 1, 0.0)], f"edge (0,1): {_FINITE} 0.0", id="zero"),
     pytest.param([(0, 1, float("nan"))], f"edge (0,1): {_FINITE} nan", id="nan"),
     pytest.param([(1, 0, float("inf"))], f"edge (1,0): {_FINITE} inf", id="inf"),

@@ -14,8 +14,10 @@ incorrect.  For each ``--run WORKLOAD=SEEDS`` entry, pair k runs seed k
 on both sides; the parent goes first in pairs 1, 3, 5, ...  The JSON
 holds, per workload and end-to-end metric, each side's median and
 quartiles (inclusive method), the pairs the change won, ties, the
-change/parent ratio of the medians, the parent's interquartile range
-and the verdict against the metric's bound.  It also holds the
+change/parent ratio of the medians, the parent's interquartile range,
+its spread (that range over the parent's median, printed beside each
+verdict, so a ratio inside the noise shows as such) and the verdict
+against the metric's bound.  It also holds the
 same-output check (``output_sha256`` and ``quality.area_kpx`` on 1 s
 runs of seeds 1-3 of every workload), optionally one traced run per
 side, and the machine line.
@@ -120,10 +122,12 @@ def summarize(pairs: list[dict[str, dict]], name: str, better: str) -> dict:
     wins = sum(sign * (c - p) > 0 for p, c in both)
     ties = sum(c == p for p, c in both)
     stats = {side: quartiles(vals[side]) for side in SIDES}
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    median = stats["parent"]["median"]
     return {**stats, "change_wins": wins, "ties": ties,
-            "median_ratio_change_over_parent":
-                round(stats["change"]["median"] / stats["parent"]["median"], 4),
-            "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4),
+            "median_ratio_change_over_parent": round(stats["change"]["median"] / median, 4),
+            "parent_iqr": round(iqr, 4),
+            "parent_spread": round(iqr / abs(median), 4),
             "separated": all(sign * (c - p) > 0
                              for p in vals["parent"] for c in vals["change"])}
 
@@ -219,6 +223,7 @@ def main(argv: list[str] | None = None) -> int:
                             f" change {s['change']['median']:>12.4f}"
                             f" ratio {s['median_ratio_change_over_parent']:.4f}"
                             f" wins {s['change_wins']}/{len(pairs)}"
+                            f" spread {s['parent_spread']:.4f}"
                             f" bound {spec['bound']:.2f} {s['verdict']}")
         doc["workloads"][workload] = row
 
