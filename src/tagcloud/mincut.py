@@ -6,6 +6,10 @@ recursively bipartitions the tag set, cutting as little relation
 weight as possible, and records each split as a slicing-tree cut.
 Splits of up to 12 tags are solved exactly by enumeration; larger ones
 by a seeded move/lock/rollback refinement over several random starts.
+When a group has no internal edge and no pull difference across the
+cut, every balanced split costs the same: enumeration then finds the
+first one by integer arithmetic on the areas, and refinement keeps its
+first start, so neither builds its tables.
 Tags already assigned to the other half of an enclosing split tug the
 current split through directional pull weights, so friends across
 region borders end up on facing edges.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -42,6 +47,11 @@ EXHAUSTIVE_LIMIT = 12
 
 # Random starts per refinement call.
 DEFAULT_FM_RUNS = 10
+
+# Most tags the search for an edge-free split's first balanced vector
+# decides before the split falls back to full enumeration.  It decides
+# each tag at most once, so no split up to EXHAUSTIVE_LIMIT reaches it.
+POOL_SEARCH_CAP = 64
 
 SIDES = ("left", "right", "top", "bottom")
 
@@ -142,6 +152,8 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
     if len(tags) < 2:
         raise InvalidInputError("bipartition needs at least 2 tags")
     area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
+    if set(map(type, area)) != {int}:  # bool is no area
+        raise InvalidInputError("tag areas must be integers")
     if min(area) < 1:
         raise InvalidInputError("tag areas must be >= 1")
     pulls = pulls or Pulls()
@@ -151,12 +163,15 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
         toward_b, toward_a = pulls.bottom, pulls.top
     else:
         raise InvalidInputError(f"axis must be 'V' or 'H', got {axis!r}")
-    cost_a = [float(toward_b.get(t, 0)) for t in tags]
-    cost_b = [float(toward_a.get(t, 0)) for t in tags]
+    zero = [0.0] * len(tags)
+    cost_a = [float(toward_b.get(t, 0)) for t in tags] if toward_b else zero
+    cost_b = [float(toward_a.get(t, 0)) for t in tags] if toward_a else zero
     adj = graph.adjacency()
-    pos = {t: k for k, t in enumerate(tags)}
-    edges = [(k, pos[j], s) for k, i in enumerate(tags)
-             for j, s in adj.get(i, ()) if j > i and j in pos]
+    edges = []
+    if adj:  # an edge-free graph has nothing to walk
+        pos = {t: k for k, t in enumerate(tags)}
+        edges = [(k, pos[j], s) for k, i in enumerate(tags)
+                 for j, s in adj.get(i, ()) if j > i and j in pos]
     return tags, area, edges, cost_a, cost_b
 
 
@@ -166,10 +181,58 @@ def _split_result(tags: Sequence[int], side: Sequence[int], edges,
     with its cut weight: the raw strengths of the cut edges summed in
     edge order, so the same split always weighs the same."""
 
-    return Bipartition(tuple(t for t, st in zip(tags, side) if not st),
-                       tuple(t for t, st in zip(tags, side) if st),
+    return Bipartition(tuple(itertools.compress(tags, map(operator.not_, side))),
+                       tuple(itertools.compress(tags, side)),
                        float(sum(s for i, j, s in edges if side[i] != side[j])),
                        relaxed, runs)
+
+
+def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool] | None:
+    """The side vector of the first membership vector in the exhaustive
+    pool, and whether the pool is relaxed, from the integer areas alone;
+    None if the search would decide more than ``POOL_SEARCH_CAP`` tags.
+
+    Let T be the total area and L the largest tag's.  A part of B-area
+    a is balanced when T <= 3a <= 2T, and such a part exists exactly
+    when 3L <= 2T: {L} is one if 3L >= T, and otherwise the largest tags
+    taken in turn pass T/3 before 2T/3.  When 3L > 2T the part holding L
+    is the larger in every split, so the least imbalanced splits put L
+    alone on one side, and the first of those puts it in part B, or in
+    part A when L is ``tags[0]``.
+
+    Otherwise a depth-first search from ``tags[0]`` tries part A first
+    for each tag and prunes a branch whose B-area cannot reach T/3 with
+    every tag left, so the first balanced vector it meets is the
+    lexicographically first.  It never backs up, since part B never
+    passes 2T/3: the first tag put in B has area at most L, and after it
+    both the tags left and the B-area before each addition stay below
+    T/3.  So it decides each tag once, and stops when the B-area
+    reaches T/3, the tags left staying in part A.
+    """
+
+    n = len(area)
+    total = sum(area)
+    largest = max(area)
+    if 3 * largest > 2 * total:
+        k = area.index(largest)  # the only tag that large
+        if k == 0:
+            return [0] + [1] * (n - 1), True
+        side = [0] * n
+        side[k] = 1
+        return side, True
+
+    rest = [0] * (n + 1)  # rest[k]: the area of tags[k:]
+    for k in range(n - 1, -1, -1):
+        rest[k] = rest[k + 1] + area[k]
+    side = [0] * n
+    a = 0  # the B-area so far
+    for k in range(min(n, POOL_SEARCH_CAP)):
+        if 3 * (a + rest[k + 1]) < total:  # B needs tags[k] to reach T/3
+            side[k] = 1
+            a += area[k]
+            if 3 * a >= total:
+                return side, False
+    return None
 
 
 @functools.cache
@@ -178,7 +241,8 @@ def _bit_rows(n: int) -> np.ndarray:
     vector v, 1 <= v <= 2**n - 2, with tags[0] as its most significant
     bit: the columns run in lexicographic order, so the first optimal
     column is the tie-break.  Built on first use of each size, so
-    importing the package pays nothing for it."""
+    importing the package pays nothing for it; an edge-free split with
+    no pull difference reaches it only past ``POOL_SEARCH_CAP``."""
 
     vectors = np.arange(1, (1 << n) - 1)
     rows = ((vectors >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.float64)
@@ -214,7 +278,9 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
 
     With no internal edges and the same pull cost on both sides of the
     cut axis for every tag, every vector costs the same, so the answer
-    is the first vector in the pool and no objective is built.
+    is the first vector in the pool.  ``_first_in_pool`` finds it from
+    the areas, with no enumeration; only a search past its cap scans
+    the pool, still without building an objective.
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
@@ -222,6 +288,12 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     if n > EXHAUSTIVE_LIMIT:
         raise InvalidInputError(
             f"exhaustive bipartition handles at most {EXHAUSTIVE_LIMIT} tags, got {n}")
+    flat = not edges and cost_a == cost_b
+    if flat:
+        first = _first_in_pool(area)
+        if first is not None:
+            side, relaxed = first
+            return _split_result(tags, side, edges, relaxed=relaxed)
     area_arr = np.array(area, dtype=np.float64)
     bits = _bit_rows(n)
     area_b = area_arr @ bits  # exact: the areas are integers
@@ -235,7 +307,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     else:
         pool = balanced
 
-    if not edges and cost_a == cost_b:
+    if flat:
         # Every vector costs sum(cost_a): the first one in the pool wins.
         v = 1 + int(np.argmax(pool))
     else:
@@ -265,6 +337,8 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     run would make one pass, roll every move back and keep its start.
     That case returns run 0's start at once, with the run records
     the full loop would have made, before any refinement state is built.
+    Equal raw costs show it before the costs are scaled; equal scaled
+    costs show the rest.
 
     Gains are integers (fractional strengths are scaled by 1000 and
     rounded first).  Tags are renumbered by their position in the
@@ -299,12 +373,15 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
 
-    numbers = [s for _, _, s in edges] + cost_a + cost_b
-    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
-    sca = [int(round(c * scale)) for c in cost_a]
-    scb = [int(round(c * scale)) for c in cost_b]
+    zero_gain = not edges and cost_a == cost_b
+    if not zero_gain:
+        numbers = [s for _, _, s in edges] + cost_a + cost_b
+        scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
+        sca = [int(round(c * scale)) for c in cost_a]
+        scb = [int(round(c * scale)) for c in cost_b]
+        zero_gain = not edges and sca == scb
     rng = random.Random(seed)
-    if not edges and sca == scb:
+    if zero_gain:
         # Every gain is 0: each run would keep its start, so run 0 wins.
         side, _, _ = _fm_start(rng, area)
         return _split_result(tags, side, edges, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)

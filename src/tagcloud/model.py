@@ -45,9 +45,10 @@ FONT_STEP_PT = 4
 DEFAULT_SPACE_WIDTH = 4
 DEFAULT_TARGET_WIDTH = 550
 
-# Largest accepted width or height in pixels.  An exhaustive split sums
-# the areas of at most 12 tags in floats; at most 2**48 px^2 each, the
-# sums stay below 2**53 and so exact.
+# Largest accepted width or height in pixels.  Widths and heights are
+# integers, so tag areas are integers of at most 2**48 px^2: split
+# arithmetic on them is exact, and the enumeration's float sums of at
+# most 12 of them stay below 2**53.
 MAX_PIXELS = 1 << 24
 
 
@@ -211,7 +212,13 @@ def estimate_box(label: str, weight: int) -> TagBox:
     return TagBox(label=label, weight=weight, width=width, height=height)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _pixel_problem(name: str, value: int, low: int) -> str | None:
+    if not _is_int(value):
+        return f"{name} must be an integer, got {type(value).__name__}"
     if value < low:
         return f"{name} must be >= {low}, got {value}"
     if value > MAX_PIXELS:
@@ -222,8 +229,10 @@ def _pixel_problem(name: str, value: int, low: int) -> str | None:
 def validate_cloud(cloud: Cloud) -> list[str]:
     """Collect every constraint violation instead of failing on the first.
 
-    Labels longer than 40 characters are cut to their first 40, then
-    ``…``, in the messages.
+    A field of the wrong type (a label that is not a string, or a
+    number that is not an integer or is a bool) is reported by its type
+    name, and its range is not checked.  Labels longer than 40
+    characters are cut to their first 40, then ``…``, in the messages.
     """
 
     problems: list[str] = []
@@ -232,16 +241,23 @@ def validate_cloud(cloud: Cloud) -> list[str]:
     problems += filter(None, (_pixel_problem("target_width", cloud.target_width, 1),
                               _pixel_problem("space_width", cloud.space_width, 0)))
     for i, tag in enumerate(cloud.tags):
-        if (tag.label and 0 <= tag.weight < WEIGHT_LEVELS
-                and 1 <= tag.width <= MAX_PIXELS and 1 <= tag.height <= MAX_PIXELS):
+        if (type(tag.label) is str and tag.label
+                and type(tag.weight) is int and 0 <= tag.weight < WEIGHT_LEVELS
+                and type(tag.width) is int and 1 <= tag.width <= MAX_PIXELS
+                and type(tag.height) is int and 1 <= tag.height <= MAX_PIXELS):
             continue  # the common case builds no message
         label = tag.label
         if isinstance(label, str) and len(label) > 40:
             label = label[:40] + "…"
         where = f"tag {i} ({label!r})"
-        if not tag.label:
+        if not isinstance(tag.label, str):
+            problems.append(f"{where}: label must be a string, got {type(tag.label).__name__}")
+        elif not tag.label:
             problems.append(f"{where}: empty label")
-        if not 0 <= tag.weight < WEIGHT_LEVELS:
+        if not _is_int(tag.weight):
+            problems.append(
+                f"{where}: weight must be an integer, got {type(tag.weight).__name__}")
+        elif not 0 <= tag.weight < WEIGHT_LEVELS:
             problems.append(f"{where}: weight range is 0..9, got {tag.weight}")
         for name, value in (("width", tag.width), ("height", tag.height)):
             problem = _pixel_problem(name, value, 1)

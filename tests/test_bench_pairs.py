@@ -61,10 +61,10 @@ def test_bound_verdict_says_unresolved_when_the_parent_spreads_past_the_bound():
     assert bench_pairs.bound_verdict(s, {**SPEC, "better": "higher"}) == "ok"
 
 
-def claim_row(failed_parent=0, failed_change=0, correct=True):
+def claim_row(failed_parent=0, failed_change=0, correct=True, attempted=(100, 100)):
     pairs = [pair(80 + k % 3, 70 + k % 2) for k in range(10)]
     return {"pairs": len(pairs), "failed": {"parent": failed_parent, "change": failed_change},
-            "correct": correct,
+            "attempted": dict(zip(("parent", "change"), attempted)), "correct": correct,
             "latency_ms.p50": bench_pairs.summarize(pairs, "latency_ms.p50", "lower")}
 
 
@@ -78,13 +78,25 @@ def test_claim_needs_wins_a_gain_past_the_iqr_no_more_failures_and_correct_runs(
     assert not bench_pairs.claim_met(claim_row(), "latency_ms.p50", "higher")[0]
 
 
+def test_claim_compares_failed_shares_not_counts():
+    # A faster change attempts more: 2 of 200 fail against 1 of 100.
+    assert bench_pairs.claim_met(claim_row(1, 2, attempted=(100, 200)),
+                                 "latency_ms.p50", "lower")[0]
+    assert not bench_pairs.claim_met(claim_row(1, 3, attempted=(100, 200)),
+                                     "latency_ms.p50", "lower")[0]
+    # One failed operation of one attempted, as a crashed run counts, is
+    # a larger share than 1 of 100.
+    assert not bench_pairs.claim_met(claim_row(1, 1, attempted=(100, 1)),
+                                     "latency_ms.p50", "lower")[0]
+
+
 def test_a_side_without_a_finished_run_has_no_verdict_and_no_claim():
     crashed = [{"parent": {"metrics": {"latency_ms.p50": {"value": 10}}},
                 "change": {"metrics": {}}}] * 3
     s = bench_pairs.summarize(crashed, "latency_ms.p50", "lower")
     assert bench_pairs.bound_verdict(s, SPEC) == "no runs"
-    row = {"pairs": 3, "failed": {"parent": 0, "change": 3}, "correct": False,
-           "latency_ms.p50": s}
+    row = {"pairs": 3, "failed": {"parent": 0, "change": 3},
+           "attempted": {"parent": 12, "change": 3}, "correct": False, "latency_ms.p50": s}
     assert bench_pairs.claim_met(row, "latency_ms.p50", "lower") == (False, None)
 
 
@@ -153,6 +165,7 @@ def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written
     row = doc["workloads"]["w"]
     assert row["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 1, 0]}
     assert row["failed"] == {"parent": 0, "change": 1} and not row["correct"]
+    assert row["attempted"] == {"parent": 12, "change": 9}  # the exit counts 1 of 1
     assert row["latency_ms.p50"]["change_wins"] == 2
     assert row["latency_ms.p50"]["change"]["median"] == 5.0
     assert not doc["claim"]["met"]

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tagcloud import (
     Cloud,
@@ -118,6 +119,8 @@ def test_exhaustive_size_limits():
 @pytest.mark.parametrize("tags, kw, message", [
     ([3, 3], {}, "bipartition needs at least 2 tags"),
     ([0, 1, 2], {"areas": {0: 4, 1: 0, 2: 4}}, "tag areas must be >= 1"),
+    ([0, 1, 2], {"areas": {0: 4, 1: 2.5, 2: 4}}, "tag areas must be integers"),
+    ([0, 1, 2], {"areas": {0: 4, 1: True, 2: 4}}, "tag areas must be integers"),
     ([0, 1, 2], {"axis": "X"}, "axis must be 'V' or 'H', got 'X'"),
 ])
 def test_splitters_reject_bad_input_alike(splitter, tags, kw, message):
@@ -443,6 +446,67 @@ def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_
         assert bool(built) == (kind == "one-sided"), kind
 
 
+def equal_pulls(kind, tags, axis, weights):
+    """Pulls that leave every tag's cost the same in part A and part B:
+    none, the same pull toward both sides of the cut axis, or pulls on
+    the other axis only."""
+
+    cut_sides, other_sides = ("left", "right"), ("top", "bottom")
+    if axis == "H":
+        cut_sides, other_sides = other_sides, cut_sides
+    pulled = dict(zip(tags, weights))
+    if kind == "none":
+        return Pulls()
+    return Pulls(**{side: pulled for side in (cut_sides if kind == "symmetric"
+                                              else other_sides)})
+
+
+def no_enumeration(n):
+    raise AssertionError(f"an edge-free split enumerated its {n}-tag pool")
+
+
+@given(areas=st.lists(st.integers(1, 60) | st.integers(1, 1 << 48),
+                      min_size=2, max_size=EXHAUSTIVE_LIMIT),
+       first=st.integers(0, 20), axis=st.sampled_from("VH"),
+       kind=st.sampled_from(("none", "symmetric", "other-axis")),
+       weights=st.lists(st.sampled_from((1, 2, 0.5)), max_size=EXHAUSTIVE_LIMIT))
+@example(areas=[90, 5, 5, 5], first=0, axis="V", kind="none", weights=[])  # dominant first
+@example(areas=[5, 5, 90, 5], first=3, axis="H", kind="none", weights=[])  # dominant later
+@example(areas=[7, 7], first=0, axis="V", kind="none", weights=[])
+@example(areas=[1] * EXHAUSTIVE_LIMIT, first=1, axis="H", kind="symmetric", weights=[2, 0.5])
+@example(areas=[3, 9, 4, 4, 8], first=2, axis="V", kind="other-axis", weights=[1, 2, 1])
+@settings(max_examples=60, deadline=None)
+def test_edge_free_exhaustive_needs_no_enumeration(areas, first, axis, kind, weights):
+    tags = list(range(first, first + 2 * len(areas), 2))
+    area_of = dict(zip(tags, areas))
+    pulls = equal_pulls(kind, tags, axis, weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mincut, "_bit_rows", no_enumeration)
+        got = bipartition_exhaustive(tags[::-1], RelationGraph(), pulls, axis, area_of)
+    toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
+                          else (pulls.bottom, pulls.top))
+    want = best_bipartition(tags, (), area_of, {t: toward_b.get(t, 0) for t in tags},
+                            {t: toward_a.get(t, 0) for t in tags})
+    assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
+
+
+@pytest.mark.parametrize("case, n, area_kind, tags, areas, axis",
+                         list(exhaustive_edge_free_cases()))
+def test_edge_free_exhaustive_past_the_search_cap_enumerates_alike(
+        monkeypatch, case, n, area_kind, tags, areas, axis):
+    enumerated = []
+    bit_rows = mincut._bit_rows
+    monkeypatch.setattr(mincut, "_bit_rows",
+                        lambda size: enumerated.append(size) or bit_rows(size))
+    monkeypatch.setattr(mincut, "POOL_SEARCH_CAP", 1)
+    pulls = equal_pulls("symmetric", tags, axis, [1, 2, 0.5] * 4)
+    got = bipartition_exhaustive(tags, RelationGraph(), pulls, axis, areas)
+    want = best_bipartition(tags, (), areas)
+    assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
+    # a relaxed pool needs no search; any balanced one is past a cap of one tag
+    assert enumerated == ([] if area_kind == "dominant" else [n])
+
+
 def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
     """A group split V, then H, then H again, then a twin group with the
     same local edges split twice: the five objectives share the edge
@@ -649,6 +713,13 @@ def test_layout_mincut_returns_the_widest_fitting_attempt(case, cloud, seed):
         assert len(widths) == MAX_WIDTH_RETRIES and fitting.count(max(fitting)) > 1
     else:
         assert len(widths) == MAX_WIDTH_RETRIES and not fitting
+
+
+def test_edge_free_layout_never_enumerates(monkeypatch):
+    monkeypatch.setattr(mincut, "_bit_rows", no_enumeration)
+    for seed, n, width in ((0, 150, 550), (1, 40, 250), (2, 12, 300)):
+        result = layout_mincut(random_cloud(seed, n, width), seed=seed)
+        each_tag_once(result.placed, n)
 
 
 def test_layout_mincut_single_tag():

@@ -82,12 +82,51 @@ def test_cloud_checks_itself_when_replaced():
 @pytest.mark.parametrize("label, shown", [
     ("x" * 600_000, repr("x" * 40 + "…")),
     ("y" * 40, repr("y" * 40)),
-    (5, "5"),  # a library caller's non-string label is shown, not measured
 ])
 def test_validate_cloud_caps_long_labels(label, shown):
     with pytest.raises(InvalidInputError) as exc:
         Cloud(tags=(TagBox(label, 1, 0, 20),), target_width=100)
     assert str(exc.value) == f"tag 0 ({shown}): width must be >= 1, got 0"
+
+
+_OK = TagBox("a", 1, 10, 20)
+
+
+@pytest.mark.parametrize("tag, fields, message", [
+    pytest.param(_OK, {"target_width": 100.5}, "target_width must be an integer, got float",
+                 id="float-target"),
+    pytest.param(_OK, {"target_width": True}, "target_width must be an integer, got bool",
+                 id="bool-target"),
+    pytest.param(_OK, {"space_width": "4"}, "space_width must be an integer, got str",
+                 id="str-space"),
+    pytest.param(_OK, {"space_width": -2.0}, "space_width must be an integer, got float",
+                 id="type-before-range"),
+    # a non-string label is shown, not measured, and its type is named
+    pytest.param(TagBox(5, 1, 0, 20), {},
+                 "tag 0 (5): label must be a string, got int;"
+                 " tag 0 (5): width must be >= 1, got 0", id="int-label"),
+    pytest.param(TagBox(None, 1, 10, 20), {},
+                 "tag 0 (None): label must be a string, got NoneType", id="none-label"),
+    pytest.param(TagBox("a", True, 10, 20), {},
+                 "tag 0 ('a'): weight must be an integer, got bool", id="bool-weight"),
+    pytest.param(TagBox("a", 12.0, 10, 20), {},
+                 "tag 0 ('a'): weight must be an integer, got float", id="float-weight"),
+    pytest.param(TagBox("a", 1, 10.5, 20), {},
+                 "tag 0 ('a'): width must be an integer, got float", id="float-width"),
+    pytest.param(TagBox("a", 1, "10", 20), {},
+                 "tag 0 ('a'): width must be an integer, got str", id="str-width"),
+    pytest.param(TagBox("a", 1, 10, False), {},
+                 "tag 0 ('a'): height must be an integer, got bool", id="bool-height"),
+    pytest.param(TagBox("a", 1, 10, Decimal(-3)), {},
+                 "tag 0 ('a'): height must be an integer, got Decimal", id="decimal-height"),
+    pytest.param(TagBox("a", 1, 10.5, 20), {"target_width": 100.5},
+                 "target_width must be an integer, got float;"
+                 " tag 0 ('a'): width must be an integer, got float", id="float-area"),
+])
+def test_cloud_rejects_fields_of_the_wrong_type(tag, fields, message):
+    with pytest.raises(InvalidInputError) as exc:
+        Cloud(**{"tags": (tag,), "target_width": 100, **fields})
+    assert str(exc.value) == message
 
 
 def test_relation_graph_normalizes_and_merges():

@@ -9,9 +9,10 @@ tracked and untracked, non-ignored files as they stand, in
 ``--workdir``/change (neither directory may exist yet).  So both sides
 run ``perfbench/run.py`` from sibling trees with the same settings:
 ``BENCHMARK.json``'s ``run_seconds`` per run.  A run that exits
-non-zero is recorded with its exit code and counts as failed and
-incorrect.  For each ``--run WORKLOAD=SEEDS`` entry, pair k runs seed k
-on both sides; the parent goes first in pairs 1, 3, 5, ...  The JSON
+non-zero is recorded with its exit code and counts as one failed
+operation of one attempted, and as incorrect.  For each
+``--run WORKLOAD=SEEDS`` entry, pair k runs seed k on both sides; the
+parent goes first in pairs 1, 3, 5, ...  The JSON
 holds, per workload and end-to-end metric, each side's median and
 quartiles (inclusive method), the pairs the change won, ties, the
 change/parent ratio of the medians, the parent's interquartile range,
@@ -28,8 +29,9 @@ of the medians is worse than its ``BENCHMARK.json`` bound,
 wider than the bound and some change run does not beat every parent
 run, and ``ok`` otherwise.  A ``--claim WORKLOAD:METRIC`` is met when
 the change wins at least nine tenths of that workload's pairs, the
-medians differ by more than the parent's interquartile range, no more
-change runs fail than parent runs, and every run is correct.
+medians differ by more than the parent's interquartile range, the
+change fails no larger share of the operations it attempts than the
+parent (a faster change attempts more), and every run is correct.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode:
-        return {"exit_code": proc.returncode, "correct": False, "failed": 1, "metrics": {},
-                "stderr": proc.stderr[-2000:]}
+        return {"exit_code": proc.returncode, "correct": False, "failed": 1, "attempted": 1,
+                "metrics": {}, "stderr": proc.stderr[-2000:]}
     lines = proc.stdout.splitlines()
     result = {"exit_code": 0, **json.loads(lines[-1])}
     result["machine"] = lines[0].split(" python=", 1)[1]
@@ -156,8 +158,11 @@ def claim_met(row: dict, name: str, better: str) -> tuple[bool, float | None]:
     gain = s["parent"]["median"] - s["change"]["median"]
     if better == "higher":
         gain = -gain
+    failed, attempted = row["failed"], row["attempted"]
     met = (s["change_wins"] >= 0.9 * row["pairs"] and gain > s["parent_iqr"]
-           and row["failed"]["change"] <= row["failed"]["parent"] and row["correct"])
+           # failed shares, compared without dividing
+           and failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
+           and row["correct"])
     return met, gain
 
 
@@ -201,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
                        f" unpacked from a git archive of {rev}, change copied from the"
                        " checkout's tracked and untracked, non-ignored files; the parent"
                        " runs first in pairs 1, 3, 5, ...; medians and quartiles (inclusive"
-                       " method); a run that exits non-zero counts as failed and incorrect",
+                       " method); a run that exits non-zero counts as 1 failed of 1"
+                       " attempted and as incorrect; a claim compares failed shares",
            "machine": None, "claim": args.claim, "workloads": {}}
     verdicts = []
     for workload, seeds in runs.items():
@@ -212,6 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         row = {"seeds": seeds, "pairs": len(pairs),
                "exit_codes": {side: [p[side]["exit_code"] for p in pairs] for side in SIDES},
                "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+               "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
                "correct": all(p[side]["correct"] for p in pairs for side in SIDES)}
         for name, spec in end_to_end.items():
             s = row[name] = summarize(pairs, name, spec["better"])
