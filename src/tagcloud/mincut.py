@@ -48,11 +48,6 @@ EXHAUSTIVE_LIMIT = 12
 # Random starts per refinement call.
 DEFAULT_FM_RUNS = 10
 
-# Most tags the search for an edge-free split's first balanced vector
-# decides before the split falls back to full enumeration.  It decides
-# each tag at most once, so no split up to EXHAUSTIVE_LIMIT reaches it.
-POOL_SEARCH_CAP = 64
-
 SIDES = ("left", "right", "top", "bottom")
 
 
@@ -187,10 +182,9 @@ def _split_result(tags: Sequence[int], side: Sequence[int], edges,
                        relaxed, runs)
 
 
-def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool] | None:
+def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool]:
     """The side vector of the first membership vector in the exhaustive
-    pool, and whether the pool is relaxed, from the integer areas alone;
-    None if the search would decide more than ``POOL_SEARCH_CAP`` tags.
+    pool, and whether the pool is relaxed, from the integer areas alone.
 
     Let T be the total area and L the largest tag's.  A part of B-area
     a is balanced when T <= 3a <= 2T, and such a part exists exactly
@@ -207,7 +201,8 @@ def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool] | None:
     passes 2T/3: the first tag put in B has area at most L, and after it
     both the tags left and the B-area before each addition stay below
     T/3.  So it decides each tag once, and stops when the B-area
-    reaches T/3, the tags left staying in part A.
+    reaches T/3, the tags left staying in part A; the last tag always
+    gets there, since B-area plus the tags left never falls below T/3.
     """
 
     n = len(area)
@@ -226,13 +221,13 @@ def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool] | None:
         rest[k] = rest[k + 1] + area[k]
     side = [0] * n
     a = 0  # the B-area so far
-    for k in range(min(n, POOL_SEARCH_CAP)):
+    for k in range(n):
         if 3 * (a + rest[k + 1]) < total:  # B needs tags[k] to reach T/3
             side[k] = 1
             a += area[k]
             if 3 * a >= total:
-                return side, False
-    return None
+                break
+    return side, False
 
 
 @functools.cache
@@ -241,8 +236,8 @@ def _bit_rows(n: int) -> np.ndarray:
     vector v, 1 <= v <= 2**n - 2, with tags[0] as its most significant
     bit: the columns run in lexicographic order, so the first optimal
     column is the tie-break.  Built on first use of each size, so
-    importing the package pays nothing for it; an edge-free split with
-    no pull difference reaches it only past ``POOL_SEARCH_CAP``."""
+    importing the package pays nothing for it, and an edge-free split
+    with no pull difference never builds it."""
 
     vectors = np.arange(1, (1 << n) - 1)
     rows = ((vectors >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.float64)
@@ -279,8 +274,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     With no internal edges and the same pull cost on both sides of the
     cut axis for every tag, every vector costs the same, so the answer
     is the first vector in the pool.  ``_first_in_pool`` finds it from
-    the areas, with no enumeration; only a search past its cap scans
-    the pool, still without building an objective.
+    the areas, with no enumeration.
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
@@ -288,12 +282,9 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     if n > EXHAUSTIVE_LIMIT:
         raise InvalidInputError(
             f"exhaustive bipartition handles at most {EXHAUSTIVE_LIMIT} tags, got {n}")
-    flat = not edges and cost_a == cost_b
-    if flat:
-        first = _first_in_pool(area)
-        if first is not None:
-            side, relaxed = first
-            return _split_result(tags, side, edges, relaxed=relaxed)
+    if not edges and cost_a == cost_b:
+        side, relaxed = _first_in_pool(area)
+        return _split_result(tags, side, edges, relaxed=relaxed)
     area_arr = np.array(area, dtype=np.float64)
     bits = _bit_rows(n)
     area_b = area_arr @ bits  # exact: the areas are integers
@@ -307,12 +298,8 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     else:
         pool = balanced
 
-    if flat:
-        # Every vector costs sum(cost_a): the first one in the pool wins.
-        v = 1 + int(np.argmax(pool))
-    else:
-        obj = _exhaustive_objective(bits, edges, cost_a, cost_b)
-        v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
+    obj = _exhaustive_objective(bits, edges, cost_a, cost_b)
+    v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
     side = [v >> (n - 1 - k) & 1 for k in range(n)]
     return _split_result(tags, side, edges, relaxed=relaxed)
 

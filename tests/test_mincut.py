@@ -473,6 +473,7 @@ def no_enumeration(n):
 @example(areas=[90, 5, 5, 5], first=0, axis="V", kind="none", weights=[])  # dominant first
 @example(areas=[5, 5, 90, 5], first=3, axis="H", kind="none", weights=[])  # dominant later
 @example(areas=[7, 7], first=0, axis="V", kind="none", weights=[])
+@example(areas=[2, 6, 1], first=0, axis="V", kind="none", weights=[])  # 3L = 2T: balanced
 @example(areas=[1] * EXHAUSTIVE_LIMIT, first=1, axis="H", kind="symmetric", weights=[2, 0.5])
 @example(areas=[3, 9, 4, 4, 8], first=2, axis="V", kind="other-axis", weights=[1, 2, 1])
 @settings(max_examples=60, deadline=None)
@@ -488,23 +489,6 @@ def test_edge_free_exhaustive_needs_no_enumeration(areas, first, axis, kind, wei
     want = best_bipartition(tags, (), area_of, {t: toward_b.get(t, 0) for t in tags},
                             {t: toward_a.get(t, 0) for t in tags})
     assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
-
-
-@pytest.mark.parametrize("case, n, area_kind, tags, areas, axis",
-                         list(exhaustive_edge_free_cases()))
-def test_edge_free_exhaustive_past_the_search_cap_enumerates_alike(
-        monkeypatch, case, n, area_kind, tags, areas, axis):
-    enumerated = []
-    bit_rows = mincut._bit_rows
-    monkeypatch.setattr(mincut, "_bit_rows",
-                        lambda size: enumerated.append(size) or bit_rows(size))
-    monkeypatch.setattr(mincut, "POOL_SEARCH_CAP", 1)
-    pulls = equal_pulls("symmetric", tags, axis, [1, 2, 0.5] * 4)
-    got = bipartition_exhaustive(tags, RelationGraph(), pulls, axis, areas)
-    want = best_bipartition(tags, (), areas)
-    assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
-    # a relaxed pool needs no search; any balanced one is past a cap of one tag
-    assert enumerated == ([] if area_kind == "dominant" else [n])
 
 
 def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
