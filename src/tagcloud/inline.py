@@ -102,6 +102,9 @@ def _check_order(n: int, order: Sequence[int] | None) -> list[int]:
     if order is None:
         return list(range(n))
     order = list(order)
+    for i in order:
+        if type(i) is not int:  # bool is no tag index
+            raise InvalidInputError(f"order entries must be integers, got {type(i).__name__}")
     if sorted(order) != list(range(n)):
         raise InvalidInputError("order must be a permutation of all tag indices")
     return order

@@ -568,8 +568,8 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
 
     graph = graph or RelationGraph()
     graph.check_fits(len(cloud.tags))
-    if width_bias <= 0:
-        raise InvalidInputError(f"width_bias must be positive, got {width_bias}")
+    if not 0 < width_bias < float("inf"):  # also false for NaN
+        raise InvalidInputError(f"width_bias must be positive and finite, got {width_bias}")
 
     areas = {i: t.area() for i, t in enumerate(cloud.tags)}
     widths = {i: t.width for i, t in enumerate(cloud.tags)}

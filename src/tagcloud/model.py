@@ -37,6 +37,12 @@ def raise_problems(problems: list[str]) -> None:
         raise InvalidInputError("; ".join(problems))
 
 
+def _clip(text: str) -> str:
+    """How messages quote a value: cut to 40 characters, then ``…``."""
+
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 # Font scale: weight v in 0..9 renders at (8 + 4*v) pt.
 WEIGHT_LEVELS = 10
 MIN_FONT_PT = 8
@@ -113,7 +119,8 @@ class RelationGraph:
         merged: dict[tuple[int, int], float] = {}
         for a, b, s in self.edges:
             if type(a) is not int or type(b) is not int:  # bool is no endpoint
-                raise InvalidInputError(f"edge ({a},{b}): endpoints must be integers")
+                raise InvalidInputError(
+                    f"edge ({_clip(str(a))},{_clip(str(b))}): endpoints must be integers")
             if a == b:
                 raise InvalidInputError(f"self-loop on tag {a}")
             if not isinstance(s, (int, float)) or isinstance(s, bool):
@@ -231,8 +238,9 @@ def validate_cloud(cloud: Cloud) -> list[str]:
 
     A field of the wrong type (a label that is not a string, or a
     number that is not an integer or is a bool) is reported by its type
-    name, and its range is not checked.  Labels longer than 40
-    characters are cut to their first 40, then ``…``, in the messages.
+    name, and its range is not checked.  A label longer than 40
+    characters, or the repr of a label that is not a string, is cut to
+    its first 40, then ``…``, in the messages.
     """
 
     problems: list[str] = []
@@ -246,10 +254,9 @@ def validate_cloud(cloud: Cloud) -> list[str]:
                 and type(tag.width) is int and 1 <= tag.width <= MAX_PIXELS
                 and type(tag.height) is int and 1 <= tag.height <= MAX_PIXELS):
             continue  # the common case builds no message
-        label = tag.label
-        if isinstance(label, str) and len(label) > 40:
-            label = label[:40] + "…"
-        where = f"tag {i} ({label!r})"
+        shown = (repr(_clip(tag.label)) if isinstance(tag.label, str)
+                 else _clip(repr(tag.label)))
+        where = f"tag {i} ({shown})"
         if not isinstance(tag.label, str):
             problems.append(f"{where}: label must be a string, got {type(tag.label).__name__}")
         elif not tag.label:
@@ -292,7 +299,9 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
     """Parse a cloud document; returns (cloud, graph or None).
 
     The graph is None when the document carries no ``edges`` field.
-    Raises InvalidInputError on malformed documents.
+    Raises InvalidInputError on malformed documents.  Only the structure
+    is checked here; :class:`Cloud`, then :class:`RelationGraph`, check
+    the values.
     """
 
     try:
@@ -304,39 +313,24 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
         raise InvalidInputError(f"not valid JSON: {e}") from e
     _require(isinstance(doc, dict), "top-level JSON value must be an object")
     _require("target_width" in doc, "missing field: target_width")
-    _require("tags" in doc and isinstance(doc["tags"], list), "missing or invalid field: tags")
-    target_width = doc["target_width"]
-    space_width = doc.get("space_width", DEFAULT_SPACE_WIDTH)
-    _require(isinstance(target_width, int) and not isinstance(target_width, bool),
-             "target_width must be an integer")
-    _require(isinstance(space_width, int) and not isinstance(space_width, bool),
-             "space_width must be an integer")
+    _require(isinstance(doc.get("tags"), list), "missing or invalid field: tags")
     tags = []
     for k, entry in enumerate(doc["tags"]):
         _require(isinstance(entry, dict), "tags[{}] must be an object", k)
         for fld in ("label", "weight", "width", "height"):
             _require(fld in entry, "tags[{}]: missing field {}", k, fld)
-        _require(isinstance(entry["label"], str), "tags[{}]: label must be a string", k)
-        for fld in ("weight", "width", "height"):
-            v = entry[fld]
-            _require(isinstance(v, int) and not isinstance(v, bool),
-                     "tags[{}]: {} must be an integer", k, fld)
-        tags.append(TagBox(label=entry["label"], weight=entry["weight"],
-                           width=entry["width"], height=entry["height"]))
-    graph = None
-    if "edges" in doc:
-        _require(isinstance(doc["edges"], list), "edges must be a list")
-        raw = []
-        for k, entry in enumerate(doc["edges"]):
-            _require(isinstance(entry, dict), "edges[{}] must be an object", k)
-            for fld in ("a", "b", "strength"):
-                _require(fld in entry, "edges[{}]: missing field {}", k, fld)
-            a, b, s = entry["a"], entry["b"], entry["strength"]
-            _require(type(a) is int and type(b) is int,  # bool is no endpoint
-                     "edges[{}]: endpoints must be integers", k)
-            _require(isinstance(s, (int, float)) and not isinstance(s, bool),
-                     "edges[{}]: strength must be a number", k)
-            raw.append((a, b, s))
-        graph = RelationGraph(raw)
-        graph.check_fits(len(tags))
-    return Cloud(tags=tuple(tags), target_width=target_width, space_width=space_width), graph
+        tags.append(TagBox(entry["label"], entry["weight"], entry["width"], entry["height"]))
+    cloud = Cloud(tags=tuple(tags), target_width=doc["target_width"],
+                  space_width=doc.get("space_width", DEFAULT_SPACE_WIDTH))
+    if "edges" not in doc:
+        return cloud, None
+    _require(isinstance(doc["edges"], list), "edges must be a list")
+    raw = []
+    for k, entry in enumerate(doc["edges"]):
+        _require(isinstance(entry, dict), "edges[{}] must be an object", k)
+        for fld in ("a", "b", "strength"):
+            _require(fld in entry, "edges[{}]: missing field {}", k, fld)
+        raw.append((entry["a"], entry["b"], entry["strength"]))
+    graph = RelationGraph(raw)
+    graph.check_fits(len(tags))
+    return cloud, graph

@@ -3,6 +3,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(SPEC)
@@ -170,3 +172,24 @@ def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written
     assert row["latency_ms.p50"]["change"]["median"] == 5.0
     assert not doc["claim"]["met"]
     assert not doc["same_layouts"]["identical"]  # the seed-2 check exited 1 too
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--run", "x=1-3"], "--run x=1-3: no workload 'x' in BENCHMARK.json"),
+    (["--run", "w=1-3", "--claim", "w:latency_ms.p5"],
+     "--claim w:latency_ms.p5: no end-to-end metric 'latency_ms.p5' in BENCHMARK.json"),
+    (["--run", "w=1-3", "--claim", "v:latency_ms.p50"],
+     "--claim v:latency_ms.p50: workload 'v' has no --run"),
+])
+def test_arguments_are_checked_before_any_tree_is_built(tmp_path, monkeypatch, capsys,
+                                                        args, error):
+    # A typo here once surfaced as a KeyError after every pair had run.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "latency_ms.p50", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--topic", "t", "--workdir", str(tmp_path / "work"), *args])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {error}\n")
+    assert not (tmp_path / "work").exists()

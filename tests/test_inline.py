@@ -99,6 +99,17 @@ def test_order_must_be_permutation():
             dp_break(cloud, bad)
 
 
+@pytest.mark.parametrize("order, kind", [([True, False, 2], "bool"), ([1.0, 0, 2], "float"),
+                                         (["0", 1, 2], "str")])
+def test_order_entries_must_be_integers(order, kind):
+    # A bool order once gave a layout of bool tag ids, a float one a TypeError.
+    cloud = three_sixty()
+    for solve in (greedy_break, dp_break):
+        with pytest.raises(InvalidInputError) as exc:
+            solve(cloud, order)
+        assert str(exc.value) == f"order entries must be integers, got {kind}"
+
+
 def test_empty_cloud_rejected():
     with pytest.raises(InvalidInputError) as exc:
         greedy_break(Cloud(tags=(), target_width=100))

@@ -618,6 +618,15 @@ def test_build_slicing_tree_validates():
         build_slicing_tree(ok, width_bias=0.0)
 
 
+@pytest.mark.parametrize("bias", [0.0, float("nan"), float("inf")])
+def test_width_bias_must_be_positive_and_finite(bias):
+    # NaN once cut every region H, and inf every region V.
+    ok = Cloud(tags=(TagBox("a", 1, 10, 10), TagBox("b", 1, 10, 10)), target_width=100)
+    with pytest.raises(InvalidInputError) as exc:
+        build_slicing_tree(ok, width_bias=bias)
+    assert str(exc.value) == f"width_bias must be positive and finite, got {bias}"
+
+
 def slicing_tree_cases():
     """Seeded clouds: graph-free random clouds and topic clouds with
     graphs, at narrow to wide targets and several width biases.  The

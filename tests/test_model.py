@@ -325,26 +325,29 @@ def _with(base, **fields):
     (json.dumps({"tags": []}), "missing field: target_width"),
     (json.dumps({"target_width": 100}), "missing or invalid field: tags"),
     (json.dumps({"target_width": 100, "tags": {}}), "missing or invalid field: tags"),
-    (_doc(target_width="wide"), "target_width must be an integer"),
-    (_doc(target_width=True), "target_width must be an integer"),
-    (_doc(space_width=2.5), "space_width must be an integer"),
-    (_doc(space_width=False), "space_width must be an integer"),
+    (_doc(target_width="wide"), "target_width must be an integer, got str"),
+    (_doc(target_width=True), "target_width must be an integer, got bool"),
+    (_doc(space_width=2.5), "space_width must be an integer, got float"),
+    (_doc(space_width=False), "space_width must be an integer, got bool"),
     (_doc(tags=[_TAG, "x"]), "tags[1] must be an object"),
     (_doc(tags=[_TAG, _with(_TAG, label=None)]), "tags[1]: missing field label"),
     (_doc(tags=[_TAG, _with(_TAG, weight=None)]), "tags[1]: missing field weight"),
     (_doc(tags=[_TAG, _with(_TAG, width=None)]), "tags[1]: missing field width"),
     (_doc(tags=[_TAG, _with(_TAG, height=None)]), "tags[1]: missing field height"),
-    (_doc(tags=[_TAG, _with(_TAG, label=7)]), "tags[1]: label must be a string"),
-    (_doc(tags=[_TAG, _with(_TAG, weight=1.5)]), "tags[1]: weight must be an integer"),
-    (_doc(tags=[_TAG, _with(_TAG, width=False)]), "tags[1]: width must be an integer"),
-    (_doc(tags=[_TAG, _with(_TAG, height="12")]), "tags[1]: height must be an integer"),
+    (_doc(tags=[_TAG, _with(_TAG, label=7)]), "tag 1 (7): label must be a string, got int"),
+    (_doc(tags=[_TAG, _with(_TAG, weight=1.5)]),
+     "tag 1 ('x'): weight must be an integer, got float"),
+    (_doc(tags=[_TAG, _with(_TAG, width=False)]),
+     "tag 1 ('x'): width must be an integer, got bool"),
+    (_doc(tags=[_TAG, _with(_TAG, height="12")]),
+     "tag 1 ('x'): height must be an integer, got str"),
     (_doc(edges={}), "edges must be a list"),
     (_doc(edges=[_EDGE, 3]), "edges[1] must be an object"),
     (_doc(edges=[_EDGE, _with(_EDGE, a=None)]), "edges[1]: missing field a"),
     (_doc(edges=[_EDGE, _with(_EDGE, b=None)]), "edges[1]: missing field b"),
     (_doc(edges=[_EDGE, _with(_EDGE, strength=None)]), "edges[1]: missing field strength"),
-    (_doc(edges=[_EDGE, _with(_EDGE, a=1.0)]), "edges[1]: endpoints must be integers"),
-    (_doc(edges=[_EDGE, _with(_EDGE, strength="1")]), "edges[1]: strength must be a number"),
+    (_doc(edges=[_EDGE, _with(_EDGE, a=1.0)]), "edge (1.0,1): endpoints must be integers"),
+    (_doc(edges=[_EDGE, _with(_EDGE, strength="1")]), "edge (0,1): strength must be a number"),
     (_doc(edges=[_EDGE, _with(_EDGE, a=1)]), "self-loop on tag 1"),
     (_doc(edges=[_with(_EDGE, strength=-1)]),
      f"edge (0,1): strength must be positive and finite (at most {MAX_TOTAL_STRENGTH:g}), got -1"),
@@ -358,11 +361,62 @@ def _with(base, **fields):
     (_doc(tags=[_TAG, _with(_TAG, width=10 ** 400, height=MAX_PIXELS + 1)]),
      f"tag 1 ('x'): width must be <= {MAX_PIXELS}, got {10 ** 400};"
      f" tag 1 ('x'): height must be <= {MAX_PIXELS}, got {MAX_PIXELS + 1}"),
+    # The cloud is checked before the graph: a bad tag is named first.
+    (_doc(tags=[_TAG, _with(_TAG, width=0)], edges=[_with(_EDGE, a=0.5)]),
+     "tag 1 ('x'): width must be >= 1, got 0"),
 ])
 def test_json_error_messages_are_exact(text, message):
     with pytest.raises(InvalidInputError) as exc:
         cloud_from_json(text)
     assert str(exc.value) == message
+
+
+# One value of each JSON type, and the types each field may hold.
+_JSON_VALUES = {"null": None, "bool": True, "int": 3, "float": 2.5, "string": "7",
+                "list": [1], "object": {"k": 1}}
+_FIELD_TYPES = {"target_width": {"int"}, "space_width": {"int"}, "label": {"string"},
+                "weight": {"int"}, "width": {"int"}, "height": {"int"},
+                "a": {"int"}, "b": {"int"}, "strength": {"int", "float"}}
+
+
+@pytest.mark.parametrize("field, kind", [
+    (field, kind) for field, types in _FIELD_TYPES.items()
+    for kind in _JSON_VALUES if kind not in types])
+def test_json_values_are_checked_by_the_library(field, kind):
+    # The reader leaves value rules to Cloud and RelationGraph, so a
+    # document fails with the message of building them directly.
+    value = _JSON_VALUES[kind]
+    tag = TagBox(**_TAG)
+    if field in _EDGE:
+        text = _doc(edges=[_EDGE, {**_EDGE, field: value}])
+        direct = lambda: RelationGraph([(0, 1, 1), tuple({**_EDGE, field: value}.values())])
+    elif field in _TAG:
+        text = _doc(tags=[_TAG, {**_TAG, field: value}])
+        direct = lambda: Cloud(tags=(tag, TagBox(**{**_TAG, field: value})), target_width=100)
+    else:
+        text = _doc(**{field: value})
+        direct = lambda: Cloud(**{"tags": (tag, tag), "target_width": 100, field: value})
+    with pytest.raises(InvalidInputError) as want:
+        direct()
+    with pytest.raises(InvalidInputError) as got:
+        cloud_from_json(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("label", "tag 1 ({}…): label must be a string, got list"),
+    ("a", "edge ({}…,1): endpoints must be integers"),
+])
+def test_json_values_of_any_size_are_clipped_in_messages(field, message):
+    # Built directly, a 100000-item label once gave a 300042-character message.
+    big = [0] * 100000
+    if field in _EDGE:
+        text = _doc(edges=[{**_EDGE, field: big}])
+    else:
+        text = _doc(tags=[_TAG, {**_TAG, field: big}])
+    with pytest.raises(InvalidInputError) as exc:
+        cloud_from_json(text)
+    assert str(exc.value) == message.format("[" + "0, " * 13)  # 40 characters
 
 
 @pytest.mark.parametrize("text, detail", [

@@ -32,6 +32,8 @@ the change wins at least nine tenths of that workload's pairs, the
 medians differ by more than the parent's interquartile range, the
 change fails no larger share of the operations it attempts than the
 parent (a faster change attempts more), and every run is correct.
+The ``--run`` workloads and the ``--claim`` are checked against
+``BENCHMARK.json`` and the ``--run`` list before any tree is built.
 """
 
 from __future__ import annotations
@@ -185,7 +187,16 @@ def main(argv: list[str] | None = None) -> int:
     runs = {}
     for entry in args.run:
         workload, _, seeds = entry.partition("=")
+        if workload not in all_workloads:
+            parser.error(f"--run {entry}: no workload {workload!r} in BENCHMARK.json")
         runs[workload] = seed_range(seeds)
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        if workload not in runs:
+            parser.error(f"--claim {args.claim}: workload {workload!r} has no --run")
+        if name not in end_to_end:
+            parser.error(f"--claim {args.claim}: no end-to-end metric {name!r}"
+                         " in BENCHMARK.json")
 
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
