@@ -73,7 +73,14 @@ def line_badness(line_tags: Sequence[tuple[int, int]], target_width: int,
     return tallest * abs(slack) + sum((tallest - h) * w for w, h in line_tags)
 
 
+def _check_agg(agg: BadnessAggregate) -> None:
+    # a string or None would otherwise fall through to the sum or the max
+    if not isinstance(agg, BadnessAggregate):
+        raise InvalidInputError(f"agg must be a BadnessAggregate, got {type(agg).__name__}")
+
+
 def aggregate(badness_values: Iterable[int], agg: BadnessAggregate) -> int:
+    _check_agg(agg)
     values = list(badness_values)
     if not values:
         raise InvalidInputError("aggregate of an empty layout is undefined")
@@ -238,6 +245,7 @@ def _prefix_scores(bad: list[list[int]], agg: BadnessAggregate):
     paths as ``cost <= t[n]``.
     """
 
+    _check_agg(agg)
     square = agg is BadnessAggregate.SUM_OF_SQUARES
     op = max if agg is BadnessAggregate.MAX else operator.add
     t = [0]

@@ -27,6 +27,7 @@ import heapq
 import itertools
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -37,6 +38,7 @@ from .model import (
     InvalidInputError,
     PlacedCloud,
     RelationGraph,
+    show_value,
 )
 from .sizing import combine_shapes, default_leaf_shapes, select_and_place
 from .tree import Cut, Leaf, Node
@@ -568,8 +570,11 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
 
     graph = graph or RelationGraph()
     graph.check_fits(len(cloud.tags))
-    if not 0 < width_bias < float("inf"):  # also false for NaN
-        raise InvalidInputError(f"width_bias must be positive and finite, got {width_bias}")
+    if isinstance(width_bias, bool) or not isinstance(width_bias, (int, float)):
+        raise InvalidInputError(f"width_bias must be a number, got {type(width_bias).__name__}")
+    if not 0 < width_bias <= sys.float_info.max:  # also false for NaN
+        raise InvalidInputError(
+            f"width_bias must be positive and finite, got {show_value(width_bias)}")
 
     areas = {i: t.area() for i, t in enumerate(cloud.tags)}
     widths = {i: t.width for i, t in enumerate(cloud.tags)}

@@ -43,6 +43,21 @@ def _clip(text: str) -> str:
     return text if len(text) <= 40 else text[:40] + "…"
 
 
+def show_value(value) -> str:
+    """How messages quote a caller's value: its ``str``, cut like a
+    label.  An int past Python's digit limit for ``str``, which would
+    make ``str`` raise, shows its sign and bit length instead."""
+
+    try:
+        return _clip(str(value))
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+
+
+def _edge(a, b) -> str:
+    return f"edge ({show_value(a)},{show_value(b)})"
+
+
 # Font scale: weight v in 0..9 renders at (8 + 4*v) pt.
 WEIGHT_LEVELS = 10
 MIN_FONT_PT = 8
@@ -119,18 +134,17 @@ class RelationGraph:
         merged: dict[tuple[int, int], float] = {}
         for a, b, s in self.edges:
             if type(a) is not int or type(b) is not int:  # bool is no endpoint
-                raise InvalidInputError(
-                    f"edge ({_clip(str(a))},{_clip(str(b))}): endpoints must be integers")
+                raise InvalidInputError(f"{_edge(a, b)}: endpoints must be integers")
             if a == b:
-                raise InvalidInputError(f"self-loop on tag {a}")
+                raise InvalidInputError(f"self-loop on tag {show_value(a)}")
             if not isinstance(s, (int, float)) or isinstance(s, bool):
-                raise InvalidInputError(f"edge ({a},{b}): strength must be a number")
+                raise InvalidInputError(f"{_edge(a, b)}: strength must be a number")
             if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
                 raise InvalidInputError(
-                    f"edge ({a},{b}): strength must be positive and finite"
-                    f" (at most {MAX_TOTAL_STRENGTH:g}), got {s}")
+                    f"{_edge(a, b)}: strength must be positive and finite"
+                    f" (at most {MAX_TOTAL_STRENGTH:g}), got {show_value(s)}")
             if a < 0 or b < 0:
-                raise InvalidInputError(f"edge ({a},{b}): negative tag index")
+                raise InvalidInputError(f"{_edge(a, b)}: negative tag index")
             key = (a, b) if a < b else (b, a)
             merged[key] = merged.get(key, 0) + s
         edges = tuple((i, j, merged[i, j]) for i, j in sorted(merged))
@@ -139,7 +153,7 @@ class RelationGraph:
             total += s
             if total > MAX_TOTAL_STRENGTH:
                 raise InvalidInputError(
-                    f"edge ({i},{j}): total strength exceeds {MAX_TOTAL_STRENGTH:g}")
+                    f"{_edge(i, j)}: total strength exceeds {MAX_TOTAL_STRENGTH:g}")
         object.__setattr__(self, "edges", edges)
         # The largest endpoint, off the fields so that eq, hash and
         # dataclasses.replace see only the edges.
@@ -150,7 +164,7 @@ class RelationGraph:
         not below ``n_tags``; reads no edge when the graph fits."""
 
         if self._top >= n_tags:
-            raise_problems([f"edge ({i},{j}): tag index out of range 0..{n_tags - 1}"
+            raise_problems([f"{_edge(i, j)}: tag index out of range 0..{n_tags - 1}"
                             for i, j, _ in self.edges if j >= n_tags])
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
@@ -210,7 +224,7 @@ def estimate_box(label: str, weight: int) -> TagBox:
     if not label:
         raise InvalidInputError("label must be non-empty")
     if not 0 <= weight < WEIGHT_LEVELS:
-        raise InvalidInputError(f"weight must be in 0..9, got {weight}")
+        raise InvalidInputError(f"weight must be in 0..9, got {show_value(weight)}")
     size = font_size_pt(weight)
     # height = ceil(1.25 * size * 96/72) = ceil(5*size/3)
     height = -(-5 * size // 3)
@@ -227,9 +241,9 @@ def _pixel_problem(name: str, value: int, low: int) -> str | None:
     if not _is_int(value):
         return f"{name} must be an integer, got {type(value).__name__}"
     if value < low:
-        return f"{name} must be >= {low}, got {value}"
+        return f"{name} must be >= {low}, got {show_value(value)}"
     if value > MAX_PIXELS:
-        return f"{name} must be <= {MAX_PIXELS}, got {value}"
+        return f"{name} must be <= {MAX_PIXELS}, got {show_value(value)}"
     return None
 
 
@@ -254,8 +268,7 @@ def validate_cloud(cloud: Cloud) -> list[str]:
                 and type(tag.width) is int and 1 <= tag.width <= MAX_PIXELS
                 and type(tag.height) is int and 1 <= tag.height <= MAX_PIXELS):
             continue  # the common case builds no message
-        shown = (repr(_clip(tag.label)) if isinstance(tag.label, str)
-                 else _clip(repr(tag.label)))
+        shown = repr(_clip(tag.label)) if isinstance(tag.label, str) else show_value(tag.label)
         where = f"tag {i} ({shown})"
         if not isinstance(tag.label, str):
             problems.append(f"{where}: label must be a string, got {type(tag.label).__name__}")
@@ -265,7 +278,7 @@ def validate_cloud(cloud: Cloud) -> list[str]:
             problems.append(
                 f"{where}: weight must be an integer, got {type(tag.weight).__name__}")
         elif not 0 <= tag.weight < WEIGHT_LEVELS:
-            problems.append(f"{where}: weight range is 0..9, got {tag.weight}")
+            problems.append(f"{where}: weight range is 0..9, got {show_value(tag.weight)}")
         for name, value in (("width", tag.width), ("height", tag.height)):
             problem = _pixel_problem(name, value, 1)
             if problem:

@@ -1,22 +1,24 @@
 """Sizing and placement of slicing-tree floorplans.
 
-Every node of a slicing tree carries a list of candidate (width,
-height) shapes: leaves get the tag's default box plus optional
-squeezed/stretched variants, internal nodes combine child lists in one
-bottom-up walk (Otten 1982; Stockmeyer 1983).  The lists stay small
-because they hold no dominated shape (wider *and* taller than
-another).  Each internal shape points at the two child shapes it
-packs, so once one root shape is selected under the width budget,
-following those links yields absolute pixel placements.
+Every node of a slicing tree carries a list of candidate shapes
+(Otten 1982; Stockmeyer 1983).  A shape is a plain tuple: a leaf's is
+the caller's ``(width, height)`` pair (the tag's default box plus
+optional squeezed/stretched variants), and a cut's is ``(width,
+height, first, second)``, where ``first`` and ``second`` are the child
+shapes it packs.  Internal lists are combined from the child lists in
+one bottom-up walk, and they stay small because they hold no dominated
+shape (wider *and* taller than another).  Once one root shape is
+selected under the width budget, following its child shapes yields
+absolute pixel placements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .tree import Leaf, Node
-from .model import Cloud, InternalError, InvalidInputError, PlacedCloud, Placement, TagBox
+from .model import (Cloud, InternalError, InvalidInputError, PlacedCloud, Placement, TagBox,
+                    show_value)
 
 # Pixels of white kept to the left of a tag placed beside another.
 SIDE_GAP = 2
@@ -73,8 +75,11 @@ def gen_shape_options(tag: TagBox, variants: int = 3) -> ShapeList:
     rounds to the same height and therefore dominates it.
     """
 
+    if isinstance(variants, bool) or not isinstance(variants, int):
+        raise InvalidInputError(f"variants must be an integer, got {type(variants).__name__}")
     if variants not in _VARIANT_FACTORS:
-        raise InvalidInputError(f"variants must be one of {sorted(_VARIANT_FACTORS)}, got {variants}")
+        raise InvalidInputError(
+            f"variants must be one of {sorted(_VARIANT_FACTORS)}, got {show_value(variants)}")
     if tag.width < 1 or tag.height < 1:
         raise InvalidInputError(f"tag {tag.label!r} has a degenerate box")
     area = tag.width * tag.height
@@ -92,139 +97,121 @@ def gen_shape_options(tag: TagBox, variants: int = 3) -> ShapeList:
     return prune_shapes(out)
 
 
-@dataclass(frozen=True)
-class ShapeChoice:
-    """One packed shape of a node plus where it came from.
-
-    ``first``/``second`` are the child nodes' choices this shape packs;
-    they are None on leaves.
-    """
-
-    width: int
-    height: int
-    first: ShapeChoice | None = None
-    second: ShapeChoice | None = None
-
-
-def shape_list(choices: Sequence[ShapeChoice]) -> ShapeList:
-    return tuple((c.width, c.height) for c in choices)
-
-
 def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
-                   ) -> dict[Node, tuple[ShapeChoice, ...]]:
+                   ) -> dict[Node, Sequence[tuple]]:
     """Bottom-up shape lists for every node of the tree.
 
-    A V node sets children side by side (widths add, plus the side
-    gap); an H node stacks them (heights add).  One walk sizes the
+    A leaf's list is its ``leaf_shapes`` entry, used as given once
+    checked.  A V node sets children side by side (widths add, plus the
+    side gap); an H node stacks them (heights add).  One walk sizes the
     tree, each call returning its node's list to the parent.  A merge
     sweeps the heights (V) or widths (H) of both child lists, pairing
-    the cheapest child shapes that fit.  Each step advances the child
-    owning the swept value, which becomes the candidate's own, so the
-    other dimension moves strictly the other way: no candidate is
-    dominated, and list sizes stay near the sum of the children's.
+    the cheapest child shapes that fit into a ``(width, height, first,
+    second)`` shape.  Each step advances the child owning the swept
+    value, which becomes the candidate's own, so the other dimension
+    moves strictly the other way: no candidate is dominated, and list
+    sizes stay near the sum of the children's.
     """
 
-    table: dict[Node, tuple[ShapeChoice, ...]] = {}
+    table: dict[Node, Sequence[tuple]] = {}
 
-    def size(node: Node) -> tuple[ShapeChoice, ...]:
+    def size(node: Node) -> Sequence[tuple]:
         if isinstance(node, Leaf):
             shapes = leaf_shapes.get(node.tag)
             if not shapes or not is_shape_list(shapes):
                 raise InvalidInputError(f"leaf {node.tag}: missing or unsorted shape list")
-            choices = tuple(ShapeChoice(w, h) for w, h in shapes)
         else:
             merge = _combine_beside if node.orient == "V" else _combine_stacked
-            choices = merge(size(node.first), size(node.second))
-        table[node] = choices
-        return choices
+            shapes = merge(size(node.first), size(node.second))
+        table[node] = shapes
+        return shapes
 
     size(tree)
     return table
 
 
-def _combine_beside(first: Sequence[ShapeChoice],
-                    second: Sequence[ShapeChoice]) -> tuple[ShapeChoice, ...]:
+def _combine_beside(first: Sequence[tuple], second: Sequence[tuple]) -> tuple:
     # candidate heights: any height present on either side; for each,
     # take the narrowest child shapes that fit under it
-    heights = sorted({c.height for c in first} | {c.height for c in second}, reverse=True)
-    cands: list[ShapeChoice] = []
+    heights = sorted({c[1] for c in first} | {c[1] for c in second}, reverse=True)
+    cands = []
     ia = ib = 0
     for h in heights:
-        while ia < len(first) and first[ia].height > h:
+        while ia < len(first) and first[ia][1] > h:
             ia += 1
-        while ib < len(second) and second[ib].height > h:
+        while ib < len(second) and second[ib][1] > h:
             ib += 1
         if ia == len(first) or ib == len(second):
             break  # one side cannot get this flat
         a, b = first[ia], second[ib]
-        cands.append(ShapeChoice(a.width + SIDE_GAP + b.width, h, a, b))
+        cands.append((a[0] + SIDE_GAP + b[0], h, a, b))
     return tuple(cands)
 
 
-def _combine_stacked(first: Sequence[ShapeChoice],
-                     second: Sequence[ShapeChoice]) -> tuple[ShapeChoice, ...]:
-    widths = sorted({c.width for c in first} | {c.width for c in second})
-    cands: list[ShapeChoice] = []
+def _combine_stacked(first: Sequence[tuple], second: Sequence[tuple]) -> tuple:
+    widths = sorted({c[0] for c in first} | {c[0] for c in second})
+    cands = []
     ia = ib = -1
     for w in widths:
-        while ia + 1 < len(first) and first[ia + 1].width <= w:
+        while ia + 1 < len(first) and first[ia + 1][0] <= w:
             ia += 1
-        while ib + 1 < len(second) and second[ib + 1].width <= w:
+        while ib + 1 < len(second) and second[ib + 1][0] <= w:
             ib += 1
         if ia < 0 or ib < 0:
             continue  # one side needs more width
         a, b = first[ia], second[ib]
-        cands.append(ShapeChoice(w, a.height + b.height, a, b))
+        cands.append((w, a[1] + b[1], a, b))
     return tuple(cands)
 
 
-def select_and_place(tree: Node, node_shapes: Mapping[Node, tuple[ShapeChoice, ...]],
+def select_and_place(tree: Node, node_shapes: Mapping[Node, Sequence[tuple]],
                      target_width: int) -> PlacedCloud:
-    """Pick the root shape and expand choices into pixel placements.
+    """Pick the root shape and expand it into pixel placements.
 
     Selection takes the minimum-area root shape fitting the width
     budget (ties: the shorter one); when nothing fits, the narrowest
-    shape.  Only the root's list is read from ``node_shapes``: the
-    chosen shape's child links lead down the tree.  Children go flush
-    to their region's top-left; the second child of a V node starts
-    after the side gap.
+    shape.  Only the root's list is read from ``node_shapes``: each
+    cut's ``(width, height, first, second)`` shape leads down the tree,
+    and a leaf's shape gives its box.  Children go flush to their
+    region's top-left; the second child of a V node starts after the
+    side gap.
     """
 
     root = node_shapes.get(tree)
     if not root:
         raise InvalidInputError("tree has no shapes at the root")
-    fitting = [c for c in root if c.width <= target_width]
+    fitting = [c for c in root if c[0] <= target_width]
     if fitting:
-        chosen = min(fitting, key=lambda c: (c.width * c.height, c.height))
+        chosen = min(fitting, key=lambda c: (c[0] * c[1], c[1]))
     else:
-        chosen = min(root, key=lambda c: c.width)
+        chosen = min(root, key=lambda c: c[0])
     placements: list[Placement] = []
 
-    def place(node: Node, choice: ShapeChoice, x: int, y: int) -> None:
+    def place(node: Node, shape: tuple, x: int, y: int) -> None:
         if isinstance(node, Leaf):
-            placements.append(Placement(node.tag, x, y, choice.width, choice.height))
+            placements.append(Placement(node.tag, x, y, shape[0], shape[1]))
             return
-        a, b = choice.first, choice.second
-        if a is None or b is None:
+        if len(shape) != 4:
             raise InternalError("internal node shape lost its child choices")
+        w, h, a, b = shape
         if node.orient == "V":
-            expect = (a.width + SIDE_GAP + b.width, max(a.height, b.height))
+            expect = (a[0] + SIDE_GAP + b[0], max(a[1], b[1]))
         else:
-            expect = (max(a.width, b.width), a.height + b.height)
-        if expect != (choice.width, choice.height):
+            expect = (max(a[0], b[0]), a[1] + b[1])
+        if expect != (w, h):
             raise InternalError(
                 f"shape provenance mismatch at {node.orient} node: "
-                f"recorded {(choice.width, choice.height)}, children give {expect}"
+                f"recorded {(w, h)}, children give {expect}"
             )
         place(node.first, a, x, y)
         if node.orient == "V":
-            place(node.second, b, x + a.width + SIDE_GAP, y)
+            place(node.second, b, x + a[0] + SIDE_GAP, y)
         else:
-            place(node.second, b, x, y + a.height)
+            place(node.second, b, x, y + a[1])
 
     place(tree, chosen, 0, 0)
     placements.sort(key=lambda p: p.tag)
-    return PlacedCloud(tuple(placements), (chosen.width, chosen.height))
+    return PlacedCloud(tuple(placements), (chosen[0], chosen[1]))
 
 
 def default_leaf_shapes(cloud: Cloud, variants: int = 3) -> dict[int, ShapeList]:

@@ -162,13 +162,13 @@ def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
 
     assert bench_pairs.main(["--topic", "stub", "--workdir", str(tmp_path / "work"),
-                             "--run", "w=1-3", "--claim", "w:latency_ms.p50"]) == 0
+                             "--run", "w=1-10", "--claim", "w:latency_ms.p50"]) == 0
     doc = json.loads((repo / "BENCH_stub.json").read_text())
     row = doc["workloads"]["w"]
-    assert row["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 1, 0]}
+    assert row["exit_codes"] == {"parent": [0] * 10, "change": [0, 1] + [0] * 8}
     assert row["failed"] == {"parent": 0, "change": 1} and not row["correct"]
-    assert row["attempted"] == {"parent": 12, "change": 9}  # the exit counts 1 of 1
-    assert row["latency_ms.p50"]["change_wins"] == 2
+    assert row["attempted"] == {"parent": 40, "change": 37}  # the exit counts 1 of 1
+    assert row["latency_ms.p50"]["change_wins"] == 9
     assert row["latency_ms.p50"]["change"]["median"] == 5.0
     assert not doc["claim"]["met"]
     assert not doc["same_layouts"]["identical"]  # the seed-2 check exited 1 too
@@ -180,6 +180,9 @@ def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written
      "--claim w:latency_ms.p5: no end-to-end metric 'latency_ms.p5' in BENCHMARK.json"),
     (["--run", "w=1-3", "--claim", "v:latency_ms.p50"],
      "--claim v:latency_ms.p50: workload 'v' has no --run"),
+    # Nine tenths of 3 pairs is 2 wins, so a 3-pair run could meet a claim.
+    (["--run", "w=1-9", "--claim", "w:latency_ms.p50"],
+     "--claim w:latency_ms.p50: a claim needs at least 10 pairs, --run w has 9"),
 ])
 def test_arguments_are_checked_before_any_tree_is_built(tmp_path, monkeypatch, capsys,
                                                         args, error):

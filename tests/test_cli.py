@@ -193,8 +193,9 @@ def test_ingest_notes_shortfall(scripts, tmp_path):
 @pytest.mark.parametrize("option, value, message", [
     ("--width", "0", "target_width must be >= 1, got 0"),
     ("--space", "-1", "space_width must be >= 0, got -1"),
-    ("--width", str(10 ** 400), f"target_width must be <= {MAX_PIXELS}, got {10 ** 400}"),
-    ("--space", str(10 ** 400), f"space_width must be <= {MAX_PIXELS}, got {10 ** 400}"),
+    # messages quote a value by its first 40 characters, then a cut mark
+    ("--width", str(10 ** 400), f"target_width must be <= {MAX_PIXELS}, got 1{'0' * 39}…"),
+    ("--space", str(10 ** 400), f"space_width must be <= {MAX_PIXELS}, got 1{'0' * 39}…"),
 ])
 def test_ingest_rejects_widths_no_layout_accepts(monkeypatch, capsys, tmp_path,
                                                  option, value, message):

@@ -61,6 +61,23 @@ def test_aggregate_flavors():
         aggregate([], L1)
 
 
+@pytest.mark.parametrize("agg, kind", [("l2", "str"), (None, "NoneType")])
+def test_agg_must_be_an_aggregate(agg, kind):
+    # a spelling or None once minimized the sum in dp_break and took
+    # the max in aggregate
+    cloud = three_sixty()
+    message = f"agg must be a BadnessAggregate, got {kind}"
+    with pytest.raises(InvalidInputError) as err:
+        dp_break(cloud, None, agg)
+    assert str(err.value) == message
+    with pytest.raises(InvalidInputError) as err:
+        aggregate([3, 4], agg)
+    assert str(err.value) == message
+    with pytest.raises(InvalidInputError) as err:
+        layout_badness(cloud, dp_break(cloud), agg)
+    assert str(err.value) == message
+
+
 def test_aggregate_names():
     assert BadnessAggregate.from_name("l1") is L1
     assert BadnessAggregate.from_name("l2") is L2

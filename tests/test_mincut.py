@@ -627,6 +627,31 @@ def test_width_bias_must_be_positive_and_finite(bias):
     assert str(exc.value) == f"width_bias must be positive and finite, got {bias}"
 
 
+
+@pytest.mark.parametrize("bias, message", [
+    ("x", "width_bias must be a number, got str"),
+    (None, "width_bias must be a number, got NoneType"),
+    (True, "width_bias must be a number, got bool"),  # was taken as 1.0
+    pytest.param(10 ** 400, f"width_bias must be positive and finite, got 1{'0' * 39}…",
+                 id="past-float"),
+    pytest.param(-10 ** 5000, "width_bias must be positive and finite, got -<16610-bit int>",
+                 id="past-str"),
+])
+def test_width_bias_must_be_a_number(bias, message):
+    ok = Cloud(tags=(TagBox("a", 1, 10, 10), TagBox("b", 1, 10, 10)), target_width=100)
+    with pytest.raises(InvalidInputError) as exc:
+        build_slicing_tree(ok, width_bias=bias)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("variants, kind", [(True, "bool"), (3.0, "float"), ("3", "str")])
+def test_shape_variants_must_be_an_integer(variants, kind):
+    # True was taken as one variant
+    ok = Cloud(tags=(TagBox("a", 1, 10, 10), TagBox("b", 1, 10, 10)), target_width=100)
+    with pytest.raises(InvalidInputError) as exc:
+        layout_mincut(ok, shape_variants=variants)
+    assert str(exc.value) == f"variants must be an integer, got {kind}"
+
 def slicing_tree_cases():
     """Seeded clouds: graph-free random clouds and topic clouds with
     graphs, at narrow to wide targets and several width biases.  The

@@ -173,6 +173,8 @@ def test_relation_graph_rejects_non_finite_and_bool_edges(raw, match):
 
 _FINITE = f"strength must be positive and finite (at most {MAX_TOTAL_STRENGTH:g}), got"
 _TOTAL = f"total strength exceeds {MAX_TOTAL_STRENGTH:g}"
+# 10 ** 400 as messages quote it: its first 40 digits, then a cut mark
+_HUGE = "1" + "0" * 39 + "…"
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -195,7 +197,7 @@ _TOTAL = f"total strength exceeds {MAX_TOTAL_STRENGTH:g}"
     pytest.param([(0, 1, 0.0)], f"edge (0,1): {_FINITE} 0.0", id="zero"),
     pytest.param([(0, 1, float("nan"))], f"edge (0,1): {_FINITE} nan", id="nan"),
     pytest.param([(1, 0, float("inf"))], f"edge (1,0): {_FINITE} inf", id="inf"),
-    pytest.param([(0, 1, 10 ** 400)], f"edge (0,1): {_FINITE} {10 ** 400}", id="huge-int"),
+    pytest.param([(0, 1, 10 ** 400)], f"edge (0,1): {_FINITE} {_HUGE}", id="huge-int"),
     pytest.param([(0, 1, 1), (-1, 1, 1.0)], "edge (-1,1): negative tag index", id="negative"),
     pytest.param([(0, 1, 6e299), (2, 3, 6e299)], f"edge (2,3): {_TOTAL}", id="total"),
     pytest.param([(0, 1, 6e299), (1, 0, 6e299)], f"edge (0,1): {_TOTAL}", id="total-merged"),
@@ -218,6 +220,36 @@ def test_relation_graph_checks_strength_and_total():
     assert RelationGraph(((0, 1, 1e300),)).edges == ((0, 1, 1e300),)
     with pytest.raises(InvalidInputError, match="total strength"):
         RelationGraph(((0, 1, 6e299), (1, 2, 6e299)))
+
+
+# An int past Python's 4300-digit limit for str once raised a plain
+# ValueError while its message was formatted; it is shown by its size.
+_B = 10 ** 5000
+_BIG = f"<{_B.bit_length()}-bit int>"
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Cloud(tags=(TagBox("a", 1, _B, 3),), target_width=100),
+                 f"tag 0 ('a'): width must be <= {MAX_PIXELS}, got {_BIG}", id="width"),
+    pytest.param(lambda: Cloud(tags=(TagBox("a", _B, 5, 3),), target_width=100),
+                 f"tag 0 ('a'): weight range is 0..9, got {_BIG}", id="weight"),
+    pytest.param(lambda: Cloud(tags=(TagBox("a", 1, 5, 3),), target_width=_B),
+                 f"target_width must be <= {MAX_PIXELS}, got {_BIG}", id="target-width"),
+    pytest.param(lambda: RelationGraph([(0, 1, _B)]), f"edge (0,1): {_FINITE} {_BIG}",
+                 id="strength"),
+    pytest.param(lambda: RelationGraph([(_B, _B, 1)]), f"self-loop on tag {_BIG}",
+                 id="self-loop"),
+    pytest.param(lambda: RelationGraph([(-_B, 1, 1)]), f"edge (-{_BIG},1): negative tag index",
+                 id="negative-endpoint"),
+    pytest.param(lambda: RelationGraph([(0, _B, 1)]).check_fits(3),
+                 f"edge (0,{_BIG}): tag index out of range 0..2", id="check-fits"),
+    pytest.param(lambda: estimate_box("a", _B), f"weight must be in 0..9, got {_BIG}",
+                 id="estimate-box"),
+])
+def test_ints_past_the_digit_limit_are_invalid_input(build, message):
+    with pytest.raises(InvalidInputError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_check_fits_index_bounds():
@@ -357,9 +389,9 @@ def _with(base, **fields):
      "tag 1 (''): empty label; tag 1 (''): weight range is 0..9, got 10;"
      " tag 1 (''): width must be >= 1, got 0; tag 1 (''): height must be >= 1, got -1"),
     (_doc(target_width=MAX_PIXELS + 1), f"target_width must be <= {MAX_PIXELS}, got {MAX_PIXELS + 1}"),
-    (_doc(space_width=10 ** 400), f"space_width must be <= {MAX_PIXELS}, got {10 ** 400}"),
+    (_doc(space_width=10 ** 400), f"space_width must be <= {MAX_PIXELS}, got {_HUGE}"),
     (_doc(tags=[_TAG, _with(_TAG, width=10 ** 400, height=MAX_PIXELS + 1)]),
-     f"tag 1 ('x'): width must be <= {MAX_PIXELS}, got {10 ** 400};"
+     f"tag 1 ('x'): width must be <= {MAX_PIXELS}, got {_HUGE};"
      f" tag 1 ('x'): height must be <= {MAX_PIXELS}, got {MAX_PIXELS + 1}"),
     # The cloud is checked before the graph: a bad tag is named first.
     (_doc(tags=[_TAG, _with(_TAG, width=0)], edges=[_with(_EDGE, a=0.5)]),

@@ -122,3 +122,10 @@ def test_reorder_rejects_empty_and_bad_k():
     cloud = Cloud(tags=(TagBox("a", 1, 10, 10),), target_width=100)
     with pytest.raises(InvalidInputError):
         shuffle_best(cloud, 0)
+
+
+@pytest.mark.parametrize("agg, kind", [("l2", "str"), (None, "NoneType")])
+def test_shuffle_best_rejects_a_non_aggregate(agg, kind):
+    with pytest.raises(InvalidInputError) as err:
+        shuffle_best(first_fit_cloud(), 2, agg)
+    assert str(err.value) == f"agg must be a BadnessAggregate, got {kind}"

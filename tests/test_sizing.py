@@ -5,14 +5,12 @@ import pytest
 from tagcloud import Cloud, InvalidInputError, InternalError, TagBox
 from tagcloud.sizing import (
     SIDE_GAP,
-    ShapeChoice,
     combine_shapes,
     default_leaf_shapes,
     gen_shape_options,
     is_shape_list,
     prune_shapes,
     select_and_place,
-    shape_list,
 )
 from tagcloud.tree import Cut, Leaf, internal_count, iter_nodes, leaves
 from .oracles import best_root_shape, merge_frontier
@@ -71,17 +69,35 @@ def test_gen_shape_options_validates():
         gen_shape_options(TagBox("x", 1, 0, 10))
 
 
+@pytest.mark.parametrize("variants, message", [
+    (True, "variants must be an integer, got bool"),  # was taken as 1
+    (None, "variants must be an integer, got NoneType"),
+    ([3], "variants must be an integer, got list"),
+    (2, "variants must be one of [1, 3], got 2"),
+    pytest.param(10 ** 5000, "variants must be one of [1, 3], got <16610-bit int>",
+                 id="past-str"),
+])
+def test_gen_shape_options_variants_message(variants, message):
+    with pytest.raises(InvalidInputError) as exc:
+        gen_shape_options(TagBox("x", 1, 10, 10), variants)
+    assert str(exc.value) == message
+
+
+def _pairs(shapes):
+    return tuple(c[:2] for c in shapes)
+
+
 def test_combine_beside_worked_example():
     tree = Cut("V", Leaf(0), Leaf(1))
     table = combine_shapes(tree, {0: ((5, 20), (10, 10)), 1: ((10, 10), (20, 5))})
-    assert shape_list(table[tree]) == ((17, 20), (22, 10))
+    assert _pairs(table[tree]) == ((17, 20), (22, 10))
 
 
 def test_combine_stacked_sums_heights():
     tree = Cut("H", Leaf(0), Leaf(1))
     table = combine_shapes(tree, {0: ((5, 20), (10, 10)), 1: ((10, 10), (20, 5))})
     # width 10: 10x10 over 10x10 -> 10x20; width 20: 10x10 over 20x5 -> 20x15
-    assert shape_list(table[tree]) == ((10, 20), (20, 15))
+    assert _pairs(table[tree]) == ((10, 20), (20, 15))
 
 
 def test_combine_requires_shape_lists():
@@ -132,12 +148,12 @@ def test_v_root_with_default_shapes_only():
 
 def test_select_prefers_fitting_then_area_then_height():
     tree = Leaf(0)
-    table = {tree: (ShapeChoice(10, 50), ShapeChoice(20, 20), ShapeChoice(50, 10))}
+    table = {tree: ((10, 50), (20, 20), (50, 10))}
     assert select_and_place(tree, table, 25).bbox == (20, 20)
     # nothing fits a 5px budget: narrowest wins
     assert select_and_place(tree, table, 5).bbox == (10, 50)
     # equal areas tie toward the shorter box
-    table2 = {tree: (ShapeChoice(10, 40), ShapeChoice(20, 20))}
+    table2 = {tree: ((10, 40), (20, 20))}
     assert select_and_place(tree, table2, 100).bbox == (20, 20)
 
 
@@ -145,11 +161,25 @@ def test_corrupted_provenance_is_an_internal_error():
     tree = Cut("V", Leaf(0), Leaf(1))
     table = combine_shapes(tree, {0: ((10, 10),), 1: ((10, 10),)})
     bad = dict(table)
-    choice = table[tree][0]
-    bad[tree] = (ShapeChoice(choice.width + 1, choice.height,
-                             choice.first, choice.second),)
-    with pytest.raises(InternalError):
+    w, h, a, b = table[tree][0]
+    bad[tree] = ((w + 1, h, a, b),)
+    with pytest.raises(InternalError, match="shape provenance mismatch at V node"):
         select_and_place(tree, bad, 100)
+
+
+def test_leaf_form_shape_at_a_cut_is_an_internal_error():
+    tree = Cut("H", Leaf(0), Leaf(1))
+    with pytest.raises(InternalError) as err:
+        select_and_place(tree, {tree: ((10, 20),)}, 100)
+    assert str(err.value) == "internal node shape lost its child choices"
+
+
+def test_leaf_lists_are_the_given_lists():
+    for tree, shapes in _tied_trees(0xF2, 20):
+        table = combine_shapes(tree, shapes)
+        for node in iter_nodes(tree):
+            if isinstance(node, Leaf):
+                assert table[node] == shapes[node.tag]
 
 
 def test_every_node_list_is_pruned_and_sorted():
@@ -163,7 +193,7 @@ def test_every_node_list_is_pruned_and_sorted():
         }
         table = combine_shapes(tree, shapes)
         for node in iter_nodes(tree):
-            assert is_shape_list(shape_list(table[node]))
+            assert is_shape_list(_pairs(table[node]))
 
 
 def _tied_trees(seed, count):
@@ -185,11 +215,10 @@ def test_every_cut_matches_the_brute_force_frontier():
         for node in iter_nodes(tree):
             if isinstance(node, Leaf):
                 continue
-            first, second = shape_list(table[node.first]), shape_list(table[node.second])
+            first, second = _pairs(table[node.first]), _pairs(table[node.second])
             ties += len({w for w, _ in first} & {w for w, _ in second})
             ties += len({h for _, h in first} & {h for _, h in second})
-            assert shape_list(table[node]) == merge_frontier(first, second, node.orient,
-                                                             SIDE_GAP)
+            assert _pairs(table[node]) == merge_frontier(first, second, node.orient, SIDE_GAP)
     assert ties > 100
 
 
@@ -198,17 +227,16 @@ def test_choices_link_to_child_choices_that_reproduce_them():
         table = combine_shapes(tree, shapes)
         for node in iter_nodes(tree):
             if isinstance(node, Leaf):
-                assert all(c.first is None and c.second is None for c in table[node])
+                assert all(len(c) == 2 for c in table[node])
                 continue
             for c in table[node]:
-                a, b = c.first, c.second
+                w, h, a, b = c
                 assert any(a is x for x in table[node.first])
                 assert any(b is x for x in table[node.second])
                 if node.orient == "V":
-                    assert (c.width, c.height) == (a.width + SIDE_GAP + b.width,
-                                                   max(a.height, b.height))
+                    assert (w, h) == (a[0] + SIDE_GAP + b[0], max(a[1], b[1]))
                 else:
-                    assert (c.width, c.height) == (max(a.width, b.width), a.height + b.height)
+                    assert (w, h) == (max(a[0], b[0]), a[1] + b[1])
 
 
 def test_default_leaf_shapes_covers_the_cloud():

@@ -33,7 +33,8 @@ medians differ by more than the parent's interquartile range, the
 change fails no larger share of the operations it attempts than the
 parent (a faster change attempts more), and every run is correct.
 The ``--run`` workloads and the ``--claim`` are checked against
-``BENCHMARK.json`` and the ``--run`` list before any tree is built.
+``BENCHMARK.json`` and the ``--run`` list before any tree is built; a
+claim needs at least 10 pairs, since nine tenths of 3 pairs is 2 wins.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SAME_SEEDS = (1, 2, 3)  # the same-output check, 1 s each
+CLAIM_PAIRS = 10  # fewest pairs a claim is judged on
 
 
 def seed_range(text: str) -> list[int]:
@@ -197,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         if name not in end_to_end:
             parser.error(f"--claim {args.claim}: no end-to-end metric {name!r}"
                          " in BENCHMARK.json")
+        if len(runs[workload]) < CLAIM_PAIRS:
+            parser.error(f"--claim {args.claim}: a claim needs at least {CLAIM_PAIRS} pairs,"
+                         f" --run {workload} has {len(runs[workload])}")
 
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
