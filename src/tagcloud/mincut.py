@@ -325,9 +325,8 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     every tag has every gain 0: no move changes the objective, so each
     run would make one pass, roll every move back and keep its start.
     That case returns run 0's start at once, with the run records
-    the full loop would have made, before any refinement state is built.
-    Equal raw costs show it before the costs are scaled; equal scaled
-    costs show the rest.
+    the full loop would have made, before the costs are scaled or any
+    refinement state is built.
 
     Gains are integers (fractional strengths are scaled by 1000 and
     rounded first).  Tags are renumbered by their position in the
@@ -362,18 +361,16 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
 
-    zero_gain = not edges and cost_a == cost_b
-    if not zero_gain:
-        numbers = [s for _, _, s in edges] + cost_a + cost_b
-        scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
-        sca = [int(round(c * scale)) for c in cost_a]
-        scb = [int(round(c * scale)) for c in cost_b]
-        zero_gain = not edges and sca == scb
     rng = random.Random(seed)
-    if zero_gain:
+    if not edges and cost_a == cost_b:
         # Every gain is 0: each run would keep its start, so run 0 wins.
         side, _, _ = _fm_start(rng, area)
         return _split_result(tags, side, edges, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)
+
+    numbers = [s for _, _, s in edges] + cost_a + cost_b
+    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
+    sca = [int(round(c * scale)) for c in cost_a]
+    scb = [int(round(c * scale)) for c in cost_b]
 
     # A heap key is -gain * n + id.  An edge of strength s moves its
     # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
@@ -660,7 +657,7 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
     for _ in range(MAX_WIDTH_RETRIES):
         tree = build_slicing_tree(cloud, graph, seed=seed, width_bias=bias)
         table = combine_shapes(tree, leaf_shapes)
-        placed = select_and_place(tree, table, target)
+        placed = select_and_place(tree, table[len(table) - 1], target)
         attempts.append((placed, tree))
         w = placed.bbox[0]
         if w > target:

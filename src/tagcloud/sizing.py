@@ -7,9 +7,9 @@ optional squeezed/stretched variants), and a cut's is ``(width,
 height, first, second)``, where ``first`` and ``second`` are the child
 shapes it packs.  Internal lists are combined from the child lists in
 one bottom-up walk, and they stay small because they hold no dominated
-shape (wider *and* taller than another).  Once one root shape is
-selected under the width budget, following its child shapes yields
-absolute pixel placements.
+shape (wider *and* taller than another), and nodes go by post-order
+position.  Only the root's list is compared: the root shape chosen
+under the width budget leads via its child shapes to pixel placements.
 """
 
 from __future__ import annotations
@@ -57,12 +57,17 @@ def prune_shapes(candidates: Sequence[tuple[int, int]]) -> ShapeList:
 
 
 def is_shape_list(shapes: Sequence[tuple[int, int]]) -> bool:
-    if not shapes:
-        return False
-    for (w1, h1), (w2, h2) in zip(shapes, shapes[1:]):
-        if not (w1 < w2 and h1 > h2):
+    """Non-empty positive-int ``(w, h)`` tuples, ``w`` rising and ``h`` falling."""
+
+    last_w, last_h = 0, float("inf")
+    for shape in shapes or ():
+        if type(shape) is not tuple or len(shape) != 2:
             return False
-    return all(w >= 1 and h >= 1 for w, h in shapes)
+        w, h = shape
+        if type(w) is not int or type(h) is not int or not (last_w < w and 1 <= h < last_h):
+            return False
+        last_w, last_h = w, h
+    return last_w > 0  # some shape was seen
 
 
 def gen_shape_options(tag: TagBox, variants: int = 3) -> ShapeList:
@@ -98,8 +103,8 @@ def gen_shape_options(tag: TagBox, variants: int = 3) -> ShapeList:
 
 
 def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
-                   ) -> dict[Node, Sequence[tuple]]:
-    """Bottom-up shape lists for every node of the tree.
+                   ) -> dict[int, Sequence[tuple]]:
+    """Shape lists keyed by post-order position (``iter_nodes``), root last.
 
     A leaf's list is its ``leaf_shapes`` entry, used as given once
     checked.  A V node sets children side by side (widths add, plus the
@@ -113,17 +118,18 @@ def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
     sizes stay near the sum of the children's.
     """
 
-    table: dict[Node, Sequence[tuple]] = {}
+    table: dict[int, Sequence[tuple]] = {}
 
     def size(node: Node) -> Sequence[tuple]:
         if isinstance(node, Leaf):
             shapes = leaf_shapes.get(node.tag)
-            if not shapes or not is_shape_list(shapes):
-                raise InvalidInputError(f"leaf {node.tag}: missing or unsorted shape list")
+            if not is_shape_list(shapes):
+                raise InvalidInputError(f"leaf {node.tag}: needs a list of (width, height) pairs"
+                                        " of positive ints, widths rising, heights falling")
         else:
             merge = _combine_beside if node.orient == "V" else _combine_stacked
             shapes = merge(size(node.first), size(node.second))
-        table[node] = shapes
+        table[len(table)] = shapes
         return shapes
 
     size(tree)
@@ -164,27 +170,25 @@ def _combine_stacked(first: Sequence[tuple], second: Sequence[tuple]) -> tuple:
     return tuple(cands)
 
 
-def select_and_place(tree: Node, node_shapes: Mapping[Node, Sequence[tuple]],
+def select_and_place(tree: Node, root_shapes: Sequence[tuple],
                      target_width: int) -> PlacedCloud:
     """Pick the root shape and expand it into pixel placements.
 
-    Selection takes the minimum-area root shape fitting the width
-    budget (ties: the shorter one); when nothing fits, the narrowest
-    shape.  Only the root's list is read from ``node_shapes``: each
-    cut's ``(width, height, first, second)`` shape leads down the tree,
-    and a leaf's shape gives its box.  Children go flush to their
-    region's top-left; the second child of a V node starts after the
-    side gap.
+    ``root_shapes`` is the last entry of ``combine_shapes``' table.  The
+    minimum-area shape fitting the width budget is taken (ties: the
+    shorter one), or else the narrowest.  Each cut's ``(width, height,
+    first, second)`` shape leads down the tree, a leaf's gives its box.
+    Children go flush to their region's top-left; the second child of a
+    V node starts after the side gap.
     """
 
-    root = node_shapes.get(tree)
-    if not root:
+    if not root_shapes:
         raise InvalidInputError("tree has no shapes at the root")
-    fitting = [c for c in root if c[0] <= target_width]
+    fitting = [c for c in root_shapes if c[0] <= target_width]
     if fitting:
         chosen = min(fitting, key=lambda c: (c[0] * c[1], c[1]))
     else:
-        chosen = min(root, key=lambda c: c[0])
+        chosen = min(root_shapes, key=lambda c: c[0])
     placements: list[Placement] = []
 
     def place(node: Node, shape: tuple, x: int, y: int) -> None:

@@ -2,9 +2,8 @@
 
 A slicing tree recursively halves a region: a V cut puts ``first``
 left of ``second``, an H cut puts ``first`` above ``second``.  Leaves
-hold tag indices.  Nodes are frozen, so they hash by content and can
-key per-node tables (leaf tags are unique within one tree, which keeps
-subtrees distinct).
+hold tag indices.  Nodes are frozen and compare by structure; per-node
+tables name a node by its post-order position (``iter_nodes``).
 """
 
 from __future__ import annotations

@@ -441,7 +441,8 @@ def mincut_attempts_reference(cloud, graph=None, seed=0, shape_variants=3):
     attempts = []
     for _ in range(MAX_WIDTH_RETRIES):
         tree = build_slicing_tree(cloud, graph, seed=seed, width_bias=bias)
-        placed = select_and_place(tree, combine_shapes(tree, leaf_shapes), target)
+        table = combine_shapes(tree, leaf_shapes)
+        placed = select_and_place(tree, table[len(table) - 1], target)
         attempts.append((placed, tree))
         width = placed.bbox[0]
         if width > target:

@@ -6,7 +6,7 @@ Each check asserts, so a failure says what broke.
 
 from html.parser import HTMLParser
 
-from tagcloud.tree import Cut, Leaf
+from tagcloud.tree import Cut, Leaf, iter_nodes
 
 
 def no_overlap(placed):
@@ -79,3 +79,9 @@ def tree_of(spec):
     if spec[0] == "leaf":
         return Leaf(spec[1])
     return Cut(spec[0], tree_of(spec[1]), tree_of(spec[2]))
+
+
+def node_lists(tree, table):
+    """``combine_shapes``' table keyed by node: its keys are post-order
+    positions, the order ``iter_nodes`` yields."""
+    return dict(zip(iter_nodes(tree), table.values()))

@@ -149,7 +149,8 @@ def test_c06_root_area_matches_exhaustive():
         target = floor_w + rng.randint(0, 120)
 
         tree = tree_of(spec)
-        placed = select_and_place(tree, combine_shapes(tree, leaf_shapes), target)
+        table = combine_shapes(tree, leaf_shapes)
+        placed = select_and_place(tree, table[len(table) - 1], target)
         got = placed.bbox[0] * placed.bbox[1]
         ww, wh = best_root_shape(spec, leaf_shapes, target, SIDE_GAP)
         assert got == ww * wh

@@ -183,6 +183,13 @@ def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written
     # Nine tenths of 3 pairs is 2 wins, so a 3-pair run could meet a claim.
     (["--run", "w=1-9", "--claim", "w:latency_ms.p50"],
      "--claim w:latency_ms.p50: a claim needs at least 10 pairs, --run w has 9"),
+    # These once died with a ValueError traceback, ran no pairs, or
+    # silently replaced the first --run of the workload.
+    (["--run", "w="], "--run w=: '' is not a seed or a range like 11-20"),
+    (["--run", "w=a"], "--run w=a: 'a' is not a seed or a range like 11-20"),
+    (["--run", "w=1,,2"], "--run w=1,,2: '' is not a seed or a range like 11-20"),
+    (["--run", "w=5-3"], "--run w=5-3: '5-3' is an empty range"),
+    (["--run", "w=1-3", "--run", "w=4-6"], "--run w=4-6: workload 'w' has a --run already"),
 ])
 def test_arguments_are_checked_before_any_tree_is_built(tmp_path, monkeypatch, capsys,
                                                         args, error):

@@ -16,6 +16,7 @@ from tagcloud import (
     layout_mincut,
 )
 from tagcloud import mincut
+from tagcloud.htmlgen import emit_nested_tables
 from tagcloud.model import MAX_TOTAL_STRENGTH
 from tagcloud.mincut import (
     DEFAULT_FM_RUNS,
@@ -36,7 +37,7 @@ from .oracles import (
     mincut_attempts_reference,
     slicing_tree_reference,
 )
-from .structure import each_tag_once, inside_bbox, no_overlap
+from .structure import Cells, each_tag_once, inside_bbox, no_overlap
 
 
 def test_expand_hyperedges_clique_counts():
@@ -370,6 +371,11 @@ def fm_edge_free_cases():
         areas = ({t: 1 for t in tags} if case // 4 % 2 == 0
                  else {t: rng.randint(1, 30) for t in tags})
         yield case, kind, tags, pulls, axis, areas, rng.choice([1, 3, 10])
+    # A pull below 1/1000 differs from none in the raw costs but scales
+    # to 0, so every gain is 0: refinement runs and keeps each start.
+    tags = list(range(3, 43))
+    yield (24, "one-sided", tags, Pulls(right={t: 0.0004 for t in tags[::3]}), "V",
+           {t: 1 + t % 7 for t in tags}, 1)
 
 
 @pytest.mark.parametrize("case, kind, tags, pulls, axis, areas, runs",
@@ -381,7 +387,7 @@ def test_fm_zero_gain_shortcut_matches_reference(monkeypatch, case, kind, tags, 
     monkeypatch.setattr(mincut, "_fm_refine",
                         lambda *args: refined.append(1) or refine(*args))
     assert_fm_matches_reference(tags, RelationGraph(), pulls, axis, areas, seed=case)
-    # only a one-sided pull makes a gain nonzero and needs refinement
+    # only a one-sided pull makes the raw costs differ and needs refinement
     assert bool(refined) == (kind == "one-sided")
 
 
@@ -731,6 +737,22 @@ def test_layout_mincut_returns_the_widest_fitting_attempt(case, cloud, seed):
         assert len(widths) == MAX_WIDTH_RETRIES and fitting.count(max(fitting)) > 1
     else:
         assert len(widths) == MAX_WIDTH_RETRIES and not fitting
+
+
+@pytest.mark.parametrize("graph", [False, True])
+def test_layout_and_html_hash_no_tree_node(monkeypatch, graph):
+    # Nodes compare by structure, so hashing one walks its whole subtree.
+    cloud, g = topic_cloud(3, k=60) if graph else (random_cloud(3, 150, 300), None)
+
+    def unhashable(node):
+        raise AssertionError(f"hashed a {type(node).__name__}")
+
+    monkeypatch.setattr(Cut, "__hash__", unhashable)
+    monkeypatch.setattr(Leaf, "__hash__", unhashable)
+    result = layout_mincut(cloud, g, seed=3)
+    cells = Cells()
+    cells.feed(emit_nested_tables(result.tree, result.placed, cloud))
+    assert len(cells.labels) == len(cloud.tags) and not cells.stack
 
 
 def test_edge_free_layout_never_enumerates(monkeypatch):

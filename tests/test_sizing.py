@@ -14,7 +14,7 @@ from tagcloud.sizing import (
 )
 from tagcloud.tree import Cut, Leaf, internal_count, iter_nodes, leaves
 from .oracles import best_root_shape, merge_frontier
-from .structure import random_tree, tree_of
+from .structure import node_lists, random_tree, tree_of
 
 
 def test_prune_keeps_trade_off_curve():
@@ -89,13 +89,15 @@ def _pairs(shapes):
 
 def test_combine_beside_worked_example():
     tree = Cut("V", Leaf(0), Leaf(1))
-    table = combine_shapes(tree, {0: ((5, 20), (10, 10)), 1: ((10, 10), (20, 5))})
+    table = node_lists(tree, combine_shapes(tree, {0: ((5, 20), (10, 10)),
+                                                   1: ((10, 10), (20, 5))}))
     assert _pairs(table[tree]) == ((17, 20), (22, 10))
 
 
 def test_combine_stacked_sums_heights():
     tree = Cut("H", Leaf(0), Leaf(1))
-    table = combine_shapes(tree, {0: ((5, 20), (10, 10)), 1: ((10, 10), (20, 5))})
+    table = node_lists(tree, combine_shapes(tree, {0: ((5, 20), (10, 10)),
+                                                   1: ((10, 10), (20, 5))}))
     # width 10: 10x10 over 10x10 -> 10x20; width 20: 10x10 over 20x5 -> 20x15
     assert _pairs(table[tree]) == ((10, 20), (20, 15))
 
@@ -108,6 +110,20 @@ def test_combine_requires_shape_lists():
         combine_shapes(tree, {0: ((10, 10),)})  # leaf 1 missing
 
 
+@pytest.mark.parametrize("shape", [
+    (1, 2, 3),  # was a plain ValueError from unpacking
+    (1.5, 2),   # was sized into a cut 4.5 wide
+    (True, 2),  # was accepted
+    (0, 2),
+])
+def test_combine_rejects_a_leaf_shape_of_the_wrong_form(shape):
+    assert not is_shape_list((shape,))
+    with pytest.raises(InvalidInputError) as exc:
+        combine_shapes(Cut("V", Leaf(0), Leaf(1)), {0: (shape,), 1: ((1, 2),)})
+    assert str(exc.value) == ("leaf 0: needs a list of (width, height) pairs"
+                              " of positive ints, widths rising, heights falling")
+
+
 def test_select_and_place_matches_exhaustive():
     rng = random.Random(0xACE)
     for _ in range(30):
@@ -118,17 +134,17 @@ def test_select_and_place_matches_exhaustive():
             for t in range(m)
         }
         tree = tree_of(spec)
-        table = combine_shapes(tree, leaf_shapes)
+        table = node_lists(tree, combine_shapes(tree, leaf_shapes))
         target = rng.randint(40, 240)
-        placed = select_and_place(tree, table, target)
+        placed = select_and_place(tree, table[tree], target)
         assert placed.bbox == best_root_shape(spec, leaf_shapes, target, SIDE_GAP)
 
 
 def test_placement_geometry_follows_the_cuts():
     tree = Cut("V", Leaf(0), Cut("H", Leaf(1), Leaf(2)))
     shapes = {0: ((10, 30),), 1: ((20, 10),), 2: ((15, 12),)}
-    table = combine_shapes(tree, shapes)
-    placed = select_and_place(tree, table, 100)
+    table = node_lists(tree, combine_shapes(tree, shapes))
+    placed = select_and_place(tree, table[tree], 100)
     by = placed.by_tag()
     assert (by[0].x, by[0].y) == (0, 0)
     assert by[1].x == 10 + SIDE_GAP and by[1].y == 0
@@ -138,8 +154,8 @@ def test_placement_geometry_follows_the_cuts():
 
 def test_v_root_with_default_shapes_only():
     tree = Cut("V", Leaf(0), Leaf(1))
-    table = combine_shapes(tree, {0: ((10, 10),), 1: ((20, 8),)})
-    placed = select_and_place(tree, table, 100)
+    table = node_lists(tree, combine_shapes(tree, {0: ((10, 10),), 1: ((20, 8),)}))
+    placed = select_and_place(tree, table[tree], 100)
     by = placed.by_tag()
     assert (by[0].x, by[0].y, by[0].width, by[0].height) == (0, 0, 10, 10)
     assert (by[1].x, by[1].y, by[1].width, by[1].height) == (12, 0, 20, 8)
@@ -148,35 +164,32 @@ def test_v_root_with_default_shapes_only():
 
 def test_select_prefers_fitting_then_area_then_height():
     tree = Leaf(0)
-    table = {tree: ((10, 50), (20, 20), (50, 10))}
-    assert select_and_place(tree, table, 25).bbox == (20, 20)
+    shapes = ((10, 50), (20, 20), (50, 10))
+    assert select_and_place(tree, shapes, 25).bbox == (20, 20)
     # nothing fits a 5px budget: narrowest wins
-    assert select_and_place(tree, table, 5).bbox == (10, 50)
+    assert select_and_place(tree, shapes, 5).bbox == (10, 50)
     # equal areas tie toward the shorter box
-    table2 = {tree: ((10, 40), (20, 20))}
-    assert select_and_place(tree, table2, 100).bbox == (20, 20)
+    assert select_and_place(tree, ((10, 40), (20, 20)), 100).bbox == (20, 20)
 
 
 def test_corrupted_provenance_is_an_internal_error():
     tree = Cut("V", Leaf(0), Leaf(1))
-    table = combine_shapes(tree, {0: ((10, 10),), 1: ((10, 10),)})
-    bad = dict(table)
+    table = node_lists(tree, combine_shapes(tree, {0: ((10, 10),), 1: ((10, 10),)}))
     w, h, a, b = table[tree][0]
-    bad[tree] = ((w + 1, h, a, b),)
     with pytest.raises(InternalError, match="shape provenance mismatch at V node"):
-        select_and_place(tree, bad, 100)
+        select_and_place(tree, ((w + 1, h, a, b),), 100)
 
 
 def test_leaf_form_shape_at_a_cut_is_an_internal_error():
     tree = Cut("H", Leaf(0), Leaf(1))
     with pytest.raises(InternalError) as err:
-        select_and_place(tree, {tree: ((10, 20),)}, 100)
+        select_and_place(tree, ((10, 20),), 100)
     assert str(err.value) == "internal node shape lost its child choices"
 
 
 def test_leaf_lists_are_the_given_lists():
     for tree, shapes in _tied_trees(0xF2, 20):
-        table = combine_shapes(tree, shapes)
+        table = node_lists(tree, combine_shapes(tree, shapes))
         for node in iter_nodes(tree):
             if isinstance(node, Leaf):
                 assert table[node] == shapes[node.tag]
@@ -191,7 +204,7 @@ def test_every_node_list_is_pruned_and_sorted():
             t: gen_shape_options(TagBox(f"t{t}", 1, rng.randint(5, 200), rng.randint(5, 60)))
             for t in range(m)
         }
-        table = combine_shapes(tree, shapes)
+        table = node_lists(tree, combine_shapes(tree, shapes))
         for node in iter_nodes(tree):
             assert is_shape_list(_pairs(table[node]))
 
@@ -211,7 +224,7 @@ def _tied_trees(seed, count):
 def test_every_cut_matches_the_brute_force_frontier():
     ties = 0
     for tree, shapes in _tied_trees(0xF0, 60):
-        table = combine_shapes(tree, shapes)
+        table = node_lists(tree, combine_shapes(tree, shapes))
         for node in iter_nodes(tree):
             if isinstance(node, Leaf):
                 continue
@@ -224,7 +237,7 @@ def test_every_cut_matches_the_brute_force_frontier():
 
 def test_choices_link_to_child_choices_that_reproduce_them():
     for tree, shapes in _tied_trees(0xF1, 30):
-        table = combine_shapes(tree, shapes)
+        table = node_lists(tree, combine_shapes(tree, shapes))
         for node in iter_nodes(tree):
             if isinstance(node, Leaf):
                 assert all(len(c) == 2 for c in table[node])
@@ -237,6 +250,22 @@ def test_choices_link_to_child_choices_that_reproduce_them():
                     assert (w, h) == (a[0] + SIDE_GAP + b[0], max(a[1], b[1]))
                 else:
                     assert (w, h) == (max(a[0], b[0]), a[1] + b[1])
+
+
+def test_table_keys_are_post_order_positions_with_the_root_last():
+    for tree, shapes in _tied_trees(0xF3, 20):
+        table = combine_shapes(tree, shapes)
+        nodes = list(iter_nodes(tree))
+        assert list(table) == list(range(len(nodes)))
+        assert nodes[-1] is tree
+        at = {id(node): k for k, node in enumerate(nodes)}
+        for k, node in enumerate(nodes):
+            if isinstance(node, Leaf):
+                assert table[k] is shapes[node.tag]
+                continue
+            for _, _, a, b in table[k]:
+                assert any(a is x for x in table[at[id(node.first)]])
+                assert any(b is x for x in table[at[id(node.second)]])
 
 
 def test_default_leaf_shapes_covers_the_cloud():

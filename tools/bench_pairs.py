@@ -32,15 +32,17 @@ the change wins at least nine tenths of that workload's pairs, the
 medians differ by more than the parent's interquartile range, the
 change fails no larger share of the operations it attempts than the
 parent (a faster change attempts more), and every run is correct.
-The ``--run`` workloads and the ``--claim`` are checked against
-``BENCHMARK.json`` and the ``--run`` list before any tree is built; a
-claim needs at least 10 pairs, since nine tenths of 3 pairs is 2 wins.
+The ``--run`` workloads, their seed lists (one ``--run`` per
+workload) and the ``--claim`` are checked against ``BENCHMARK.json``
+and the ``--run`` list before any tree is built; a claim needs at
+least 10 pairs, since nine tenths of 3 pairs is 2 wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -54,12 +56,18 @@ CLAIM_PAIRS = 10  # fewest pairs a claim is judged on
 
 
 def seed_range(text: str) -> list[int]:
-    """``11-20`` or ``1,4,7`` (or a mix) as a list of seeds."""
+    """``11-20`` or ``1,4,7`` (or a mix) as a list of seeds; a part that
+    is not a seed or a rising range is a ``ValueError`` naming it."""
 
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        bounds = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", part)
+        if not bounds:
+            raise ValueError(f"{part!r} is not a seed or a range like 11-20")
+        lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+        if hi < lo:
+            raise ValueError(f"{part!r} is an empty range")
+        seeds += range(lo, hi + 1)
     return seeds
 
 
@@ -191,7 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         workload, _, seeds = entry.partition("=")
         if workload not in all_workloads:
             parser.error(f"--run {entry}: no workload {workload!r} in BENCHMARK.json")
-        runs[workload] = seed_range(seeds)
+        if workload in runs:
+            parser.error(f"--run {entry}: workload {workload!r} has a --run already")
+        try:
+            runs[workload] = seed_range(seeds)
+        except ValueError as err:
+            parser.error(f"--run {entry}: {err}")
     if args.claim:
         workload, _, name = args.claim.partition(":")
         if workload not in runs:
