@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 from .inline import BadnessAggregate, dp_break, greedy_break, line_badnesses
 from .metrics import bbox_area, layout_to_placement, weighted_distance
 from .mincut import layout_mincut
-from .model import Cloud, InvalidInputError, LineLayout, PlacedCloud, RelationGraph
-from .reorder import RNG_ALGORITHM, ffdh, ffdhw, nfdh, shuffle_best
+from .model import Cloud, LineLayout, PlacedCloud, RelationGraph
+from .reorder import RNG_ALGORITHM, check_shuffle_count, ffdh, ffdhw, nfdh, shuffle_best
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class BenchConfig:
     shape_variants: int = 3
 
     def __post_init__(self):
-        if self.shuffles < 1:
-            raise InvalidInputError(f"shuffle count must be >= 1, got {self.shuffles}")
+        check_shuffle_count(self.shuffles)
 
 
 @dataclass(frozen=True)

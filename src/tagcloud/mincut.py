@@ -12,7 +12,9 @@ first one by integer arithmetic on the areas, and refinement keeps its
 first start, so neither builds its tables.
 Tags already assigned to the other half of an enclosing split tug the
 current split through directional pull weights, so friends across
-region borders end up on facing edges.
+region borders end up on facing edges.  A graph with no edge has no
+pulls, so its tree skips them and the side map they read, and each
+group's total area comes from its parent's split, never re-summed.
 
 ``layout_mincut`` drives the whole pipeline: build the tree for an
 estimated aspect ratio, size it through the shape combiner, and retry
@@ -29,6 +31,7 @@ import operator
 import random
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,15 +90,21 @@ class Pulls:
     bottom: Mapping[int, float] = field(default_factory=dict)
 
 
+_NO_PULLS = Pulls(*(MappingProxyType({}),) * len(SIDES))
+
+
 def compute_pulls(group: Sequence[int], graph: RelationGraph,
                   placed_regions: Mapping[int, str]) -> Pulls:
     """Sum edge strengths from group tags to external tags, per side.
 
     ``placed_regions`` says on which side of the group's region each
     external tag sits; every external neighbor must be covered.  The
-    scan costs the group's degree, not the graph's edge count.
+    scan costs the group's degree, not the graph's edge count, and an
+    edge-free graph gets one shared, read-only empty ``Pulls`` at once.
     """
 
+    if not graph.edges:
+        return _NO_PULLS
     adj = graph.adjacency()
     group_set = set(group)
     acc: dict[str, dict[int, float]] = {s: {} for s in SIDES}
@@ -563,6 +572,11 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     enumeration then ignores the axis, so it is reused.  Both still
     draw the seed the split would have used, so every later split gets
     the seed it always had.
+
+    An edge-free graph gives every group empty pulls at once, and the
+    side map that only pulls read is not kept.  A group's total area
+    comes from its parent: part A's sum, worked out for its share, and
+    the parent's total less it for part B, exact in integers.
     """
 
     graph = graph or RelationGraph()
@@ -583,13 +597,14 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     # The side of each tag outside the current group, relative to the
     # group's region.  One dict per tree: a subtree writes only its own
     # tags, so before each child the tags outside it hold their true side.
+    # Only pulls read it, and an edge-free graph has none.
     sides: dict[int, str] = {}
+    edged = bool(graph.edges)
 
-    def rec(group: tuple[int, ...], est_w: float, est_h: float) -> Node:
+    def rec(group: tuple[int, ...], total: int, est_w: float, est_h: float) -> Node:
         if len(group) == 1:
             return Leaf(group[0])
         pulls = compute_pulls(group, graph, sides)
-        total = sum(areas[t] for t in group)
         part = None
         if est_w > est_h:
             if len(group) > EXHAUSTIVE_LIMIT and _fm_vertical_doomed(
@@ -598,31 +613,37 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
                 rng.getrandbits(64)  # the skipped split's seed
             else:
                 cand = split(group, pulls, "V")
-                frac_a = sum(areas[t] for t in cand.part_a) / total
+                total_a = sum(areas[t] for t in cand.part_a)
+                frac_a = total_a / total
                 share_a = est_w * frac_a
                 share_b = est_w * (1 - frac_a)
                 if (share_a >= max(widths[t] for t in cand.part_a)
                         and share_b >= max(widths[t] for t in cand.part_b)):
-                    sides.update(dict.fromkeys(cand.part_b, "right"))
-                    first = rec(cand.part_a, share_a, est_h)
-                    sides.update(dict.fromkeys(cand.part_a, "left"))
-                    return Cut("V", first, rec(cand.part_b, share_b, est_h))
+                    if edged:
+                        sides.update(dict.fromkeys(cand.part_b, "right"))
+                    first = rec(cand.part_a, total_a, share_a, est_h)
+                    if edged:
+                        sides.update(dict.fromkeys(cand.part_a, "left"))
+                    return Cut("V", first, rec(cand.part_b, total - total_a, share_b, est_h))
                 if len(group) <= EXHAUSTIVE_LIMIT and not (
                         pulls.left or pulls.right or pulls.top or pulls.bottom):
                     rng.getrandbits(64)  # the reused split's seed
                     part = cand  # enumeration ignores the axis without pulls
         if part is None:
             part = split(group, pulls, "H")
-        frac_a = sum(areas[t] for t in part.part_a) / total
-        sides.update(dict.fromkeys(part.part_b, "bottom"))
-        first = rec(part.part_a, est_w, est_h * frac_a)
-        sides.update(dict.fromkeys(part.part_a, "top"))
-        return Cut("H", first, rec(part.part_b, est_w, est_h * (1 - frac_a)))
+        total_a = sum(areas[t] for t in part.part_a)
+        frac_a = total_a / total
+        if edged:
+            sides.update(dict.fromkeys(part.part_b, "bottom"))
+        first = rec(part.part_a, total_a, est_w, est_h * frac_a)
+        if edged:
+            sides.update(dict.fromkeys(part.part_a, "top"))
+        return Cut("H", first, rec(part.part_b, total - total_a, est_w, est_h * (1 - frac_a)))
 
     total_area = sum(areas.values())
     est_w = cloud.target_width * width_bias
     est_h = total_area / est_w
-    return rec(tuple(range(len(cloud.tags))), est_w, est_h)
+    return rec(tuple(range(len(cloud.tags))), total_area, est_w, est_h)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import random
 from typing import Sequence
 
 from .inline import BadnessAggregate, dp_break, layout_badness
-from .model import Cloud, InvalidInputError, LineLayout
+from .model import Cloud, InvalidInputError, LineLayout, show_value
 
 # Shuffles draw from Python's seeded Mersenne Twister; recorded in
 # benchmark metadata so runs can be replayed.
@@ -68,6 +68,16 @@ def ffdhw(cloud: Cloud) -> LineLayout:
     return _first_fit(cloud, _by_height_width(cloud))
 
 
+def check_shuffle_count(k) -> None:
+    """A shuffle count is a non-bool ``int`` >= 1; else InvalidInputError."""
+
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InvalidInputError(
+            f"shuffle count must be an integer, got {type(k).__name__} {show_value(k)}")
+    if k < 1:
+        raise InvalidInputError(f"shuffle count must be >= 1, got {show_value(k)}")
+
+
 def shuffle_best(cloud: Cloud, k: int = 10,
                  agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES,
                  seed: int = 0) -> LineLayout:
@@ -77,8 +87,7 @@ def shuffle_best(cloud: Cloud, k: int = 10,
     reproduces the same layout.
     """
 
-    if k < 1:
-        raise InvalidInputError(f"shuffle count must be >= 1, got {k}")
+    check_shuffle_count(k)
     rng = random.Random(seed)
     best: tuple[int, int, LineLayout] | None = None
     for trial in range(k):

@@ -219,4 +219,10 @@ def select_and_place(tree: Node, root_shapes: Sequence[tuple],
 
 
 def default_leaf_shapes(cloud: Cloud, variants: int = 3) -> dict[int, ShapeList]:
-    return {i: gen_shape_options(tag, variants) for i, tag in enumerate(cloud.tags)}
+    """Each tag's ``gen_shape_options``, made once per distinct box and shared."""
+
+    by_box: dict[tuple[int, int], ShapeList] = {}
+    for tag in cloud.tags:
+        if (tag.width, tag.height) not in by_box:
+            by_box[tag.width, tag.height] = gen_shape_options(tag, variants)
+    return {i: by_box[tag.width, tag.height] for i, tag in enumerate(cloud.tags)}

@@ -17,9 +17,9 @@ from tagcloud.mincut import (
     LOW_USE_FRACTION,
     MAX_WIDTH_RETRIES,
     SHRINK_FACTOR,
+    Pulls,
     bipartition,
     build_slicing_tree,
-    compute_pulls,
 )
 from tagcloud.model import InvalidInputError, RelationGraph
 from tagcloud.sizing import combine_shapes, default_leaf_shapes, prune_shapes, select_and_place
@@ -377,13 +377,39 @@ def fm_bipartition(tags, edges, areas, cost_a, cost_b, runs, seed):
     return part_a, part_b, cut_of(side), tuple(stats)
 
 
+def pulls_reference(group, graph, placed_regions):
+    """Each group tag's summed strength to tags outside the group, per
+    side of the group's region, as four dicts keyed like ``Pulls``.
+
+    Walks every edge of the graph, both ways round, in stored order; an
+    outside end with no side, or with a side that is not one of the
+    four, raises the library's message.
+    """
+
+    inside = set(group)
+    acc = {"left": {}, "right": {}, "top": {}, "bottom": {}}
+    for i, j, s in graph.edges:
+        for a, b in ((i, j), (j, i)):
+            if a not in inside or b in inside:
+                continue
+            side = placed_regions.get(b)
+            if side is None:
+                raise InvalidInputError(
+                    f"external neighbor {b} of the group has no assigned side")
+            if side not in acc:
+                raise InvalidInputError(f"unknown side {side!r} for tag {b}")
+            acc[side][a] = acc[side].get(a, 0) + s
+    return acc
+
+
 def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0):
     """The slicing tree built by always running every split it considers.
 
     A region wider than tall is split vertically first; when a half's
     share of the width cannot hold its widest tag, the same group is
     split again horizontally with the next seed.  Each child gets its
-    own copy of the side map.  The splitter and pulls are the library's.
+    own copy of the side map.  The splitter is the library's; the pulls
+    are ``pulls_reference``'s.
     """
 
     graph = graph or RelationGraph()
@@ -397,7 +423,7 @@ def slicing_tree_reference(cloud, graph=None, seed=0, width_bias=1.0):
     def rec(group, est_w, est_h, sides):
         if len(group) == 1:
             return Leaf(group[0])
-        pulls = compute_pulls(group, graph, sides)
+        pulls = Pulls(**pulls_reference(group, graph, sides))
         total = sum(areas[t] for t in group)
         if est_w > est_h:
             part = split(group, pulls, "V")

@@ -2,8 +2,12 @@ import csv
 import io
 import random
 
+import pytest
+
+from tagcloud import Cloud, InvalidInputError, TagBox
 from tagcloud.bench import BenchConfig, CSV_COLUMNS, method_table, run_benchmark
 from tagcloud.inline import BadnessAggregate
+from tagcloud.reorder import shuffle_best
 from tagcloud.synthetic import topic_cloud
 from .conftest import make_cloud
 
@@ -74,3 +78,13 @@ def test_text_table_aligns():
     assert lines[0].startswith("cloud  method")
     assert len(lines) == 1 + 9
     assert all(not line.endswith(" ") for line in lines)
+
+
+@pytest.mark.parametrize("shuffles", [True, 2.5, "3", None, 0, -3])
+def test_config_applies_the_shuffle_count_rule(shuffles):
+    cloud = Cloud(tags=(TagBox("a", 1, 10, 10),), target_width=100)
+    with pytest.raises(InvalidInputError) as want:
+        shuffle_best(cloud, shuffles)
+    with pytest.raises(InvalidInputError) as got:
+        BenchConfig(shuffles=shuffles)
+    assert str(got.value) == str(want.value)

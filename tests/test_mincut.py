@@ -35,6 +35,7 @@ from .oracles import (
     best_bipartition,
     fm_bipartition,
     mincut_attempts_reference,
+    pulls_reference,
     slicing_tree_reference,
 )
 from .structure import Cells, each_tag_once, inside_bbox, no_overlap
@@ -70,6 +71,46 @@ def test_compute_pulls_requires_assigned_sides():
         compute_pulls([0], g, {})
     with pytest.raises(InvalidInputError):
         compute_pulls([0], g, {5: "north"})
+
+
+def pulls_cases():
+    """Seeded random groups over edge-free, sparse and dense graphs with
+    whole and fractional strengths; every tag outside the group has a
+    side: (case, group, graph, sides)."""
+
+    rng = random.Random(0x9011)
+    for density in (0.0, 0.05, 0.6):
+        for case in range(8):
+            n = rng.randint(2, 40)
+            edges = [(i, j, rng.choice([1, 3, 0.1, 0.7, 2.25]))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            group = rng.sample(range(n), rng.randint(1, n))
+            sides = {t: rng.choice(SIDES) for t in range(n) if t not in group}
+            yield f"{density}-{case}", group, RelationGraph(edges), sides
+
+
+@pytest.mark.parametrize("case, group, graph, sides", list(pulls_cases()))
+def test_compute_pulls_matches_the_edge_scan(case, group, graph, sides):
+    got = compute_pulls(group, graph, sides)
+    assert {s: dict(getattr(got, s)) for s in SIDES} == pulls_reference(group, graph, sides)
+
+
+@pytest.mark.parametrize("sides", [{}, {5: "north"}], ids=["no-side", "unknown-side"])
+def test_compute_pulls_errors_match_the_edge_scan(sides):
+    g = RelationGraph([(0, 1, 1.0), (0, 5, 2.0)])
+    with pytest.raises(InvalidInputError) as want:
+        pulls_reference([0, 1], g, sides)
+    with pytest.raises(InvalidInputError) as got:
+        compute_pulls([0, 1], g, sides)
+    assert str(got.value) == str(want.value)
+
+
+def test_edge_free_pulls_are_read_only():
+    pulls = compute_pulls([0, 1], RelationGraph(), {})
+    for s in SIDES:
+        with pytest.raises(TypeError):
+            getattr(pulls, s)[0] = 1.0
+    assert compute_pulls([2], RelationGraph(), {}) == Pulls()
 
 
 def test_exhaustive_cuts_the_weak_middle_edge():
@@ -660,9 +701,10 @@ def test_shape_variants_must_be_an_integer(variants, kind):
 
 def slicing_tree_cases():
     """Seeded clouds: graph-free random clouds and topic clouds with
-    graphs, at narrow to wide targets and several width biases.  The
-    trees split with ``DEFAULT_FM_RUNS``; the last field is a draw the
-    test does not use, kept so that each case and its id stay fixed."""
+    graphs, at narrow to wide targets and several width biases, then
+    three fixed cases.  The trees split with ``DEFAULT_FM_RUNS``; the
+    last field is a draw the test does not use, kept so that each case
+    and its id stay fixed."""
 
     rng = random.Random(0x7EE5)
     for case in range(24):
@@ -684,6 +726,13 @@ def slicing_tree_cases():
                      + tuple(TagBox(f"n{i}", 1, 20, 42) for i in range(12)),
                      target_width=130)
     yield "fm-bound", boundary, None, 0, 1.0, 1
+    # A few edges touching a few tags: the root and most groups have no
+    # pull, yet the groups holding an edge read the sides that the
+    # splits above them wrote.
+    few = RelationGraph([(3, 41, 2), (3, 70, 1), (12, 41, 0.5), (55, 70, 4)])
+    yield "few-edges", random_cloud(5, 80), few, 5, 1.0, 1
+    # An explicit empty graph, not None: no pulls and no sides.
+    yield "empty-graph", random_cloud(6, 80), RelationGraph(), 6, 1.0, 1
 
 
 @pytest.mark.parametrize("case, cloud, graph, seed, bias, runs",

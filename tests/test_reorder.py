@@ -129,3 +129,18 @@ def test_shuffle_best_rejects_a_non_aggregate(agg, kind):
     with pytest.raises(InvalidInputError) as err:
         shuffle_best(first_fit_cloud(), 2, agg)
     assert str(err.value) == f"agg must be a BadnessAggregate, got {kind}"
+
+
+@pytest.mark.parametrize("k, message", [
+    (True, "shuffle count must be an integer, got bool True"),  # ran one shuffle
+    (2.5, "shuffle count must be an integer, got float 2.5"),  # died in range
+    ("3", "shuffle count must be an integer, got str 3"),  # died in k < 1
+    (None, "shuffle count must be an integer, got NoneType None"),  # died in k < 1
+    (0, "shuffle count must be >= 1, got 0"),
+    pytest.param(-10 ** 5000, "shuffle count must be >= 1, got -<16610-bit int>",
+                 id="past-str"),
+])
+def test_shuffle_count_message(k, message):
+    with pytest.raises(InvalidInputError) as err:
+        shuffle_best(first_fit_cloud(), k)
+    assert str(err.value) == message

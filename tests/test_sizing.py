@@ -1,8 +1,10 @@
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from tagcloud import Cloud, InvalidInputError, InternalError, TagBox
+from tagcloud import Cloud, InvalidInputError, InternalError, TagBox, build_slicing_tree
 from tagcloud.sizing import (
     SIDE_GAP,
     combine_shapes,
@@ -12,6 +14,7 @@ from tagcloud.sizing import (
     prune_shapes,
     select_and_place,
 )
+from tagcloud.synthetic import random_cloud
 from tagcloud.tree import Cut, Leaf, internal_count, iter_nodes, leaves
 from .oracles import best_root_shape, merge_frontier
 from .structure import node_lists, random_tree, tree_of
@@ -276,6 +279,54 @@ def test_default_leaf_shapes_covers_the_cloud():
     assert all(is_shape_list(s) for s in shapes.values())
     single = default_leaf_shapes(cloud, variants=1)
     assert single[0] == ((30, 14),)
+
+
+def test_default_leaf_shapes_are_each_tags_options_once_per_box():
+    boxes = [(30, 14), (80, 34), (30, 14), (9, 1), (80, 34), (30, 14)]
+    cloud = Cloud(tags=tuple(TagBox(f"t{k}", k % 10, w, h) for k, (w, h) in enumerate(boxes)),
+                  target_width=200)
+    for variants in (1, 3):
+        shapes = default_leaf_shapes(cloud, variants)
+        assert shapes == {i: gen_shape_options(tag, variants)
+                          for i, tag in enumerate(cloud.tags)}
+        assert shapes[0] is shapes[2] is shapes[5] and shapes[1] is shapes[4]
+
+
+@pytest.mark.parametrize("variants", [True, None, 2, pytest.param(10 ** 5000, id="past-str")])
+def test_default_leaf_shapes_variants_message(variants):
+    cloud = Cloud(tags=(TagBox("a", 1, 30, 14), TagBox("b", 1, 30, 14)), target_width=200)
+    with pytest.raises(InvalidInputError) as want:
+        gen_shape_options(cloud.tags[0], variants)
+    with pytest.raises(InvalidInputError) as got:
+        default_leaf_shapes(cloud, variants)
+    assert str(got.value) == str(want.value)
+
+
+def test_default_leaf_shapes_names_the_first_degenerate_tag():
+    # A Cloud rejects such boxes; any object with ``tags`` reaches here.
+    tags = (TagBox("ok", 1, 30, 14), TagBox("first", 1, 0, 14), TagBox("second", 1, 0, 14))
+    with pytest.raises(InvalidInputError) as err:
+        default_leaf_shapes(SimpleNamespace(tags=tags))
+    assert str(err.value) == "tag 'first' has a degenerate box"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_no_root_shape_is_narrower_than_the_widest_narrowest_leaf(seed):
+    """The largest, over all tags, of the narrowest leaf-shape width
+    bounds every root shape's width from below, whatever the tree."""
+
+    rng = random.Random(seed)
+    cloud = random_cloud(seed, rng.choice([2, 13, 40, 120]))
+    cloud = dataclasses.replace(cloud, target_width=rng.choice([150, 300, 550, 900]))
+    trees = [build_slicing_tree(cloud, seed=seed, width_bias=bias)
+             for bias in (0.5, 0.85, 1.0, 1.3, 2.0)]
+    trees.append(tree_of(random_tree(rng, list(range(len(cloud.tags))))))
+    for variants in (1, 3):
+        shapes = default_leaf_shapes(cloud, variants)
+        lb = max(s[0][0] for s in shapes.values())
+        for tree in trees:
+            table = combine_shapes(tree, shapes)
+            assert min(c[0] for c in table[len(table) - 1]) >= lb
 
 
 def test_tree_helpers():
