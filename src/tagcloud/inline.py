@@ -92,13 +92,31 @@ def aggregate(badness_values: Iterable[int], agg: BadnessAggregate) -> int:
 
 
 def line_badnesses(cloud: Cloud, layout: LineLayout) -> list[int]:
-    """Per-line badness of an existing layout."""
+    """Per-line badness of an existing layout.
 
-    return [
-        line_badness([(cloud.tags[i].width, cloud.tags[i].height) for i in line],
-                     cloud.target_width, cloud.space_width)
-        for line in layout.lines
-    ]
+    One walk per line sums its widths and areas; an empty or overfull
+    multi-tag line goes to ``line_badness`` for its message.
+    """
+
+    tags = cloud.tags
+    target, space = cloud.target_width, cloud.space_width
+    out = []
+    for line in layout.lines:
+        sum_w = sum_hw = tallest = 0
+        for i in line:
+            tag = tags[i]
+            w, h = tag.width, tag.height
+            sum_w += w
+            sum_hw += w * h
+            if h > tallest:
+                tallest = h
+        slack = target - sum_w - (len(line) - 1) * space
+        if line and (slack >= 0 or len(line) == 1):
+            out.append(tallest * abs(slack) + tallest * sum_w - sum_hw)
+        else:  # raises the line's message
+            out.append(line_badness([(tags[i].width, tags[i].height) for i in line],
+                                    target, space))
+    return out
 
 
 def layout_badness(cloud: Cloud, layout: LineLayout, agg: BadnessAggregate) -> int:
@@ -145,9 +163,21 @@ def _prepare(cloud: Cloud, order: Sequence[int] | None):
     """Checked order and the line table of the tags taken in it."""
 
     order = _check_order(len(cloud.tags), order)
-    widths = [cloud.tags[i].width for i in order]
-    heights = [cloud.tags[i].height for i in order]
-    return order, _line_table(widths, heights, cloud.target_width, cloud.space_width)
+    return order, _order_table(cloud, order)
+
+
+def _order_table(cloud: Cloud, order: list[int]) -> list[list[int]]:
+    tags = cloud.tags
+    return _line_table([tags[i].width for i in order], [tags[i].height for i in order],
+                       cloud.target_width, cloud.space_width)
+
+
+def _dp_score(cloud: Cloud, order: list[int], agg: BadnessAggregate) -> int:
+    """The optimum ``dp_break(cloud, order, agg)`` reaches, which is the
+    aggregate badness of the layout it returns, without building that
+    layout.  ``order`` is taken as a permutation of the tag indices."""
+
+    return _prefix_scores(_order_table(cloud, order), agg)[0][-1]
 
 
 def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
@@ -209,19 +239,31 @@ def _line_table(widths: list[int], heights: list[int], target: int,
     there, even when it overflows.  Row 0 is empty.
     """
 
+    # The line of tags k..j fits while their widths plus one space each
+    # stay within target + space.  It then has slack = room - sum(w) with
+    # room = target - (j - k) * space, so its badness, tallest * slack +
+    # sum((tallest - h) * w), is tallest * room - sum(w * h).  A solo tag
+    # wider than the line scores tallest * |slack| = h * (w - target),
+    # and no longer line ending at it fits.
+    cap = target + space
+    spaced = [w + space for w in widths]
+    areas = list(map(operator.mul, widths, heights))
     bad: list[list[int]] = [[]]
-    for j in range(1, len(widths) + 1):
-        row = []
-        sum_w = sum_hw = tallest = 0
+    for j, (w, h) in enumerate(zip(widths, heights)):
+        if w > target:
+            bad.append([h * (w - target)])
+            continue
+        used, sum_hw, tallest, room = spaced[j], areas[j], h, target
+        row = [h * room - sum_hw]
         for k in range(j - 1, -1, -1):
-            sum_w += widths[k]
-            sum_hw += widths[k] * heights[k]
+            used += spaced[k]
+            if used > cap:
+                break
+            sum_hw += areas[k]
             if heights[k] > tallest:
                 tallest = heights[k]
-            slack = target - sum_w - (j - 1 - k) * space
-            if slack < 0 and k < j - 1:
-                break
-            row.append(tallest * abs(slack) + tallest * sum_w - sum_hw)
+            room -= space
+            row.append(tallest * room - sum_hw)
         bad.append(row)
     return bad
 

@@ -46,26 +46,49 @@ def layout_to_placement(layout: LineLayout, cloud: Cloud) -> PlacedCloud:
     runs wider.
     """
 
+    tags = cloud.tags
+    target, space = cloud.target_width, cloud.space_width
+    slots: list[Placement | None] = [None] * len(tags)
+    y = placed = 0
+    bbox_w = target
+    try:
+        for line in layout.lines:
+            placed += len(line)
+            x = line_h = 0
+            for idx in line:
+                tag = tags[idx]
+                if idx < 0 or slots[idx] is not None:
+                    raise LookupError
+                slots[idx] = Placement(idx, x, y, tag.width, tag.height)
+                x += tag.width + space
+                if tag.height > line_h:
+                    line_h = tag.height
+            line_w = x - space
+            if line_w > target:
+                if len(line) > 1:
+                    raise LookupError
+                bbox_w = max(bbox_w, line_w)
+            elif not line:
+                raise LookupError
+            y += line_h
+        if placed != len(tags):  # no index repeats, so some slot is empty
+            raise LookupError
+    except (LookupError, TypeError):
+        _raise_layout_problem(layout, cloud)
+        raise
+    return PlacedCloud(tuple(slots), (bbox_w, y))
+
+
+def _raise_layout_problem(layout: LineLayout, cloud: Cloud) -> None:
+    """Raise for the first thing wrong with ``layout``: a tag not placed
+    exactly once, else the first empty or overfull multi-tag line."""
+
     flat = sorted(i for line in layout.lines for i in line)
     if flat != list(range(len(cloud.tags))):
         raise InvalidInputError("layout does not place every tag exactly once")
-    placements: list[Placement] = []
-    y = 0
-    bbox_w = cloud.target_width
     for line in layout.lines:
         if not line:
             raise InvalidInputError("layout contains an empty line")
-        line_h = max(cloud.tags[i].height for i in line)
-        x = 0
-        for idx in line:
-            tag = cloud.tags[idx]
-            placements.append(Placement(idx, x, y, tag.width, tag.height))
-            x += tag.width + cloud.space_width
-        line_w = x - cloud.space_width
-        if line_w > cloud.target_width:
-            if len(line) > 1:
-                raise InvalidInputError("multi-tag line exceeds the target width")
-            bbox_w = max(bbox_w, line_w)
-        y += line_h
-    placements.sort(key=lambda p: p.tag)
-    return PlacedCloud(tuple(placements), (bbox_w, y))
+        line_w = sum(cloud.tags[i].width for i in line) + (len(line) - 1) * cloud.space_width
+        if line_w > cloud.target_width and len(line) > 1:
+            raise InvalidInputError("multi-tag line exceeds the target width")

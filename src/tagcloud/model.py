@@ -114,6 +114,25 @@ class Cloud:
 MAX_TOTAL_STRENGTH = 1e300
 
 
+def _check_edge(a, b, s) -> None:
+    """Raise InvalidInputError for the first rule a raw edge breaks, in
+    a fixed order: endpoint types, self-loop, strength type, strength
+    range, negative endpoint."""
+
+    if type(a) is not int or type(b) is not int:  # bool is no endpoint
+        raise InvalidInputError(f"{_edge(a, b)}: endpoints must be integers")
+    if a == b:
+        raise InvalidInputError(f"self-loop on tag {show_value(a)}")
+    if not isinstance(s, (int, float)) or isinstance(s, bool):
+        raise InvalidInputError(f"{_edge(a, b)}: strength must be a number")
+    if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
+        raise InvalidInputError(
+            f"{_edge(a, b)}: strength must be positive and finite"
+            f" (at most {MAX_TOTAL_STRENGTH:g}), got {show_value(s)}")
+    if a < 0 or b < 0:
+        raise InvalidInputError(f"{_edge(a, b)}: negative tag index")
+
+
 @dataclass(frozen=True)
 class RelationGraph:
     """Weighted undirected relations over tag indices.
@@ -122,32 +141,40 @@ class RelationGraph:
     iterable of raw (a, b, strength) edges: it raises InvalidInputError
     on the first bad edge, then stores the edges as (i, j, strength)
     with i < j, one entry per unordered pair in sorted order, parallel
-    contributions merged by summing strengths.  The total strength is
-    checked on those stored edges, so rebuilding a graph from its own
-    edges, or from its JSON, accepts it again.  Whether the tag indices
-    fit a cloud is :meth:`check_fits`'s job.
+    contributions merged by summing strengths.  Input whose pairs
+    already come strictly increasing with i < j, as a graph's own
+    edges, its JSON and the co-occurrence counts do, is stored in its
+    order without merging or sorting.  The total strength is checked on
+    those stored edges, so rebuilding a graph from its own edges, or
+    from its JSON, accepts it again.  Whether the tag indices fit a
+    cloud is :meth:`check_fits`'s job.
     """
 
     edges: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        merged: dict[tuple[int, int], float] = {}
-        for a, b, s in self.edges:
-            if type(a) is not int or type(b) is not int:  # bool is no endpoint
-                raise InvalidInputError(f"{_edge(a, b)}: endpoints must be integers")
-            if a == b:
-                raise InvalidInputError(f"self-loop on tag {show_value(a)}")
-            if not isinstance(s, (int, float)) or isinstance(s, bool):
-                raise InvalidInputError(f"{_edge(a, b)}: strength must be a number")
-            if not 0 < s <= MAX_TOTAL_STRENGTH:  # also false for NaN
-                raise InvalidInputError(
-                    f"{_edge(a, b)}: strength must be positive and finite"
-                    f" (at most {MAX_TOTAL_STRENGTH:g}), got {show_value(s)}")
-            if a < 0 or b < 0:
-                raise InvalidInputError(f"{_edge(a, b)}: negative tag index")
-            key = (a, b) if a < b else (b, a)
-            merged[key] = merged.get(key, 0) + s
-        edges = tuple((i, j, merged[i, j]) for i, j in sorted(merged))
+        raw = list(self.edges)
+        stored = []
+        ordered = True  # pairs strictly increasing, each with a < b
+        last_a = last_b = -1
+        for a, b, s in raw:
+            # every rule of _check_edge in one test, which a valid edge passes
+            if not (type(a) is int and type(b) is int and 0 <= a != b >= 0
+                    and isinstance(s, (int, float)) and type(s) is not bool
+                    and 0 < s <= MAX_TOTAL_STRENGTH):
+                _check_edge(a, b, s)
+            if a > b or a < last_a or (a == last_a and b <= last_b):
+                ordered = False
+            last_a, last_b = a, b
+            stored.append((a, b, 0 + s))
+        if ordered:
+            edges = tuple(stored)
+        else:
+            merged: dict[tuple[int, int], float] = {}
+            for a, b, s in raw:
+                key = (a, b) if a < b else (b, a)
+                merged[key] = merged.get(key, 0) + s
+            edges = tuple((i, j, merged[i, j]) for i, j in sorted(merged))
         total = 0.0
         for i, j, s in edges:
             total += s
@@ -157,7 +184,7 @@ class RelationGraph:
         object.__setattr__(self, "edges", edges)
         # The largest endpoint, off the fields so that eq, hash and
         # dataclasses.replace see only the edges.
-        object.__setattr__(self, "_top", max((j for _, j in merged), default=-1))
+        object.__setattr__(self, "_top", max((j for _, j, _ in edges), default=-1))
 
     def check_fits(self, n_tags: int) -> None:
         """Raise InvalidInputError naming every edge whose tag index is
@@ -308,6 +335,16 @@ def _require(cond: bool, msg: str, *args) -> None:
         raise InvalidInputError(msg.format(*args))
 
 
+def _diagnose_entries(entries: list, name: str, fields: tuple[str, ...]) -> None:
+    """Raise the message for the first entry that is not an object
+    holding every one of ``fields``."""
+
+    for k, entry in enumerate(entries):
+        _require(isinstance(entry, dict), "{}[{}] must be an object", name, k)
+        for fld in fields:
+            _require(fld in entry, "{}[{}]: missing field {}", name, k, fld)
+
+
 def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
     """Parse a cloud document; returns (cloud, graph or None).
 
@@ -327,23 +364,22 @@ def cloud_from_json(text: str) -> tuple[Cloud, RelationGraph | None]:
     _require(isinstance(doc, dict), "top-level JSON value must be an object")
     _require("target_width" in doc, "missing field: target_width")
     _require(isinstance(doc.get("tags"), list), "missing or invalid field: tags")
-    tags = []
-    for k, entry in enumerate(doc["tags"]):
-        _require(isinstance(entry, dict), "tags[{}] must be an object", k)
-        for fld in ("label", "weight", "width", "height"):
-            _require(fld in entry, "tags[{}]: missing field {}", k, fld)
-        tags.append(TagBox(entry["label"], entry["weight"], entry["width"], entry["height"]))
-    cloud = Cloud(tags=tuple(tags), target_width=doc["target_width"],
+    try:
+        tags = tuple([TagBox(e["label"], e["weight"], e["width"], e["height"])
+                      for e in doc["tags"]])
+    except (KeyError, TypeError):
+        _diagnose_entries(doc["tags"], "tags", ("label", "weight", "width", "height"))
+        raise
+    cloud = Cloud(tags=tags, target_width=doc["target_width"],
                   space_width=doc.get("space_width", DEFAULT_SPACE_WIDTH))
     if "edges" not in doc:
         return cloud, None
     _require(isinstance(doc["edges"], list), "edges must be a list")
-    raw = []
-    for k, entry in enumerate(doc["edges"]):
-        _require(isinstance(entry, dict), "edges[{}] must be an object", k)
-        for fld in ("a", "b", "strength"):
-            _require(fld in entry, "edges[{}]: missing field {}", k, fld)
-        raw.append((entry["a"], entry["b"], entry["strength"]))
+    try:
+        raw = [(e["a"], e["b"], e["strength"]) for e in doc["edges"]]
+    except (KeyError, TypeError):
+        _diagnose_entries(doc["edges"], "edges", ("a", "b", "strength"))
+        raise
     graph = RelationGraph(raw)
     graph.check_fits(len(tags))
     return cloud, graph

@@ -107,8 +107,9 @@ def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
     """Shape lists keyed by post-order position (``iter_nodes``), root last.
 
     A leaf's list is its ``leaf_shapes`` entry, used as given once
-    checked.  A V node sets children side by side (widths add, plus the
-    side gap); an H node stacks them (heights add).  One walk sizes the
+    checked; leaves that share one list object check it once per call.
+    A V node sets children side by side (widths add, plus the side
+    gap); an H node stacks them (heights add).  One walk sizes the
     tree, each call returning its node's list to the parent.  A merge
     sweeps the heights (V) or widths (H) of both child lists, pairing
     the cheapest child shapes that fit into a ``(width, height, first,
@@ -119,13 +120,18 @@ def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
     """
 
     table: dict[int, Sequence[tuple]] = {}
+    # ids of the leaf lists already checked; the table keeps each alive
+    checked: set[int] = set()
 
     def size(node: Node) -> Sequence[tuple]:
         if isinstance(node, Leaf):
             shapes = leaf_shapes.get(node.tag)
-            if not is_shape_list(shapes):
-                raise InvalidInputError(f"leaf {node.tag}: needs a list of (width, height) pairs"
-                                        " of positive ints, widths rising, heights falling")
+            if id(shapes) not in checked:
+                if not is_shape_list(shapes):
+                    raise InvalidInputError(
+                        f"leaf {node.tag}: needs a list of (width, height) pairs"
+                        " of positive ints, widths rising, heights falling")
+                checked.add(id(shapes))
         else:
             merge = _combine_beside if node.orient == "V" else _combine_stacked
             shapes = merge(size(node.first), size(node.second))

@@ -112,6 +112,40 @@ def reference_break(boxes, target, space, agg):
     return (t[n] if agg == "linf" else score), ends
 
 
+def first_fit_reference(cloud, order):
+    """First fit by scanning every open line for each tag in ``order``:
+    a tag joins the first line whose remaining room covers it and its
+    leading space, else opens a new line.  Returns the lines as tuples."""
+
+    target, space = cloud.target_width, cloud.space_width
+    lines = []
+    used = []
+    for idx in order:
+        w = cloud.tags[idx].width
+        for li in range(len(lines)):
+            if target - used[li] >= w + space:
+                lines[li].append(idx)
+                used[li] += space + w
+                break
+        else:
+            lines.append([idx])
+            used.append(w)
+    return tuple(tuple(line) for line in lines)
+
+
+def merged_edges(raw):
+    """A graph's stored edges and largest endpoint from raw valid
+    edges: one ``(i, j, s)`` per unordered pair with i < j, strengths
+    summed from 0 in input order, sorted by pair."""
+
+    merged = {}
+    for a, b, s in raw:
+        key = (min(a, b), max(a, b))
+        merged[key] = merged.get(key, 0) + s
+    edges = tuple((i, j, merged[i, j]) for i, j in sorted(merged))
+    return edges, max((j for _, j, _ in edges), default=-1)
+
+
 def tree_dims(tree_tuple, leaf_choice, gap):
     """(width, height) of a slicing tree once every leaf picked a shape.
 

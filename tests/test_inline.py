@@ -8,6 +8,7 @@ from tagcloud import (
     Cloud,
     InfeasibleLineError,
     InvalidInputError,
+    LineLayout,
     TagBox,
     aggregate,
     break_table,
@@ -256,6 +257,28 @@ def test_line_badnesses_match_line_badness():
     assert per_line == [
         line_badness(boxes_of(cloud, line), 128, 4) for line in layout.lines
     ]
+    rng = random.Random(13)
+    for _ in range(40):
+        # targets from 40 px put solo overfull lines among the others
+        cloud = make_cloud(rng, rng.randint(1, 40), target=rng.choice((40, 150, 300)),
+                           space=rng.choice((0, 4)))
+        order = list(range(len(cloud.tags)))
+        rng.shuffle(order)
+        for layout in (greedy_break(cloud, order), dp_break(cloud, order)):
+            assert line_badnesses(cloud, layout) == [
+                line_badness(boxes_of(cloud, line), cloud.target_width, cloud.space_width)
+                for line in layout.lines]
+
+
+@pytest.mark.parametrize("lines", [((0,), (), (1, 2)), ((0,), (1, 2), ())])
+def test_line_badnesses_raise_the_first_bad_lines_message(lines):
+    cloud = three_sixty()
+    with pytest.raises(InvalidInputError) as want:
+        for line in lines:
+            line_badness(boxes_of(cloud, line), 128, 4)
+    with pytest.raises(InvalidInputError) as got:
+        line_badnesses(cloud, LineLayout(lines))
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_break_table_additive_prefix_scores():

@@ -71,15 +71,30 @@ def test_layout_to_placement_solo_overflow_widens_bbox():
     assert placed.bbox == (200, 30)
 
 
-def test_layout_to_placement_rejects_bad_layouts():
-    cloud = sample_cloud()
-    with pytest.raises(InvalidInputError):
-        layout_to_placement(LineLayout(((0, 1),)), cloud)  # missing a tag
-    with pytest.raises(InvalidInputError):
-        layout_to_placement(LineLayout(((0, 1), (2,), ())), cloud)  # empty line
-    with pytest.raises(InvalidInputError):
-        # two tags that cannot share a 128px line
-        layout_to_placement(LineLayout(((0, 1, 2),)), cloud)
+_NOT_ONCE = "layout does not place every tag exactly once"
+_EMPTY = "layout contains an empty line"
+_OVERFULL = "multi-tag line exceeds the target width"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (((0, 1),), _NOT_ONCE),  # missing a tag
+    (((0, 1), (2,), ()), _EMPTY),
+    (((0, 1, 2),), _OVERFULL),  # two tags that cannot share a 128px line
+    # a missing or repeated tag is named before any line
+    (((0, 1), ()), _NOT_ONCE),
+    (((), (0, 1)), _NOT_ONCE),
+    (((0, 1, 2), (2,)), _NOT_ONCE),
+    (((0, 1, 2), (-1,)), _NOT_ONCE),
+    (((0, 1), (-1,)), _NOT_ONCE),  # -1 is no name for tag 2
+    (((0, 1, 2, 3),), _NOT_ONCE),
+    # then the first empty or overfull multi-tag line
+    (((0, 1, 2), ()), _OVERFULL),
+    (((), (0, 1, 2)), _EMPTY),
+])
+def test_layout_to_placement_rejects_bad_layouts(lines, message):
+    with pytest.raises(InvalidInputError) as exc:
+        layout_to_placement(LineLayout(lines), sample_cloud())
+    assert str(exc.value) == message
 
 
 def test_layout_to_placement_double_use_detected():

@@ -4,6 +4,7 @@ import pathlib
 import re
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -19,6 +20,8 @@ from tagcloud import (
     validate_cloud,
 )
 from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH
+
+from .oracles import merged_edges
 
 
 def test_font_scale():
@@ -139,6 +142,37 @@ def test_relation_graph_normalizes_and_merges():
     assert adj[0] == [(2, 5)]
 
 
+_CHAIN = [(i, i + 1, 1 + i % 3) for i in range(500)]  # 500 sorted edges
+
+
+class _Strength(int):
+    """An int subclass: a graph stores ``0 + s``, a plain int."""
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda raw: raw, id="sorted-list"),
+    pytest.param(lambda raw: zip(*zip(*raw)), id="zip"),
+    pytest.param(lambda raw: (e for e in raw), id="generator"),
+    pytest.param(lambda raw: raw[::-1], id="unsorted"),
+    pytest.param(lambda raw: raw + raw[:7], id="duplicates"),
+    pytest.param(lambda raw: raw[:10] + raw[9:], id="one-repeat"),
+    pytest.param(lambda raw: [(b, a, s) for a, b, s in raw], id="reversed"),
+    pytest.param(lambda raw: raw[:200] + [(b, a, s) for a, b, s in raw[200:]],
+                 id="reversed-tail"),
+    pytest.param(lambda raw: [(0, 700, 2)] + raw, id="top-first"),
+    pytest.param(lambda raw: [(a, b, np.float64(s)) for a, b, s in raw], id="numpy-strengths"),
+    pytest.param(lambda raw: [(a, b, _Strength(s)) for a, b, s in raw], id="int-subclass"),
+    pytest.param(lambda raw: [], id="empty"),
+])
+def test_relation_graph_stores_the_merged_sorted_edges(make):
+    raw = _CHAIN + [(500, 640, 2.5), (501, 502, 4)]
+    graph = RelationGraph(make(raw))
+    edges, top = merged_edges(make(raw))
+    assert graph.edges == edges
+    assert [type(s) for _, _, s in graph.edges] == [type(s) for _, _, s in edges]
+    assert graph._top == top
+
+
 def test_relation_graph_builds_adjacency_once():
     g = RelationGraph([(0, 1, 1), (1, 2, 2)])
     assert g.adjacency() is g.adjacency()
@@ -203,6 +237,20 @@ _HUGE = "1" + "0" * 39 + "…"
     pytest.param([(0, 1, 6e299), (1, 0, 6e299)], f"edge (0,1): {_TOTAL}", id="total-merged"),
     pytest.param([(0, 1, 6e299), (2, 3, 6e299), (4, 4, 1)], "self-loop on tag 4",
                  id="total-then-self-loop"),
+    # the one bad edge comes after 500 sorted good ones
+    pytest.param(_CHAIN + [(7, 7, 1)], "self-loop on tag 7", id="sorted-then-self-loop"),
+    pytest.param(_CHAIN + [(700, -1, 1)], "edge (700,-1): negative tag index",
+                 id="sorted-then-negative"),
+    pytest.param(_CHAIN + [(700, 701, "1")], "edge (700,701): strength must be a number",
+                 id="sorted-then-str-strength"),
+    pytest.param(_CHAIN + [(700, 701, float("nan"))], f"edge (700,701): {_FINITE} nan",
+                 id="sorted-then-nan"),
+    pytest.param(_CHAIN + [(700, 701.0, 1)], "edge (700,701.0): endpoints must be integers",
+                 id="sorted-then-float-endpoint"),
+    pytest.param(_CHAIN + [(0, 1, 1), (5, 5, 1)], "self-loop on tag 5",
+                 id="sorted-repeat-then-self-loop"),
+    pytest.param(_CHAIN + [(600, 601, 6e299), (602, 603, 6e299)], f"edge (602,603): {_TOTAL}",
+                 id="sorted-then-total"),
 ])
 def test_relation_graph_error_messages_are_exact(raw, message):
     with pytest.raises(InvalidInputError) as exc:
@@ -396,6 +444,21 @@ def _with(base, **fields):
     # The cloud is checked before the graph: a bad tag is named first.
     (_doc(tags=[_TAG, _with(_TAG, width=0)], edges=[_with(_EDGE, a=0.5)]),
      "tag 1 ('x'): width must be >= 1, got 0"),
+    # The one bad tag or edge is the last of 1000.
+    pytest.param(_doc(tags=[_TAG] * 999 + [[]]), "tags[999] must be an object",
+                 id="last-tag-not-object"),
+    pytest.param(_doc(tags=[_TAG] * 999 + [_with(_TAG, height=None)]),
+                 "tags[999]: missing field height", id="last-tag-missing-field"),
+    pytest.param(_doc(tags=[_TAG] * 999 + [_with(_TAG, weight="1")]),
+                 "tag 999 ('x'): weight must be an integer, got str", id="last-tag-bad-value"),
+    pytest.param(_doc(edges=[_EDGE] * 999 + ["a"]), "edges[999] must be an object",
+                 id="last-edge-not-object"),
+    pytest.param(_doc(edges=[_EDGE] * 999 + [_with(_EDGE, strength=None)]),
+                 "edges[999]: missing field strength", id="last-edge-missing-field"),
+    pytest.param(_doc(edges=[_EDGE] * 999 + [_with(_EDGE, b=0)]), "self-loop on tag 0",
+                 id="last-edge-bad-value"),
+    pytest.param(_doc(tags=[_TAG] * 999 + [{}], edges=[_EDGE] * 999 + [None]),
+                 "tags[999]: missing field label", id="last-tag-before-last-edge"),
 ])
 def test_json_error_messages_are_exact(text, message):
     with pytest.raises(InvalidInputError) as exc:

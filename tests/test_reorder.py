@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagcloud import (
     BadnessAggregate,
@@ -16,6 +17,7 @@ from tagcloud import (
 )
 from tagcloud.reorder import RNG_ALGORITHM
 from .conftest import make_cloud
+from .oracles import first_fit_reference
 
 
 def first_fit_cloud() -> Cloud:
@@ -91,6 +93,57 @@ def test_shuffle_best_replays_the_documented_procedure():
         if best is None or (score, trial) < best[:2]:
             best = (score, trial, layout)
     assert shuffle_best(cloud, k, agg, seed) == best[2]
+
+
+@pytest.mark.parametrize("agg", list(BadnessAggregate))
+def test_shuffle_best_selects_on_the_layouts_badness(agg):
+    # the winner's DP optimum is its layout's badness, and no replayed
+    # shuffle's optimal breaking scores lower
+    rng = random.Random(12)
+    for n, k, seed in ((1, 3, 0), (9, 5, 2), (30, 10, 7), (120, 4, 11)):
+        cloud = make_cloud(rng, n, target=rng.choice((90, 300)))
+        replay = random.Random(seed)
+        scores = []
+        for _ in range(k):
+            order = list(range(n))
+            replay.shuffle(order)
+            scores.append(layout_badness(cloud, dp_break(cloud, order, agg), agg))
+        result = shuffle_best(cloud, k, agg, seed)
+        assert layout_badness(cloud, result, agg) == min(scores)
+        first = scores.index(min(scores))  # ties keep the earliest shuffle
+        replay = random.Random(seed)
+        for _ in range(first + 1):
+            order = list(range(n))
+            replay.shuffle(order)
+        assert result == dp_break(cloud, order, agg)
+
+
+@st.composite
+def first_fit_clouds(draw):
+    """Clouds of up to 300 tags, some wider than the line, often with
+    zero space or one width for every tag."""
+
+    n = draw(st.integers(1, 300))
+    target = draw(st.integers(1, 400))
+    space = draw(st.sampled_from((0, 0, 1, 4, 17)))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(1, target + 40))] * n
+    else:
+        widths = draw(st.lists(st.integers(1, target + 40), min_size=n, max_size=n))
+    heights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    return Cloud(tags=tuple(TagBox(f"t{i}", 1, w, h)
+                            for i, (w, h) in enumerate(zip(widths, heights))),
+                 target_width=target, space_width=space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first_fit_clouds())
+def test_first_fit_matches_the_linear_scan(cloud):
+    by_height = sorted(range(len(cloud.tags)), key=lambda i: (-cloud.tags[i].height, i))
+    by_height_width = sorted(range(len(cloud.tags)),
+                             key=lambda i: (-cloud.tags[i].height, -cloud.tags[i].width, i))
+    assert ffdh(cloud).lines == first_fit_reference(cloud, by_height)
+    assert ffdhw(cloud).lines == first_fit_reference(cloud, by_height_width)
 
 
 def test_shuffle_best_never_loses_to_single_shuffle():

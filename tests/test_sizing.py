@@ -127,6 +127,17 @@ def test_combine_rejects_a_leaf_shape_of_the_wrong_form(shape):
                               " of positive ints, widths rising, heights falling")
 
 
+def test_combine_names_the_first_bad_leaf_among_shared_lists():
+    good, bad = ((4, 3), (6, 2)), ((6, 2), (4, 3))
+    tree = Cut("V", Cut("H", Leaf(0), Leaf(1)), Cut("H", Leaf(2), Leaf(3)))
+    for shapes, first_bad in (({0: good, 1: good, 2: bad, 3: bad}, 2),
+                              ({0: good, 1: bad, 2: good, 3: bad}, 1),
+                              ({0: good, 1: good, 2: good, 3: [(4, 3), (4, 2)]}, 3)):
+        with pytest.raises(InvalidInputError) as exc:
+            combine_shapes(tree, shapes)
+        assert str(exc.value).startswith(f"leaf {first_bad}: needs a list")
+
+
 def test_select_and_place_matches_exhaustive():
     rng = random.Random(0xACE)
     for _ in range(30):
