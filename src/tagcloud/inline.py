@@ -25,6 +25,7 @@ from .model import (
     InvalidInputError,
     LineLayout,
 )
+from .metrics import _raise_layout_problem
 
 
 class BadnessAggregate(enum.Enum):
@@ -103,13 +104,17 @@ def line_badnesses(cloud: Cloud, layout: LineLayout) -> list[int]:
     out = []
     for line in layout.lines:
         sum_w = sum_hw = tallest = 0
-        for i in line:
-            tag = tags[i]
-            w, h = tag.width, tag.height
-            sum_w += w
-            sum_hw += w * h
-            if h > tallest:
-                tallest = h
+        try:
+            for i in line:
+                tag = tags[i]
+                w, h = tag.width, tag.height
+                sum_w += w
+                sum_hw += w * h
+                if h > tallest:
+                    tallest = h
+        except TypeError:  # a tag index that is not an int
+            _raise_layout_problem(layout, cloud)
+            raise
         slack = target - sum_w - (len(line) - 1) * space
         if line and (slack >= 0 or len(line) == 1):
             out.append(tallest * abs(slack) + tallest * sum_w - sum_hw)

@@ -80,11 +80,14 @@ def layout_to_placement(layout: LineLayout, cloud: Cloud) -> PlacedCloud:
 
 
 def _raise_layout_problem(layout: LineLayout, cloud: Cloud) -> None:
-    """Raise for the first thing wrong with ``layout``: a tag not placed
-    exactly once, else the first empty or overfull multi-tag line."""
+    """Raise for the first thing wrong with ``layout``: a non-int tag index,
+    a tag not placed exactly once, the first empty or overfull multi-tag line."""
 
-    flat = sorted(i for line in layout.lines for i in line)
-    if flat != list(range(len(cloud.tags))):
+    flat = [i for line in layout.lines for i in line]
+    for i in flat:
+        if type(i) is not int:  # bool is no tag index
+            raise InvalidInputError(f"layout entries must be integers, got {type(i).__name__}")
+    if sorted(flat) != list(range(len(cloud.tags))):
         raise InvalidInputError("layout does not place every tag exactly once")
     for line in layout.lines:
         if not line:

@@ -353,7 +353,10 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     comes out too early and goes back in with the current gain.  Entries
     of locked tags and superseded entries are dropped as they come out;
     live entries of illegal moves are held aside and go back once a move
-    is picked.
+    is picked.  A pass ends at its n-th move.  A heap of more than twice
+    as many entries as unlocked tags is rebuilt from their keys alone,
+    sorted: a move takes the smallest legal key whatever stale entries
+    the heap holds, so dropping them all at once is exact.
 
     The runs of one split often converge, and a pass depends only on
     the side vector it starts from: the keys, per-side areas and counts
@@ -471,7 +474,9 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
         # the lowest objective within the area bound, the shortest first.
         best_p, best_obj = 0, obj
 
-        while heap:
+        for unlocked in range(n, 0, -1):
+            if len(heap) > 2 * unlocked:  # mostly stale: keep the live keys
+                heap = sorted([k for k in key if k is not None])  # a sorted list is a heap
             t = -1
             illegal = []
             while heap:
@@ -542,17 +547,15 @@ def bipartition(tags: Sequence[int], graph: RelationGraph,
     return bipartition_fm(tags, graph, pulls, axis, areas, seed=seed)
 
 
-def _fm_vertical_doomed(est_w: float, total: int, s_max: int, w_max: int) -> bool:
-    """Whether no vertical split FM can return fits the group's widest tag.
+def _vertical_doomed(est_w: float, total: int, most: int, w_max: int) -> bool:
+    """Whether no vertical split whose larger half holds at most ``most``
+    of the area fits the group's widest tag.
 
-    FM keeps the area difference within ``s_max``, the largest tag area,
-    so either half holds at most ``(total + s_max) // 2`` of the area.
     The bound repeats ``build_slicing_tree``'s own share arithmetic for
-    that largest half, on whichever side it lands; float rounding is
+    that larger half, on whichever side it lands; float rounding is
     monotone, so no real split's share can exceed it.
     """
 
-    most = (total + s_max) // 2
     return max(est_w * (most / total), est_w * (1 - (total - most) / total)) < w_max
 
 
@@ -565,13 +568,15 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     of the width can still hold its widest tag, otherwise horizontally.
     Sibling halves become external pulls for deeper splits.
 
-    Each split is computed once.  A vertical FM split whose balance
-    bound already leaves the widest tag too little width is not run
-    (see ``_fm_vertical_doomed``).  A rejected vertical enumeration of
-    a group with no pull on any side is the horizontal one too, since
-    enumeration then ignores the axis, so it is reused.  Both still
-    draw the seed the split would have used, so every later split gets
-    the seed it always had.
+    Each split is computed once.  A vertical split is not run when even
+    its larger half leaves the widest tag too little width (see
+    ``_vertical_doomed``): FM's halves differ by at most the largest tag
+    area L, and on a graph with edges, enumeration's larger half holds
+    2/3 of the area at most, or L alone if more.  A rejected vertical
+    enumeration of a group with no pull on any side is the horizontal
+    one too, since enumeration then ignores the axis, so it is reused.
+    Both still draw the seed the split would have used, so every later
+    split gets the seed it always had.
 
     An edge-free graph gives every group empty pulls at once, and the
     side map that only pulls read is not kept.  A group's total area
@@ -607,9 +612,11 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
         pulls = compute_pulls(group, graph, sides)
         part = None
         if est_w > est_h:
-            if len(group) > EXHAUSTIVE_LIMIT and _fm_vertical_doomed(
-                    est_w, total, max(areas[t] for t in group),
-                    max(widths[t] for t in group)):
+            if len(group) > EXHAUSTIVE_LIMIT:
+                most = (total + max(areas[t] for t in group)) // 2
+            else:  # a balanced half, or one tag too large for it; none without edges
+                most = edged and max(2 * total // 3, *(areas[t] for t in group))
+            if most and _vertical_doomed(est_w, total, most, max(widths[t] for t in group)):
                 rng.getrandbits(64)  # the skipped split's seed
             else:
                 cand = split(group, pulls, "V")

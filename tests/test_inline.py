@@ -281,6 +281,17 @@ def test_line_badnesses_raise_the_first_bad_lines_message(lines):
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("lines, kind", [
+    (((0, 1.0), (2,)), "float"),
+    (((0,), (1, 2.0)), "float"),
+    (((0, "1"),), "str"),  # a layout need not hold every tag
+])
+def test_line_badnesses_name_a_non_integer_entry(lines, kind):
+    with pytest.raises(InvalidInputError) as exc:
+        line_badnesses(three_sixty(), LineLayout(lines))
+    assert str(exc.value) == f"layout entries must be integers, got {kind}"
+
+
 def test_break_table_additive_prefix_scores():
     rng = random.Random(7)
     for agg in (L1, L2):

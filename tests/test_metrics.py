@@ -97,6 +97,18 @@ def test_layout_to_placement_rejects_bad_layouts(lines, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("lines, kind", [
+    (((0, 1.0), (2,)), "float"),  # 1.0 == 1, so the entries look like a permutation
+    (((0, 1), (2.0,)), "float"),
+    (((0, 1), ("2",)), "str"),
+    (((0, 1.0), (2, 3)), "float"),  # named before the extra tag
+])
+def test_layout_to_placement_names_a_non_integer_entry(lines, kind):
+    with pytest.raises(InvalidInputError) as exc:
+        layout_to_placement(LineLayout(lines), sample_cloud())
+    assert str(exc.value) == f"layout entries must be integers, got {kind}"
+
+
 def test_layout_to_placement_double_use_detected():
     cloud = sample_cloud()
     with pytest.raises(InvalidInputError):

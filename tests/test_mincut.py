@@ -248,9 +248,10 @@ def test_fm_finds_the_bridge_cut():
 def fm_reference_cases():
     """Seeded FM inputs: 13-80 tags drawn from a larger graph, integer
     or fractional strengths (or none), pulls on either axis, unit or
-    random areas; then dense groups where many moves are illegal.  The
-    last field is a draw the test does not use, kept so that each case
-    and its id stay fixed."""
+    random areas; then dense groups where many moves are illegal; then
+    groups with one tag of about 40% of the area.  The test does not use
+    the last field; the first two families draw it, kept so that each
+    case and its id stay fixed."""
 
     rng = random.Random(0xB0C7)
     for case in range(60):
@@ -291,6 +292,25 @@ def fm_reference_cases():
         pulls = Pulls(**{side: {t: rng.choice([1, 3, 0.5]) for t in tags if rng.random() < 0.2}
                          for side in SIDES if rng.random() < 0.3})
         yield case, tags, g, pulls, axis, areas, rng.choice([1, 3, 10])
+
+    # Groups of 13-60 tags where one tag holds about 40% of the area and
+    # strengths are 1 or 2, so gains tie often.  The big tag may move
+    # only off the heavier side, and never off a side it holds alone, so
+    # its entry is often held aside while stale entries pile up, and the
+    # heap is rebuilt from the live keys between its tries.
+    rng = random.Random(0x40A5)
+    for case in range(90, 110):
+        n = rng.randint(13, 60)
+        tags = sorted(rng.sample(range(n + 10), n))
+        g = RelationGraph((i, j, rng.choice([1, 1, 2]))
+                          for k, i in enumerate(tags) for j in tags[k + 1:]
+                          if rng.random() < 0.5)
+        areas = {t: rng.randint(1, 3) for t in tags}
+        areas[rng.choice(tags)] = sum(areas.values()) * 2 // 3
+        axis = rng.choice("VH")
+        pulls = Pulls(**{side: {t: 1 for t in tags if rng.random() < 0.2}
+                         for side in SIDES if rng.random() < 0.3})
+        yield case, tags, g, pulls, axis, areas, DEFAULT_FM_RUNS
 
 
 def assert_fm_matches_reference(tags, g, pulls, axis, areas, seed):
@@ -733,6 +753,11 @@ def slicing_tree_cases():
     yield "few-edges", random_cloud(5, 80), few, 5, 1.0, 1
     # An explicit empty graph, not None: no pulls and no sides.
     yield "empty-graph", random_cloud(6, 80), RelationGraph(), 6, 1.0, 1
+    # Tall, narrow regions on a graph with edges: many groups, small ones
+    # among them, whose vertical split cannot fit are never split that way.
+    cloud, graph = topic_cloud(7, k=60)
+    narrow = Cloud(tags=cloud.tags, target_width=max(t.width for t in cloud.tags) + 10)
+    yield "tall-edged", narrow, graph, 7, 0.85, 1
 
 
 @pytest.mark.parametrize("case, cloud, graph, seed, bias, runs",
@@ -742,6 +767,46 @@ def test_slicing_tree_matches_reference(case, cloud, graph, seed, bias, runs):
     assert got == slicing_tree_reference(cloud, graph, seed=seed, width_bias=bias)
     if case == "fm-bound":
         assert got.orient == "V"
+
+
+def test_doomed_vertical_splits_are_never_run(monkeypatch):
+    events = []  # ("bound", arguments, verdict) and ("split", group, axis), in call order
+    doomed, split = mincut._vertical_doomed, mincut.bipartition
+
+    def recording_doomed(*args):
+        events.append(("bound", args, doomed(*args)))
+        return events[-1][2]
+
+    def recording_split(tags, graph, pulls, axis, areas, seed):
+        events.append(("split", tuple(tags), axis))
+        return split(tags, graph, pulls, axis, areas, seed=seed)
+
+    monkeypatch.setattr(mincut, "_vertical_doomed", recording_doomed)
+    monkeypatch.setattr(mincut, "bipartition", recording_split)
+    skipped = 0  # vertical enumerations not run
+    for seed, k, width in ((1, 40, 300), (6, 100, 250)):
+        cloud, graph = topic_cloud(seed, k=k, target_width=width)
+        areas = [t.area() for t in cloud.tags]
+        widths = [t.width for t in cloud.tags]
+        events.clear()
+        assert build_slicing_tree(cloud, graph, seed=seed) == slicing_tree_reference(
+            cloud, graph, seed=seed)
+        # On a graph with edges every vertical split is bounded first, and
+        # the next split is of the bounded group: vertical only if it may fit.
+        for k, event in enumerate(events):
+            if event[0] == "split" and event[2] == "V":
+                assert k and events[k - 1][0] == "bound" and not events[k - 1][2]
+            if event[0] == "bound":
+                (est_w, total, most, w_max), verdict = event[1:]
+                kind, group, axis = events[k + 1]
+                assert kind == "split" and axis == ("H" if verdict else "V")
+                largest = max(areas[t] for t in group)
+                assert (total, w_max) == (sum(areas[t] for t in group),
+                                          max(widths[t] for t in group))
+                assert most == ((total + largest) // 2 if len(group) > EXHAUSTIVE_LIMIT
+                                else max(2 * total // 3, largest))
+                skipped += verdict and len(group) <= EXHAUSTIVE_LIMIT
+    assert skipped > 0
 
 
 def test_layout_mincut_produces_disjoint_placements():
