@@ -9,6 +9,7 @@ become relation edges.
 
 The per-token work runs in C: one regular expression finds the long
 words, and adjacent pairs are counted over a numpy array of tag ids.
+That count loads numpy on first use; importing this module does not.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import re
 from collections import Counter
 from typing import Sequence
 
-import numpy as np
-
 from .model import (
     DEFAULT_SPACE_WIDTH,
     DEFAULT_TARGET_WIDTH,
@@ -28,6 +27,7 @@ from .model import (
     RelationGraph,
     TagBox,
     estimate_box,
+    show_value,
 )
 
 MIN_WORD_LENGTH = 6
@@ -74,8 +74,10 @@ def build_tag_cloud(stream: Sequence[str], k: int) -> tuple[TagBox, ...]:
     distinct words gives fewer than k tags, one per word.
     """
 
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InvalidInputError(f"k must be an integer, got {type(k).__name__} {show_value(k)}")
     if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+        raise InvalidInputError(f"k must be >= 1, got {show_value(k)}")
     freq = Counter(stream)
     if not freq:
         raise InvalidInputError("token stream is empty")
@@ -95,6 +97,7 @@ def cooccurrence_graph(stream: Sequence[str], retained: Sequence[str]) -> Relati
     the unordered pairs of adjacent, different ids are counted in numpy.
     """
 
+    import numpy as np
     index = {}
     for pos, word in enumerate(retained):
         if word in index:

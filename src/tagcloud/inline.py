@@ -112,7 +112,9 @@ def line_badnesses(cloud: Cloud, layout: LineLayout) -> list[int]:
                 sum_hw += w * h
                 if h > tallest:
                     tallest = h
-        except TypeError:  # a tag index that is not an int
+            if line and min(line) < 0:  # tags[i] took it from the end
+                raise IndexError("negative tag index")
+        except (TypeError, IndexError):  # an index that is not an int, or no tag's
             _raise_layout_problem(layout, cloud)
             raise
         slack = target - sum_w - (len(line) - 1) * space

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .model import (
     Cloud,
     InvalidInputError,
@@ -242,7 +240,7 @@ def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool]:
 
 
 @functools.cache
-def _bit_rows(n: int) -> np.ndarray:
+def _bit_rows(n: int):
     """Read-only (n, 2**n - 2) matrix whose column v - 1 is the membership
     vector v, 1 <= v <= 2**n - 2, with tags[0] as its most significant
     bit: the columns run in lexicographic order, so the first optimal
@@ -250,17 +248,19 @@ def _bit_rows(n: int) -> np.ndarray:
     importing the package pays nothing for it, and an edge-free split
     with no pull difference never builds it."""
 
+    import numpy as np
     vectors = np.arange(1, (1 << n) - 1)
     rows = ((vectors >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.float64)
     rows.flags.writeable = False
     return rows
 
 
-def _exhaustive_objective(bits, edges, cost_a, cost_b) -> np.ndarray:
+def _exhaustive_objective(bits, edges, cost_a, cost_b):
     """Cut weight plus pull penalty of every membership vector (a column
     of ``bits``), summed in edge order, then the A costs, then each tag's
     B-minus-A delta."""
 
+    import numpy as np
     obj = np.zeros(bits.shape[1])
     for i, j, s in edges:
         obj += (bits[i] != bits[j]) * float(s)
@@ -285,7 +285,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     With no internal edges and the same pull cost on both sides of the
     cut axis for every tag, every vector costs the same, so the answer
     is the first vector in the pool.  ``_first_in_pool`` finds it from
-    the areas, with no enumeration.
+    the areas, with no enumeration and without loading numpy.
     """
 
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
@@ -296,6 +296,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     if not edges and cost_a == cost_b:
         side, relaxed = _first_in_pool(area)
         return _split_result(tags, side, edges, relaxed=relaxed)
+    import numpy as np
     area_arr = np.array(area, dtype=np.float64)
     bits = _bit_rows(n)
     area_b = area_arr @ bits  # exact: the areas are integers

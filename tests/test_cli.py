@@ -14,6 +14,7 @@ from tagcloud.bench import INLINE_ALGOS
 from tagcloud.cli import _run
 from tagcloud.inline import BadnessAggregate
 from tagcloud.model import MAX_PIXELS, MAX_TOTAL_STRENGTH, InternalError, InvalidInputError
+from tagcloud.synthetic import random_cloud
 from .structure import Cells, each_tag_once, inside_bbox, lines_fit, no_overlap
 
 COMMANDS = ("layout-inline", "layout-mincut", "ingest", "bench")
@@ -374,6 +375,64 @@ def test_console_scripts_match_module_commands(monkeypatch):
         assert module == "tagcloud.cli"
         getattr(cli, func)()
         assert ran.pop() is main.commands[name]
+
+
+def imported_modules(stderr):
+    """Names of the modules a ``PYTHONPROFILEIMPORTTIME=1`` run imported,
+    read from its ``import time: self | cumulative | name`` lines."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+def loads_numpy(modules):
+    return any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+
+def run_traced(command, *args):
+    env = _child_env()
+    env["PYTHONPROFILEIMPORTTIME"] = "1"
+    r = run(command, *args, env=env)
+    assert r.returncode == 0, r.stderr
+    modules = imported_modules(r.stderr)
+    assert "tagcloud.cli" in modules, r.stderr  # the trace is on
+    return modules
+
+
+@pytest.mark.parametrize("module", ["tagcloud", "tagcloud.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    r = run((sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
+
+
+@pytest.fixture(scope="module")
+def edge_free_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edge-free") / "cloud.json"
+    path.write_text(tagcloud.cloud_to_json(random_cloud(1, 40)))
+    return path
+
+
+@pytest.mark.parametrize("algo", sorted(INLINE_ALGOS))
+def test_layout_inline_never_loads_numpy(scripts, cloud_file, algo):
+    modules = run_traced(scripts["layout-inline"], "--input", str(cloud_file),
+                         "--algo", algo)
+    assert not loads_numpy(modules), sorted(modules)
+
+
+def test_edge_free_layout_mincut_never_loads_numpy(scripts, edge_free_file, tmp_path):
+    out = tmp_path / "cloud.html"
+    modules = run_traced(scripts["layout-mincut"], "--input", str(edge_free_file),
+                         "--html", str(out))
+    assert "<table>" in out.read_text()
+    assert not loads_numpy(modules), sorted(modules)
+
+
+def test_ingest_and_edged_layout_mincut_load_numpy(scripts, cloud_file, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("winter summer winter summer autumn winter\n" * 4)
+    assert loads_numpy(run_traced(scripts["ingest"], "--text", str(corpus), "--k", "3",
+                                  "--out", str(tmp_path / "made.json")))
+    assert loads_numpy(run_traced(scripts["layout-mincut"], "--input", str(cloud_file)))
 
 
 def _exit_code(command, argv):

@@ -84,6 +84,22 @@ def test_build_tag_cloud_validates():
         build_tag_cloud([], 3)
 
 
+@pytest.mark.parametrize("k, message", [
+    (2.5, "k must be an integer, got float 2.5"),
+    ("3", "k must be an integer, got str 3"),
+    (None, "k must be an integer, got NoneType None"),
+    (True, "k must be an integer, got bool True"),
+    (0, "k must be >= 1, got 0"),
+    (-2, "k must be >= 1, got -2"),
+])
+def test_build_tag_cloud_rejects_a_bad_k(k, message):
+    for build in (lambda: build_tag_cloud(["rivers", "stones"], k),
+                  lambda: build_cloud_from_text("rivers stones rivers", k)):
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_cooccurrence_counts_adjacent_pairs():
     stream = ["aaa", "bbb", "aaa", "bbb", "ccc", "aaa", "ccc", "ccc"]
     g = cooccurrence_graph(stream, ["aaa", "bbb", "ccc"])

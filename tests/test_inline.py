@@ -15,6 +15,7 @@ from tagcloud import (
     dp_break,
     greedy_break,
     layout_badness,
+    layout_to_placement,
     line_badness,
     line_badnesses,
 )
@@ -290,6 +291,16 @@ def test_line_badnesses_name_a_non_integer_entry(lines, kind):
     with pytest.raises(InvalidInputError) as exc:
         line_badnesses(three_sixty(), LineLayout(lines))
     assert str(exc.value) == f"layout entries must be integers, got {kind}"
+
+
+@pytest.mark.parametrize("lines", [((0, 5),), ((0, -1),), ((0, 1, -1),)])
+def test_line_badnesses_reject_an_index_that_is_no_tag(lines):
+    cloud = random_cloud(1, 3)
+    with pytest.raises(InvalidInputError) as placed:
+        layout_to_placement(LineLayout(lines), cloud)
+    with pytest.raises(InvalidInputError) as scored:
+        line_badnesses(cloud, LineLayout(lines))
+    assert str(scored.value) == str(placed.value) == "layout does not place every tag exactly once"
 
 
 def test_break_table_additive_prefix_scores():
