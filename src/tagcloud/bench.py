@@ -3,8 +3,8 @@
 For every cloud each method runs once, and the report records layout
 quality (line badness where lines exist, bounding box area, weighted
 relation distance when a graph is present) plus wall-clock time and,
-for the 2-D placer, how many width retries it needed.  Reruns with the
-same seed reproduce everything except the timing column.
+for the 2-D placer, its width attempts.  Reruns with the same seed
+reproduce everything except the timing column.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ group's total area comes from its parent's split, never re-summed.
 ``layout_mincut`` drives the whole pipeline: build the tree for an
 estimated aspect ratio, size it through the shape combiner, and retry
 with a narrower or wider estimate until the result suits the target
-width.
+width; when the target is below the width floor that no tree can beat,
+until an attempt lands on that floor.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .model import (
     InvalidInputError,
     PlacedCloud,
     RelationGraph,
+    check_seed,
     show_value,
 )
 from .sizing import combine_shapes, default_leaf_shapes, select_and_place
@@ -587,6 +589,7 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
 
     graph = graph or RelationGraph()
     graph.check_fits(len(cloud.tags))
+    check_seed(seed)
     if isinstance(width_bias, bool) or not isinstance(width_bias, (int, float)):
         raise InvalidInputError(f"width_bias must be a number, got {type(width_bias).__name__}")
     if not 0 < width_bias <= sys.float_info.max:  # also false for NaN
@@ -656,6 +659,14 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
 
 @dataclass(frozen=True)
 class MincutResult:
+    """``layout_mincut``'s chosen attempt.
+
+    ``iterations`` counts the width attempts the retry schedule takes.
+    Once an attempt lands on the width floor above the target, the
+    attempts left are counted without being built, since none of them
+    could fit or come out narrower (see ``layout_mincut``).
+    """
+
     placed: PlacedCloud
     tree: Node
     iterations: int
@@ -676,11 +687,20 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
     Builds a slicing tree for the current width estimate, sizes and
     places it, then adjusts the estimate until the bounding box lands
     between 75% and 100% of the target width (or retries run out).
-    Returns the widest attempt that fits; if none fits, the narrowest.
+    Returns the widest attempt that fits; if none fits, the narrowest,
+    the earliest among equal widths.
+
+    V cuts add widths and H cuts take the larger, so no root is
+    narrower than the floor: the widest of the tags' narrowest leaf
+    shapes.  When the floor is wider than the target, no attempt fits,
+    every one shrinks the estimate and the loop would run all
+    ``MAX_WIDTH_RETRIES``; so the first attempt exactly at the floor is
+    the one returned, at once, with ``iterations`` the full count.
     """
 
     leaf_shapes = default_leaf_shapes(cloud, variants=shape_variants)
     target = cloud.target_width
+    floor = max(shapes[0][0] for shapes in leaf_shapes.values())
     bias = 1.0
     attempts: list[tuple[PlacedCloud, Node]] = []
     for _ in range(MAX_WIDTH_RETRIES):
@@ -689,6 +709,8 @@ def layout_mincut(cloud: Cloud, graph: RelationGraph | None = None, seed: int = 
         placed = select_and_place(tree, table[len(table) - 1], target)
         attempts.append((placed, tree))
         w = placed.bbox[0]
+        if w == floor > target:
+            return MincutResult(placed=placed, tree=tree, iterations=MAX_WIDTH_RETRIES)
         if w > target:
             bias *= SHRINK_FACTOR
         elif w < LOW_USE_FRACTION * target:

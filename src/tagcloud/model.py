@@ -264,6 +264,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_seed(seed) -> None:
+    """A seed is a non-bool ``int``; else InvalidInputError.  ``None``
+    would seed from the OS, and other types would be hashed or refused
+    by ``random.Random``."""
+
+    if not _is_int(seed):
+        raise InvalidInputError(f"seed must be an integer, got {type(seed).__name__}")
+
+
 def _pixel_problem(name: str, value: int, low: int) -> str | None:
     if not _is_int(value):
         return f"{name} must be an integer, got {type(value).__name__}"

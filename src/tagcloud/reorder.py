@@ -18,7 +18,7 @@ import random
 from typing import Sequence
 
 from .inline import BadnessAggregate, _dp_score, dp_break
-from .model import Cloud, InvalidInputError, LineLayout, show_value
+from .model import Cloud, InvalidInputError, LineLayout, check_seed, show_value
 
 # Shuffles draw from Python's seeded Mersenne Twister; recorded in
 # benchmark metadata so runs can be replayed.
@@ -118,6 +118,7 @@ def shuffle_best(cloud: Cloud, k: int = 10,
     """
 
     check_shuffle_count(k)
+    check_seed(seed)
     rng = random.Random(seed)
     best_order: list[int] = []
     best_score = None

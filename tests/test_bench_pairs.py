@@ -102,6 +102,26 @@ def test_a_side_without_a_finished_run_has_no_verdict_and_no_claim():
     assert bench_pairs.claim_met(row, "latency_ms.p50", "lower") == (False, None)
 
 
+def stub_doc(met=True, verdict="ok", identical=True):
+    return {"claim": {"workload": "w", "metric": "latency_ms.p50", "met": met},
+            "workloads": {"w": {"pairs": 10, "failed": {"parent": 0, "change": 0},
+                                "latency_ms.p50": {"verdict": "ok"},
+                                "throughput_rps": {"verdict": verdict}}},
+            "same_layouts": {"identical": identical}}
+
+
+@pytest.mark.parametrize("doc, reasons", [
+    (stub_doc(), []),
+    (stub_doc(verdict="unresolved"), []),
+    ({**stub_doc(), "claim": None}, []),
+    (stub_doc(met=False), ["claim w:latency_ms.p50 not met"]),
+    (stub_doc(verdict="WORSE THAN BOUND"), ["w throughput_rps WORSE THAN BOUND"]),
+    (stub_doc(identical=False), ["same-output check found different layouts"]),
+], ids=["all-clear", "unresolved", "no-claim", "claim", "worse", "layouts"])
+def test_failures_name_each_reason_to_exit_1(doc, reasons):
+    assert bench_pairs.failures(doc) == reasons
+
+
 def git(repo, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
                    check=True, capture_output=True)
@@ -144,8 +164,10 @@ print(json.dumps({{"correct": True, "attempted": 4, "failed": 0, "metrics": {{
 """
 
 
-def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written(
-        tmp_path, monkeypatch):
+def stub_repo(tmp_path, monkeypatch, crash):
+    """A repo whose parent's stub runs read p50 10 ms and whose change's
+    read 5 ms, its seed-2 run exiting 1 if ``crash``."""
+
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "BENCHMARK.json").write_text(json.dumps({
@@ -157,12 +179,27 @@ def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written
     git(repo, "init", "-q")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "parent")
-    # The change is faster, but its seed-2 run exits 1.
-    run_py.write_text(STUB_RUN.format(crash=True, p50=5.0))
+    run_py.write_text(STUB_RUN.format(crash=crash, p50=5.0))
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    return repo
 
+
+def test_a_met_claim_with_the_same_layouts_exits_0(tmp_path, monkeypatch):
+    repo = stub_repo(tmp_path, monkeypatch, crash=False)
     assert bench_pairs.main(["--topic", "stub", "--workdir", str(tmp_path / "work"),
                              "--run", "w=1-10", "--claim", "w:latency_ms.p50"]) == 0
+    doc = json.loads((repo / "BENCH_stub.json").read_text())
+    assert doc["claim"]["met"] and doc["same_layouts"]["identical"]
+
+
+def test_a_run_that_exits_nonzero_counts_as_failed_and_the_json_is_still_written(
+        tmp_path, monkeypatch):
+    # The change is faster, but its seed-2 run exits 1.
+    repo = stub_repo(tmp_path, monkeypatch, crash=True)
+
+    # The claim is unmet and the layouts differ, so the script exits 1.
+    assert bench_pairs.main(["--topic", "stub", "--workdir", str(tmp_path / "work"),
+                             "--run", "w=1-10", "--claim", "w:latency_ms.p50"]) == 1
     doc = json.loads((repo / "BENCH_stub.json").read_text())
     row = doc["workloads"]["w"]
     assert row["exit_codes"] == {"parent": [0] * 10, "change": [0, 1] + [0] * 8}

@@ -30,7 +30,9 @@ from tagcloud.mincut import (
 )
 from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.tree import Cut, Leaf, leaves
+from tagcloud.sizing import default_leaf_shapes
 from .conftest import make_cloud
+from . import oracles
 from .oracles import (
     best_bipartition,
     fm_bipartition,
@@ -851,6 +853,123 @@ def test_layout_mincut_returns_the_widest_fitting_attempt(case, cloud, seed):
         assert len(widths) == MAX_WIDTH_RETRIES and fitting.count(max(fitting)) > 1
     else:
         assert len(widths) == MAX_WIDTH_RETRIES and not fitting
+
+
+def width_floor(cloud, shape_variants=3):
+    """The widest of the tags' narrowest leaf shapes: no root is narrower."""
+
+    return max(s[0][0] for s in default_leaf_shapes(cloud, shape_variants).values())
+
+
+def floor_cases():
+    """Edge-free and edged clouds of 2 to 150 tags, for targets at and
+    below the width floor: (cloud, graph, seed)."""
+
+    for n in (2, 3, 9, 14, 40, 150):
+        yield random_cloud(n, n), None, n
+    for k in (4, 12, 30, 90):
+        yield (*topic_cloud(k, k=k, length=3000), k)
+
+
+@pytest.mark.parametrize("variants", [1, 3])
+@pytest.mark.parametrize("fraction", [0.5, 0.95, 1])
+@pytest.mark.parametrize("cloud, graph, seed", list(floor_cases()))
+def test_layout_at_or_below_the_floor_matches_every_attempt_replayed(cloud, graph, seed,
+                                                                     fraction, variants):
+    # A target of exactly the floor can fit, so the loop must not stop there.
+    target = max(1, int(width_floor(cloud, variants) * fraction))
+    cloud = dataclasses.replace(cloud, target_width=target)
+    placed, tree, widths = mincut_attempts_reference(cloud, graph, seed, variants)
+    got = layout_mincut(cloud, graph, seed=seed, shape_variants=variants)
+    assert (got.placed, got.tree, got.iterations) == (placed, tree, len(widths))
+    if fraction < 1:
+        assert len(widths) == MAX_WIDTH_RETRIES and min(widths) > target
+
+
+def counting(monkeypatch, module, make_tree=None):
+    """Wrap ``module.build_slicing_tree``; ``make_tree(k, real tree)``
+    may replace the tree of call k.  Returns the list of calls' trees."""
+
+    real = module.build_slicing_tree
+    built = []
+
+    def wrapper(cloud, graph=None, seed=0, width_bias=1.0):
+        tree = real(cloud, graph, seed=seed, width_bias=width_bias)
+        built.append(make_tree(len(built), tree) if make_tree else tree)
+        return built[-1]
+
+    monkeypatch.setattr(module, "build_slicing_tree", wrapper)
+    return built
+
+
+def test_an_attempt_at_the_floor_ends_the_loop(monkeypatch):
+    (case, cloud, seed), = [c for c in mincut_attempt_cases() if c[0] == "misses"]
+    built = counting(monkeypatch, mincut)
+    got = layout_mincut(cloud, seed=seed)
+    assert len(built) == 1 and got.iterations == MAX_WIDTH_RETRIES
+    assert got.placed.bbox[0] == width_floor(cloud)
+
+
+def widest_beside(cloud, partner):
+    """A tree putting the widest tag beside its ``partner``-th widest
+    follower, the other tags stacked under them: wider than the floor."""
+
+    by_width = sorted(range(len(cloud.tags)), key=lambda i: -cloud.tags[i].width)
+    pair = by_width[0], by_width[partner]
+    node = Cut("V", Leaf(pair[0]), Leaf(pair[1]))
+    for i in by_width:
+        if i not in pair:
+            node = Cut("H", node, Leaf(i))
+    return node
+
+
+def test_a_first_attempt_above_the_floor_still_matches_the_replay(monkeypatch):
+    cloud = dataclasses.replace(random_cloud(5, 6), target_width=20)
+    wide = widest_beside(cloud, 1)
+
+    def first_wide(k, tree):
+        return wide if k == 0 else tree
+
+    replayed = counting(monkeypatch, oracles, first_wide)
+    placed, tree, widths = mincut_attempts_reference(cloud, seed=5)
+    built = counting(monkeypatch, mincut, first_wide)
+    got = layout_mincut(cloud, seed=5)
+    assert (got.placed, got.tree, got.iterations) == (placed, tree, len(widths))
+    floor = width_floor(cloud)
+    assert widths[0] > floor and widths.index(floor) == 1 == len(built) - 1
+    assert len(replayed) == MAX_WIDTH_RETRIES and got.tree != wide
+
+
+def test_attempts_that_never_reach_the_floor_all_run(monkeypatch):
+    # Attempts 1 and 2 put the widest tag beside the narrowest one, the
+    # others beside the next widest: the narrowest attempt comes first at 1.
+    cloud = dataclasses.replace(random_cloud(5, 6), target_width=20)
+    narrow, wide = widest_beside(cloud, 5), widest_beside(cloud, 1)
+
+    def narrow_second(k, tree):
+        return narrow if k in (1, 2) else wide
+
+    counting(monkeypatch, oracles, narrow_second)
+    placed, tree, widths = mincut_attempts_reference(cloud, seed=5)
+    built = counting(monkeypatch, mincut, narrow_second)
+    got = layout_mincut(cloud, seed=5)
+    assert (got.placed, got.tree, got.iterations) == (placed, tree, MAX_WIDTH_RETRIES)
+    assert len(built) == MAX_WIDTH_RETRIES and got.tree == narrow
+    assert min(widths) == widths[1] < widths[0] and min(widths) > width_floor(cloud)
+
+
+@pytest.mark.parametrize("seed, kind", [
+    (None, "NoneType"),  # seeded from the OS: a new layout on each call
+    (1.5, "float"), ("3", "str"), (True, "bool"),
+    ([1], "list"),  # a plain TypeError from random.Random
+])
+def test_seed_must_be_an_integer(seed, kind):
+    cloud, graph = topic_cloud(1, k=20)
+    for call in (lambda: build_slicing_tree(cloud, graph, seed=seed),
+                 lambda: layout_mincut(cloud, graph, seed=seed)):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert str(exc.value) == f"seed must be an integer, got {kind}"
 
 
 @pytest.mark.parametrize("graph", [False, True])

@@ -197,3 +197,12 @@ def test_shuffle_count_message(k, message):
     with pytest.raises(InvalidInputError) as err:
         shuffle_best(first_fit_cloud(), k)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("seed, kind", [
+    (None, "NoneType"), (1.5, "float"), ("3", "str"), (True, "bool"), ([1], "list"),
+])
+def test_shuffle_best_seed_must_be_an_integer(seed, kind):
+    with pytest.raises(InvalidInputError) as err:
+        shuffle_best(first_fit_cloud(), 2, seed=seed)
+    assert str(err.value) == f"seed must be an integer, got {kind}"

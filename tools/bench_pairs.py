@@ -36,6 +36,11 @@ The ``--run`` workloads, their seed lists (one ``--run`` per
 workload) and the ``--claim`` are checked against ``BENCHMARK.json``
 and the ``--run`` list before any tree is built; a claim needs at
 least 10 pairs, since nine tenths of 3 pairs is 2 wins.
+
+After writing the JSON the script exits 1, naming each reason, when
+the ``--claim`` is not met, a verdict reads ``WORSE THAN BOUND`` or the
+same-output check finds a difference; ``unresolved`` alone does not
+fail it.  Otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -178,6 +183,21 @@ def claim_met(row: dict, name: str, better: str) -> tuple[bool, float | None]:
     return met, gain
 
 
+def failures(doc: dict) -> list[str]:
+    """Why a written ``doc`` fails the change: an unmet claim, each
+    ``WORSE THAN BOUND`` verdict, different layouts.  Empty if none."""
+
+    reasons = []
+    if doc["claim"] and not doc["claim"]["met"]:
+        reasons.append(f"claim {doc['claim']['workload']}:{doc['claim']['metric']} not met")
+    for workload, row in doc["workloads"].items():
+        reasons += [f"{workload} {name} WORSE THAN BOUND" for name, s in row.items()
+                    if isinstance(s, dict) and s.get("verdict") == "WORSE THAN BOUND"]
+    if not doc["same_layouts"]["identical"]:
+        reasons.append("same-output check found different layouts")
+    return reasons
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--topic", required=True, help="writes BENCH_<topic>.json")
@@ -304,7 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     if doc["claim"]:
         print(f"claim {args.claim}: {'met' if doc['claim']['met'] else 'NOT met'}")
     print(f"wrote {path.name}")
-    return 0
+    reasons = failures(doc)
+    for reason in reasons:
+        print(f"FAIL: {reason}")
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
