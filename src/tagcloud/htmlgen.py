@@ -2,9 +2,10 @@
 
 Inline layouts render as spans separated by spaces and line breaks;
 2-D placements render the slicing tree as nested two-cell tables, so
-any browser reproduces the packing without absolute positioning.  All
-documents embed the stylesheet, one element per line, which keeps them
-self-contained and diff-friendly.
+any browser reproduces the packing without absolute positioning.  Each
+tag is a plain span, never a link.  All documents carry the title
+``tag cloud`` and embed the stylesheet, one element per line, which
+keeps them self-contained and diff-friendly.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ def emit_css() -> str:
     return "\n".join(rules) + "\n"
 
 
-def _document(body_lines: Iterable[str], title: str) -> str:
+def _document(body_lines: Iterable[str]) -> str:
     head = [
         "<!DOCTYPE html>",
         "<html>",
         "<head>",
         '<meta charset="utf-8">',
-        f"<title>{escape(title)}</title>",
+        "<title>tag cloud</title>",
         "<style>",
         emit_css().rstrip("\n"),
         "</style>",
@@ -56,20 +57,15 @@ def _document(body_lines: Iterable[str], title: str) -> str:
     return "\n".join(head + list(body_lines) + tail)
 
 
-def _span(cloud: Cloud, idx: int, extra_class: str = "",
-          href_template: str | None = None) -> str:
+def _span(cloud: Cloud, idx: int, extra_class: str = "") -> str:
     tag = cloud.tags[idx]
     classes = f"tag{tag.weight}" + (f" {extra_class}" if extra_class else "")
-    label = escape(tag.label)
-    if href_template is None:
-        return f'<span class="{classes}">{label}</span>'
-    href = escape(href_template.format(label=tag.label), quote=True)
-    return f'<a class="{classes}" href="{href}">{label}</a>'
+    return f'<span class="{classes}">{escape(tag.label)}</span>'
 
 
-def emit_inline(layout: LineLayout, cloud: Cloud,
-                href_template: str | None = None, title: str = "tag cloud") -> str:
-    """One span per tag, spaces within a line, <br> between lines.
+def emit_inline(layout: LineLayout, cloud: Cloud) -> str:
+    """One span per tag, spaces within a line, <br> between lines, in a
+    document titled ``tag cloud``.
 
     Labels are HTML-escaped and never split.
     """
@@ -84,20 +80,18 @@ def emit_inline(layout: LineLayout, cloud: Cloud,
         # one span per source line; newlines between spans render as
         # the single inter-tag spaces the widths were computed with
         for idx in line:
-            body.append(_span(cloud, idx, href_template=href_template))
+            body.append(_span(cloud, idx))
     body.append("</div>")
-    return _document(body, title)
+    return _document(body)
 
 
-def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud,
-                       href_template: str | None = None,
-                       title: str = "tag cloud") -> str:
+def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud) -> str:
     """Render a slicing tree as nested tables.
 
     A V cut is a one-row, two-cell table; an H cut two rows of one
-    cell.  Leaves become spans classed by weight, plus a variant class
-    when the placed box is squeezed or stretched relative to the tag's
-    default box.
+    cell, in a document titled ``tag cloud``.  Leaves become spans
+    classed by weight, plus a variant class when the placed box is
+    squeezed or stretched relative to the tag's default box.
     """
 
     placed_tags = placed.by_tag()
@@ -116,7 +110,7 @@ def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud,
 
     def render(node: Node, out: list[str]) -> None:
         if isinstance(node, Leaf):
-            out.append(_span(cloud, node.tag, variant_class(node.tag), href_template))
+            out.append(_span(cloud, node.tag, variant_class(node.tag)))
             return
         out.append("<table>")
         out.append("<tr>")
@@ -140,4 +134,4 @@ def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud,
     body = ['<div class="cloud">']
     render(tree, body)
     body.append("</div>")
-    return _document(body, title)
+    return _document(body)

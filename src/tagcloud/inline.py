@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
@@ -166,13 +165,6 @@ def greedy_break(cloud: Cloud, order: Sequence[int] | None = None) -> LineLayout
     return LineLayout(tuple(map(tuple, lines)))
 
 
-def _prepare(cloud: Cloud, order: Sequence[int] | None):
-    """Checked order and the line table of the tags taken in it."""
-
-    order = _check_order(len(cloud.tags), order)
-    return order, _order_table(cloud, order)
-
-
 def _order_table(cloud: Cloud, order: list[int]) -> list[list[int]]:
     tags = cloud.tags
     return _line_table([tags[i].width for i in order], [tags[i].height for i in order],
@@ -196,43 +188,14 @@ def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
     end positions, so results are reproducible.
     """
 
-    order, bad = _prepare(cloud, order)
-    _, reach, cap = _prefix_scores(bad, agg)
+    order = _check_order(len(cloud.tags), order)
+    _, reach, cap = _prefix_scores(_order_table(cloud, order), agg)
     lines = []
     prev = 0
     for end in _best_ends(reach, cap):
         lines.append(tuple(order[prev:end]))
         prev = end
     return LineLayout(tuple(lines))
-
-
-@dataclass(frozen=True)
-class BreakTable:
-    """DP internals exposed for inspection.
-
-    ``t[j]`` is the optimal aggregate over the first j tags; ``K[j]``
-    the start of a final line that gives that prefix exactly ``t[j]``:
-    the chosen layout's start on its chain, elsewhere the smallest such
-    start (K[0] is 0 and unused).  Following n, K[n], K[K[n]], ... back
-    to 0 reproduces the chosen break positions, and t never decreases
-    along that chain.
-    """
-
-    t: tuple[int, ...]
-    K: tuple[int, ...]
-
-
-def break_table(cloud: Cloud, order: Sequence[int] | None = None,
-                agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES) -> BreakTable:
-    _, bad = _prepare(cloud, order)
-    t, reach, cap = _prefix_scores(bad, agg)
-    # row entry i is the line starting at j-1-i, so the last match is the smallest start
-    K = [0] + [j - len(reach[j]) + reach[j][::-1].index(t[j]) for j in range(1, len(t))]
-    prev = 0
-    for end in _best_ends(reach, cap):
-        K[end] = prev
-        prev = end
-    return BreakTable(t=tuple(t), K=tuple(K))
 
 
 def _line_table(widths: list[int], heights: list[int], target: int,

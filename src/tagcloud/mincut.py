@@ -135,7 +135,6 @@ class FmRun:
 class Bipartition:
     part_a: tuple[int, ...]
     part_b: tuple[int, ...]
-    cut_weight: float
     relaxed: bool = False
     runs: tuple[FmRun, ...] = ()
 
@@ -181,16 +180,13 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
     return tags, area, edges, cost_a, cost_b
 
 
-def _split_result(tags: Sequence[int], side: Sequence[int], edges,
+def _split_result(tags: Sequence[int], side: Sequence[int],
                   relaxed: bool = False, runs: tuple[FmRun, ...] = ()) -> Bipartition:
-    """The split putting ``tags[k]`` in part B where ``side[k]`` is 1,
-    with its cut weight: the raw strengths of the cut edges summed in
-    edge order, so the same split always weighs the same."""
+    """The split putting ``tags[k]`` in part A where ``side[k]`` is 0
+    and in part B where it is 1, each part in group order."""
 
     return Bipartition(tuple(itertools.compress(tags, map(operator.not_, side))),
-                       tuple(itertools.compress(tags, side)),
-                       float(sum(s for i, j, s in edges if side[i] != side[j])),
-                       relaxed, runs)
+                       tuple(itertools.compress(tags, side)), relaxed, runs)
 
 
 def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool]:
@@ -297,7 +293,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
             f"exhaustive bipartition handles at most {EXHAUSTIVE_LIMIT} tags, got {n}")
     if not edges and cost_a == cost_b:
         side, relaxed = _first_in_pool(area)
-        return _split_result(tags, side, edges, relaxed=relaxed)
+        return _split_result(tags, side, relaxed=relaxed)
     import numpy as np
     area_arr = np.array(area, dtype=np.float64)
     bits = _bit_rows(n)
@@ -315,7 +311,7 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     obj = _exhaustive_objective(bits, edges, cost_a, cost_b)
     v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
     side = [v >> (n - 1 - k) & 1 for k in range(n)]
-    return _split_result(tags, side, edges, relaxed=relaxed)
+    return _split_result(tags, side, relaxed=relaxed)
 
 
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
@@ -369,10 +365,10 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     left.  A run that meets a known side copies that ending and stops,
     and its record is the one the full run would have made.  The
     pass-start scan, which walks every edge to set the keys, also sums
-    the scaled cut for a run's start objective.  Only the winning side's
-    cut is weighed in raw strengths, once, by ``_split_result``.
+    the scaled cut for a run's start objective.
     """
 
+    check_seed(seed)
     tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
 
@@ -380,7 +376,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     if not edges and cost_a == cost_b:
         # Every gain is 0: each run would keep its start, so run 0 wins.
         side, _, _ = _fm_start(rng, area)
-        return _split_result(tags, side, edges, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)
+        return _split_result(tags, side, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)
 
     numbers = [s for _, _, s in edges] + cost_a + cost_b
     scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
@@ -414,7 +410,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
         if best is None or final_obj < best[0]:  # ties keep the earlier run
             best = (final_obj, final)
 
-    return _split_result(tags, best[1], edges, runs=tuple(stats))
+    return _split_result(tags, best[1], runs=tuple(stats))
 
 
 def _fm_start(rng: random.Random, area: Sequence[int]):
@@ -543,9 +539,10 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
 def bipartition(tags: Sequence[int], graph: RelationGraph,
                 pulls: Pulls | None = None, axis: str = "V",
                 areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
-    """Route to exhaustive or refinement splitting by set size."""
+    """Route to exhaustive or refinement splitting by set size; both check the seed."""
 
     if len(set(tags)) <= EXHAUSTIVE_LIMIT:
+        check_seed(seed)
         return bipartition_exhaustive(tags, graph, pulls, axis, areas)
     return bipartition_fm(tags, graph, pulls, axis, areas, seed=seed)
 

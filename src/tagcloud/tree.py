@@ -41,7 +41,3 @@ def iter_nodes(node: Node) -> Iterator[Node]:
         yield from iter_nodes(node.first)
         yield from iter_nodes(node.second)
     yield node
-
-
-def internal_count(node: Node) -> int:
-    return sum(1 for n in iter_nodes(node) if isinstance(n, Cut))

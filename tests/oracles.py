@@ -241,6 +241,15 @@ def best_bipartition(tags, edges, areas, cost_a=None, cost_b=None):
     return part_a, part_b, float(cut), relaxed
 
 
+def cut_weight(graph, split):
+    """Total strength of the graph's edges with one end in each part of
+    ``split``, summed in the graph's stored edge order, as a float."""
+
+    side = dict.fromkeys(split.part_a, 0) | dict.fromkeys(split.part_b, 1)
+    return float(sum(s for i, j, s in graph.edges
+                     if i in side and j in side and side[i] != side[j]))
+
+
 def pair_counts(stream, retained):
     """Adjacent co-occurrence counts over words in ``retained``.
 

@@ -81,6 +81,11 @@ def tree_of(spec):
     return Cut(spec[0], tree_of(spec[1]), tree_of(spec[2]))
 
 
+def cut_count(tree):
+    """The number of ``Cut`` nodes in ``tree``."""
+    return sum(isinstance(node, Cut) for node in iter_nodes(tree))
+
+
 def node_lists(tree, table):
     """``combine_shapes``' table keyed by node: its keys are post-order
     positions, the order ``iter_nodes`` yields."""

@@ -5,8 +5,8 @@ import pytest
 
 from tagcloud import Cloud, InvalidInputError, LineLayout, TagBox, dp_break, layout_mincut
 from tagcloud.htmlgen import LINE_HEIGHT, emit_css, emit_inline, emit_nested_tables
-from tagcloud.tree import internal_count
 from .conftest import make_cloud
+from .structure import cut_count
 
 
 class Collector(HTMLParser):
@@ -91,14 +91,6 @@ def test_emit_inline_escapes_labels():
     assert ("tag9", "beta & <gamma>") in c.spans
 
 
-def test_emit_inline_links():
-    cloud, layout = sample()
-    html = emit_inline(layout, cloud, href_template="/tags/{label}")
-    c = parse(html)
-    assert c.counts["a"] == 3
-    assert 'href="/tags/alpha"' in html
-
-
 def test_emit_inline_validates_layout():
     cloud, _ = sample()
     with pytest.raises(InvalidInputError):
@@ -112,7 +104,7 @@ def test_emit_nested_tables_two_cells_per_cut():
         result = layout_mincut(cloud, seed=trial)
         html = emit_nested_tables(result.tree, result.placed, cloud)
         c = parse(html)
-        cuts = internal_count(result.tree)
+        cuts = cut_count(result.tree)
         assert c.counts["table"] == cuts
         assert c.counts["td"] == 2 * cuts
         assert c.counts["span"] == len(cloud.tags)
@@ -167,7 +159,7 @@ def test_emit_nested_tables_checks_tag_sets():
 
 def test_documents_have_title_and_charset():
     cloud, layout = sample()
-    html = emit_inline(layout, cloud, title="my <cloud>")
-    assert "<title>my &lt;cloud&gt;</title>" in html
+    html = emit_inline(layout, cloud)
+    assert "<title>tag cloud</title>" in html
     assert '<meta charset="utf-8">' in html
     assert html.startswith("<!DOCTYPE html>")

@@ -11,7 +11,6 @@ from tagcloud import (
     LineLayout,
     TagBox,
     aggregate,
-    break_table,
     dp_break,
     greedy_break,
     layout_badness,
@@ -301,98 +300,6 @@ def test_line_badnesses_reject_an_index_that_is_no_tag(lines):
     with pytest.raises(InvalidInputError) as scored:
         line_badnesses(cloud, LineLayout(lines))
     assert str(scored.value) == str(placed.value) == "layout does not place every tag exactly once"
-
-
-def test_break_table_additive_prefix_scores():
-    rng = random.Random(7)
-    for agg in (L1, L2):
-        cloud = make_cloud(rng, 7)
-        table = break_table(cloud, agg=agg)
-        boxes = boxes_of(cloud, range(7))
-        for j in range(1, 8):
-            expect, _ = best_break(boxes[:j], 300, 4, agg.value)
-            assert table.t[j] == expect
-        assert table.t[0] == 0
-
-
-def test_break_table_minimax_prefix_scores():
-    rng = random.Random(8)
-    cloud = make_cloud(rng, 7)
-    table = break_table(cloud, agg=LINF)
-    boxes = boxes_of(cloud, range(7))
-    for j in range(1, 8):
-        expect, _ = best_break(boxes[:j], 300, 4, "linf")
-        assert table.t[j] == expect
-
-
-@pytest.mark.parametrize("agg", [L1, L2, LINF])
-def test_break_table_chain_reconstructs_dp(agg):
-    rng = random.Random(13)
-    cases = [(make_cloud(rng, rng.randint(1, 12)), None) for _ in range(20)]
-    for cloud, order in cases + list(tie_heavy_cases()):
-        n = len(cloud.tags)
-        table = break_table(cloud, order, agg)
-        ends = []
-        j = n
-        while j > 0:
-            ends.append(j)
-            j = table.K[j]
-        ends.reverse()
-        layout = dp_break(cloud, order, agg)
-        assert tuple(ends) == ends_of(layout)
-        assert table.t[n] == layout_badness(cloud, layout, agg)
-        # scores never decrease while walking the chain forward
-        chain_scores = [table.t[e] for e in ends]
-        assert chain_scores == sorted(chain_scores)
-        # every K[j] is a back-pointer: line K[j]..j on top of t[K[j]] gives t[j]
-        boxes = boxes_of(cloud, order or range(n))
-        for j in range(1, n + 1):
-            k = table.K[j]
-            line = line_score(boxes[k:j], cloud.target_width, cloud.space_width)
-            folded = (max(table.t[k], line) if agg is LINF
-                      else table.t[k] + fold([line], agg.value))
-            assert folded == table.t[j]
-
-
-@pytest.mark.parametrize("agg", [L1, L2, LINF])
-def test_break_table_off_chain_start_is_smallest(agg):
-    # off the chosen chain, K[j] is the smallest start whose line gives
-    # prefix j exactly t[j]
-    rng = random.Random(17)
-    cases = [(make_cloud(rng, rng.randint(1, 30)), None) for _ in range(30)]
-    # the first five tags have three optimal l1 layouts of three lines,
-    # ends (1, 4, 5), (2, 3, 5) and (2, 4, 5); the tie-break picks the
-    # first, but the smallest start of a last line is 3
-    boxes = ((20, 12), (10, 12), (10, 10), (10, 12), (20, 10), (10, 12))
-    cases.append((Cloud(tags=tuple(TagBox(f"t{i}", 1, w, h) for i, (w, h) in enumerate(boxes)),
-                        target_width=40, space_width=4), None))
-    for cloud, order in cases + list(tie_heavy_cases()):
-        n = len(cloud.tags)
-        table = break_table(cloud, order, agg)
-        chain = set(ends_of(dp_break(cloud, order, agg)))
-        boxes = boxes_of(cloud, order or range(n))
-        for j in range(1, n + 1):
-            if j in chain:
-                continue
-            starts = []
-            for v in range(j):
-                line = line_score(boxes[v:j], cloud.target_width, cloud.space_width)
-                if line is None:
-                    continue
-                folded = (max(table.t[v], line) if agg is LINF
-                          else table.t[v] + fold([line], agg.value))
-                if folded == table.t[j]:
-                    starts.append(v)
-            assert table.K[j] == min(starts), (j, starts)
-
-
-def test_break_table_not_pointwise_monotone():
-    # prefix scores may decrease: a lonely wide pair scores terribly
-    # until a third tag completes the line
-    cloud = Cloud(tags=(TagBox("a", 1, 100, 10), TagBox("b", 1, 100, 10),
-                        TagBox("c", 1, 88, 10)), target_width=300, space_width=4)
-    table = break_table(cloud, agg=L1)
-    assert table.t[3] < table.t[2]  # the invariant holds on the chain, not pointwise
 
 
 box_lists = st.lists(

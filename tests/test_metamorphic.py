@@ -5,6 +5,13 @@ integer multiplies every line's slack and every white strip's width by
 that integer, so every line's badness scales by it too.  Feasibility,
 first fit and every aggregate's argmin and tie-breaks are unchanged,
 so each inline layout must come out identical.
+
+Multiplying every edge strength of an integer graph by one integer
+multiplies every cut weight, pull, FM gain and enumeration objective
+by it.  Every comparison and tie-break in the min-cut placer is free of
+that scale, so its placement, tree and width attempts must come out
+identical.  FM rounds fractional strengths at a fixed scale, so the
+relation holds for integer graphs and factors only.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ import pytest
 from tagcloud import (
     BadnessAggregate,
     Cloud,
+    RelationGraph,
     dp_break,
     ffdh,
     ffdhw,
     greedy_break,
+    layout_mincut,
     line_badnesses,
     nfdh,
     shuffle_best,
@@ -67,3 +76,15 @@ def test_integer_width_scaling_keeps_every_inline_layout(make, factor):
     assert got == want
     for name, layout in want.items():
         assert line_badnesses(big, layout) == [factor * b for b in line_badnesses(cloud, layout)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("k", [30, 80, 150])
+def test_integer_strength_scaling_keeps_the_mincut_layout(k, seed):
+    cloud, graph = topic_cloud(seed, k=k)
+    assert all(type(s) is int for _, _, s in graph.edges)
+    want = layout_mincut(cloud, graph, seed=seed)
+    for factor in (2, 7):
+        big = RelationGraph((i, j, s * factor) for i, j, s in graph.edges)
+        got = layout_mincut(cloud, big, seed=seed)
+        assert (got.placed, got.tree, got.iterations) == (want.placed, want.tree, want.iterations)

@@ -35,6 +35,7 @@ from .conftest import make_cloud
 from . import oracles
 from .oracles import (
     best_bipartition,
+    cut_weight,
     fm_bipartition,
     mincut_attempts_reference,
     pulls_reference,
@@ -119,7 +120,7 @@ def test_exhaustive_cuts_the_weak_middle_edge():
     g = RelationGraph([(0, 1, 3), (1, 2, 1), (2, 3, 3)])
     part = bipartition_exhaustive([0, 1, 2, 3], g)
     assert (part.part_a, part.part_b) == ((0, 1), (2, 3))
-    assert part.cut_weight == 1.0
+    assert cut_weight(g, part) == 1.0
     assert not part.relaxed
 
 
@@ -206,7 +207,7 @@ def test_exhaustive_matches_reference_search():
         got = bipartition_exhaustive(list(range(n)), g, areas=areas)
         want = best_bipartition(range(n), g.edges, areas)
         assert (got.part_a, got.part_b) == (want[0], want[1])
-        assert got.cut_weight == want[2]
+        assert cut_weight(g, got) == want[2]
         assert got.relaxed == want[3]
 
 
@@ -242,7 +243,7 @@ def two_cliques(size=10, bridge=1.0):
 def test_fm_finds_the_bridge_cut():
     g = two_cliques()
     part = bipartition_fm(list(range(20)), g, seed=0)
-    assert part.cut_weight == 1.0
+    assert cut_weight(g, part) == 1.0
     assert sorted(part.part_a) in ([*range(10)], [*range(10, 20)])
     assert len(part.runs) == 10
 
@@ -324,7 +325,7 @@ def assert_fm_matches_reference(tags, g, pulls, axis, areas, seed):
     cost_b = {t: float(toward_a.get(t, 0)) for t in tags}
     want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, DEFAULT_FM_RUNS, seed=seed)
     got = bipartition_fm(tags, g, pulls, axis, areas, seed=seed)
-    assert (got.part_a, got.part_b, got.cut_weight) == want[:3]
+    assert (got.part_a, got.part_b, cut_weight(g, got)) == want[:3]
     assert tuple(r.passes for r in got.runs) == want[3]
 
 
@@ -463,7 +464,7 @@ def test_exhaustive_shares_bit_rows_across_sizes():
         got = bipartition_exhaustive(list(range(n)), g, pulls, axis="V", areas=areas)
         want = best_bipartition(range(n), g.edges, areas,
                                 {t: pulls.right.get(t, 0) for t in range(n)})
-        assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
+        assert (got.part_a, got.part_b, cut_weight(g, got), got.relaxed) == want
 
 
 def exhaustive_edge_free_cases():
@@ -509,7 +510,8 @@ def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_
         want = best_bipartition(tags, (), areas,
                                 {t: toward_b.get(t, 0) for t in tags},
                                 {t: toward_a.get(t, 0) for t in tags})
-        assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want, kind
+        assert (got.part_a, got.part_b, cut_weight(RelationGraph(), got),
+                got.relaxed) == want, kind
         assert got.relaxed == (area_kind == "dominant")
         # only a one-sided pull makes the objective differ between vectors
         assert bool(built) == (kind == "one-sided"), kind
@@ -557,7 +559,7 @@ def test_edge_free_exhaustive_needs_no_enumeration(areas, first, axis, kind, wei
                           else (pulls.bottom, pulls.top))
     want = best_bipartition(tags, (), area_of, {t: toward_b.get(t, 0) for t in tags},
                             {t: toward_a.get(t, 0) for t in tags})
-    assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
+    assert (got.part_a, got.part_b, cut_weight(RelationGraph(), got), got.relaxed) == want
 
 
 def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
@@ -590,7 +592,7 @@ def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
             want = best_bipartition(tags, g.edges, areas,
                                     {t: toward_b.get(t, 0) for t in tags},
                                     {t: toward_a.get(t, 0) for t in tags})
-            assert (got.part_a, got.part_b, got.cut_weight, got.relaxed) == want
+            assert (got.part_a, got.part_b, cut_weight(g, got), got.relaxed) == want
             assert set(tags[:2]) <= set(got.part_b if in_b else got.part_a)
 
 
@@ -603,7 +605,7 @@ def test_fm_runs_never_worsen_their_start():
         starts = random.Random(trial)  # replays each run's start, in run order
         for run in part.runs:
             start, _, _ = mincut._fm_start(starts, [1] * n)
-            assert part.cut_weight <= sum(s for i, j, s in g.edges if start[i] != start[j])
+            assert cut_weight(g, part) <= sum(s for i, j, s in g.edges if start[i] != start[j])
             assert run.passes >= 1
         # both sides populated, all tags used
         assert len(part.part_a) + len(part.part_b) == n
@@ -965,8 +967,14 @@ def test_attempts_that_never_reach_the_floor_all_run(monkeypatch):
 ])
 def test_seed_must_be_an_integer(seed, kind):
     cloud, graph = topic_cloud(1, k=20)
+    small, large = range(5), range(len(cloud.tags))  # one exhaustive, one FM route
+    assert len(small) <= EXHAUSTIVE_LIMIT < len(large)
     for call in (lambda: build_slicing_tree(cloud, graph, seed=seed),
-                 lambda: layout_mincut(cloud, graph, seed=seed)):
+                 lambda: layout_mincut(cloud, graph, seed=seed),
+                 lambda: bipartition(small, graph, seed=seed),
+                 lambda: bipartition(large, graph, seed=seed),
+                 lambda: bipartition_fm(small, graph, seed=seed),
+                 lambda: bipartition_fm(large, graph, seed=seed)):
         with pytest.raises(InvalidInputError) as exc:
             call()
         assert str(exc.value) == f"seed must be an integer, got {kind}"

@@ -15,9 +15,9 @@ from tagcloud.sizing import (
     select_and_place,
 )
 from tagcloud.synthetic import random_cloud
-from tagcloud.tree import Cut, Leaf, internal_count, iter_nodes, leaves
+from tagcloud.tree import Cut, Leaf, iter_nodes, leaves
 from .oracles import best_root_shape, merge_frontier
-from .structure import node_lists, random_tree, tree_of
+from .structure import cut_count, node_lists, random_tree, tree_of
 
 
 def test_prune_keeps_trade_off_curve():
@@ -343,6 +343,6 @@ def test_no_root_shape_is_narrower_than_the_widest_narrowest_leaf(seed):
 def test_tree_helpers():
     tree = Cut("V", Leaf(0), Cut("H", Leaf(1), Leaf(2)))
     assert list(leaves(tree)) == [0, 1, 2]
-    assert internal_count(tree) == 2
+    assert cut_count(tree) == 2
     post = list(iter_nodes(tree))
     assert post[-1] is tree

@@ -10,7 +10,7 @@ first N requests.  Then each SRC tree makes the same calls, on graph
 and pull objects of its own built before the clock starts, and prints
 one line: the seconds its FM calls and its exhaustive calls took (the
 least of ``REPEAT`` replays) and the SHA-256 digest of the results in
-call order: parts, cut weight, relaxed flag and each FM run's passes.
+call order: parts, relaxed flag and each FM run's passes.
 The recording prints the digest of the results the pass itself got.
 Equal digests mean the trees split every recorded group alike.  Each
 tree is imported under a package name of its own, so that all of them
@@ -61,7 +61,7 @@ def load_tree(src: Path, name: str):
 def digest(results) -> str:
     h = hashlib.sha256()
     for r in results:
-        h.update(repr((r.part_a, r.part_b, r.cut_weight, r.relaxed,
+        h.update(repr((r.part_a, r.part_b, r.relaxed,
                        tuple(run.passes for run in r.runs))).encode())
     return h.hexdigest()
 
