@@ -1,7 +1,8 @@
 """Golden layouts: fingerprints of seeded layouts that refactors must keep.
 
 Each case fixes a seeded synthetic cloud and records sha256 hashes of
-its line breaks (every DP aggregate and greedy), of the min-cut
+its line breaks (every DP aggregate, greedy, and the best of 10 seeded
+shuffles for every aggregate), of the min-cut
 placements and slicing tree, and of both HTML outputs, plus the
 min-cut bounding box and width-attempt count in the clear.  A
 performance or design change must leave ``golden_layouts.json``
@@ -23,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from tagcloud import BadnessAggregate, dp_break, greedy_break, layout_mincut
+from tagcloud import BadnessAggregate, dp_break, greedy_break, layout_mincut, shuffle_best
 from tagcloud.htmlgen import emit_inline, emit_nested_tables
 from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.tree import Leaf
@@ -58,6 +59,8 @@ def fingerprint(name: str) -> dict:
     cloud, graph = CASES[name]()
     breaks = {agg.value: _sha(dp_break(cloud, agg=agg).lines) for agg in BadnessAggregate}
     breaks["greedy"] = _sha(greedy_break(cloud).lines)
+    breaks["shuffle"] = {agg.value: _sha(shuffle_best(cloud, 10, agg, seed=0).lines)
+                         for agg in BadnessAggregate}
     result = layout_mincut(cloud, graph, seed=0)
     placements = [[p.tag, p.x, p.y, p.width, p.height] for p in result.placed.placements]
     return {
