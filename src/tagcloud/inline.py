@@ -8,13 +8,13 @@ line badness through an aggregate (sum, sum of squares, or max).
 
 ``greedy_break`` fills lines first-come first-served; ``dp_break``
 finds a layout minimizing the aggregate exactly via dynamic
-programming over break positions.
+programming over break positions (Knuth and Plass, 1981), in one pass
+that folds each line into its prefix's optimum as it grows the line.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from typing import Iterable, Sequence
 
 from .model import (
@@ -23,6 +23,8 @@ from .model import (
     InfeasibleLineError,
     InvalidInputError,
     LineLayout,
+    _pixel_problem,
+    show_value,
 )
 from .metrics import _raise_layout_problem
 
@@ -40,10 +42,12 @@ class BadnessAggregate(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "BadnessAggregate":
-        for member in cls:
-            if member.value == name or member.name.lower() == name.lower():
-                return member
-        raise InvalidInputError(f"unknown aggregate {name!r} (use l1, l2, or linf)")
+        if isinstance(name, str):
+            for member in cls:
+                if member.value == name or member.name.lower() == name.lower():
+                    return member
+        shown = repr(name) if isinstance(name, str) else show_value(name)
+        raise InvalidInputError(f"unknown aggregate {shown} (use l1, l2, or linf)")
 
 
 def line_badness(line_tags: Sequence[tuple[int, int]], target_width: int,
@@ -54,15 +58,25 @@ def line_badness(line_tags: Sequence[tuple[int, int]], target_width: int,
     only legal for a single tag wider than the whole line (it simply
     overflows); two or more tags must fit, otherwise the line is
     infeasible.  Badness = H*|slack| + sum((H - h_i) * w_i) with H the
-    tallest height on the line.
+    tallest height on the line.  Boxes, target and space follow the
+    pixel rules a ``Cloud`` applies; else InvalidInputError.
     """
 
     if not line_tags:
         raise InvalidInputError("line must hold at least one tag")
+    problems = [_pixel_problem("target_width", target_width, 1),
+                _pixel_problem("space_width", space_width, 0)]
+    for i, box in enumerate(line_tags):
+        if isinstance(box, (tuple, list)) and len(box) == 2:
+            problems += (_pixel_problem(f"box {i} width", box[0], 1),
+                         _pixel_problem(f"box {i} height", box[1], 1))
+        else:
+            problems.append(f"box {i} must be a (width, height) pair, got {show_value(box)}")
+    problem = next(filter(None, problems), None)
+    if problem:
+        raise InvalidInputError(problem)
     widths = [w for w, _ in line_tags]
     heights = [h for _, h in line_tags]
-    if min(widths) < 1 or min(heights) < 1:
-        raise InvalidInputError("tag boxes must be at least 1x1")
     k = len(line_tags)
     slack = target_width - sum(widths) - (k - 1) * space_width
     if slack < 0 and k > 1:
@@ -165,109 +179,91 @@ def greedy_break(cloud: Cloud, order: Sequence[int] | None = None) -> LineLayout
     return LineLayout(tuple(map(tuple, lines)))
 
 
-def _order_table(cloud: Cloud, order: list[int]) -> list[list[int]]:
-    tags = cloud.tags
-    return _line_table([tags[i].width for i in order], [tags[i].height for i in order],
-                       cloud.target_width, cloud.space_width)
-
-
 def _dp_score(cloud: Cloud, order: list[int], agg: BadnessAggregate) -> int:
     """The optimum ``dp_break(cloud, order, agg)`` reaches, which is the
     aggregate badness of the layout it returns, without building that
     layout.  ``order`` is taken as a permutation of the tag indices."""
 
-    return _prefix_scores(_order_table(cloud, order), agg)[0][-1]
+    return _prefix_optima(cloud, order, agg)[-1]
 
 
 def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
              agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES) -> LineLayout:
     """Optimal line breaking for the given order and aggregate.
 
-    The last line is scored like any other.  Ties are broken toward
+    ``_prefix_optima`` scores every line in one pass, and
+    ``_best_ends`` picks among the optimal layouts.  The last line is scored like any other.  Ties are broken toward
     fewer lines, then the lexicographically smallest sequence of line
     end positions, so results are reproducible.
     """
 
     order = _check_order(len(cloud.tags), order)
-    _, reach, cap = _prefix_scores(_order_table(cloud, order), agg)
+    reach: list[list[int]] = [[]]
+    t = _prefix_optima(cloud, order, agg, reach)
     lines = []
     prev = 0
-    for end in _best_ends(reach, cap):
+    for end in _best_ends(reach, t[-1:] * len(t) if agg is BadnessAggregate.MAX else t):
         lines.append(tuple(order[prev:end]))
         prev = end
     return LineLayout(tuple(lines))
 
 
-def _line_table(widths: list[int], heights: list[int], target: int,
-                space: int) -> list[list[int]]:
-    """Badness of every feasible line, grouped by where the line ends.
+def _prefix_optima(cloud: Cloud, order: list[int], agg: BadnessAggregate,
+                   reach: list[list[int]] | None = None) -> list[int]:
+    """Optimal score ``t[j]`` of every prefix of ``order``, in one pass.
 
-    Row j lists the lines ending at tag j-1: entry i is the line holding
-    tags j-1-i .. j-1, so line (v, j) is ``bad[j][j-1-v]`` when that
-    index exists.  A row stops at the first overfull line, because
-    growing a line leftward only adds width; the solo line is always
-    there, even when it overflows.  Row 0 is empty.
+    Each tag ends the lines grown leftward from it up to the first
+    overfull one (the solo line is always there, even overflowing).
+    Each line's badness is folded through the aggregate onto the optimum
+    before it, straight into ``t[j]``.  Given ``reach``, row ``j``
+    appended to it holds those folded scores, entry i for the line of
+    tags j-1-i .. j-1.  The lines ending an optimal layout's prefix are
+    those whose entry is at most their row's cap: ``t`` itself for sums,
+    since ``t[j] <= t[v] + cost``; ``t[n]`` throughout for the max, since
+    every position reached over lines no worse than ``t[n]`` has
+    ``t[v] <= t[n]``.
     """
 
     # The line of tags k..j fits while their widths plus one space each
     # stay within target + space.  It then has slack = room - sum(w) with
     # room = target - (j - k) * space, so its badness, tallest * slack +
     # sum((tallest - h) * w), is tallest * room - sum(w * h).  A solo tag
-    # wider than the line scores tallest * |slack| = h * (w - target),
-    # and no longer line ending at it fits.
-    cap = target + space
-    spaced = [w + space for w in widths]
-    areas = list(map(operator.mul, widths, heights))
-    bad: list[list[int]] = [[]]
-    for j, (w, h) in enumerate(zip(widths, heights)):
-        if w > target:
-            bad.append([h * (w - target)])
-            continue
-        used, sum_hw, tallest, room = spaced[j], areas[j], h, target
-        row = [h * room - sum_hw]
-        for k in range(j - 1, -1, -1):
-            used += spaced[k]
-            if used > cap:
-                break
-            sum_hw += areas[k]
-            if heights[k] > tallest:
-                tallest = heights[k]
-            room -= space
-            row.append(tallest * room - sum_hw)
-        bad.append(row)
-    return bad
-
-
-def _prefix_scores(bad: list[list[int]], agg: BadnessAggregate):
-    """Optimal score of every prefix, and what each line gives it.
-
-    Returns ``(t, reach, cap)``: ``t[j]`` is the best aggregate over the
-    first j tags; ``reach[j]`` is laid out like ``bad[j]`` and holds the
-    score of prefix j when that line ends it on top of an optimal
-    shorter prefix; ``cap[j]`` is the most a line ending at j may reach
-    and still lie on an optimal layout.  Only this function knows the
-    aggregate.
-
-    For sums, ``cap`` is ``t`` itself: ``t[j] <= t[v] + cost`` always
-    holds, so ``reach <= t[j]`` picks exactly the lines that end an
-    optimal prefix, and the layouts scoring ``t[n]`` are exactly the
-    paths over such lines.  For the max, ``cap`` is ``t[n]`` everywhere:
-    every position reachable over lines no worse than ``t[n]`` has
-    ``t[v] <= t[n]``, so ``max(t[v], cost) <= t[n]`` picks the same
-    paths as ``cost <= t[n]``.
-    """
-
+    # wider than the line scores tallest * |slack| = h * (w - target).
     _check_agg(agg)
     square = agg is BadnessAggregate.SUM_OF_SQUARES
-    op = max if agg is BadnessAggregate.MAX else operator.add
+    worst = agg is BadnessAggregate.MAX
+    target, space = cloud.target_width, cloud.space_width
+    cap = target + space
+    boxes = [(tag.width + space, tag.width * tag.height, tag.height)
+             for tag in map(cloud.tags.__getitem__, order)]
     t = [0]
-    reach: list[list[int]] = [[]]
-    for row in bad[1:]:
-        # reversed(t) runs over t[j - 1 - i] for entry i of the row
-        r = list(map(op, reversed(t), map(operator.mul, row, row) if square else row))
-        reach.append(r)
-        t.append(min(r))
-    return t, reach, [t[-1]] * len(t) if agg is BadnessAggregate.MAX else t
+    for j, (used, sum_hw, tallest) in enumerate(boxes):
+        room = target
+        b = abs(tallest * target - sum_hw)
+        best = t[j] + b * b if square else max(b, t[j]) if worst else t[j] + b
+        if reach is not None:
+            row = [best]
+            reach.append(row)
+        k = j
+        while k:
+            k -= 1
+            spaced, hw, h = boxes[k]
+            used += spaced
+            if used > cap:
+                break
+            sum_hw += hw
+            if h > tallest:
+                tallest = h
+            room -= space
+            b = tallest * room - sum_hw
+            prev = t[k]
+            s = prev + b * b if square else (b if b > prev else prev) if worst else prev + b
+            if s < best:
+                best = s
+            if reach is not None:
+                row.append(s)
+        t.append(best)
+    return t
 
 
 def _best_ends(reach: list[list[int]], cap: list[int]) -> tuple[int, ...]:
@@ -276,7 +272,7 @@ def _best_ends(reach: list[list[int]], cap: list[int]) -> tuple[int, ...]:
 
     The lines with ``reach[j][j - 1 - v] <= cap[j]`` are the edges of a
     graph over break positions whose paths from 0 to n are exactly the
-    optimal layouts (see ``_prefix_scores``).  One backward sweep over
+    optimal layouts (see ``_prefix_optima``).  One backward sweep over
     the rows records, as a bitmask per position, how many lines the rest
     of the cloud can take from there; a forward walk then takes, at each
     step, the earliest usable end that still completes the layout in the

@@ -8,8 +8,8 @@ shelf with room for it, found in O(log lines) by descending a max tree
 over the shelves' remaining room (Johnson, "Fast algorithms for bin
 packing", JCSS 1974).  FFDHW additionally sorts equal-height tags by
 decreasing width.  ``shuffle_best`` instead samples random orders,
-scores each by the optimum its DP reaches, and breaks only the best
-one into lines.
+scores each by the optimum one pass of its DP reaches, and breaks
+only the best one into lines.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ def shuffle_best(cloud: Cloud, k: int = 10,
     """Best optimal breaking over k seeded random orders.
 
     Each order is scored by the optimum its DP reaches, the aggregate
-    badness of the layout ``dp_break`` returns for it, without building
-    that layout; only the winning order is broken into lines.  Equal
-    scores keep the earliest shuffle, so a given seed always reproduces
-    the same layout.
+    badness of the layout ``dp_break`` returns for it, in one pass that
+    keeps only that number; only the winning order is broken into lines.
+    Equal scores keep the earliest shuffle, so a given seed always
+    reproduces the same layout.
     """
 
     check_shuffle_count(k)

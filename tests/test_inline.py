@@ -54,6 +54,23 @@ def test_line_badness_rejects_degenerate():
         line_badness([(0, 5)], 128, 4)
 
 
+@pytest.mark.parametrize("boxes, target, space, message", [
+    ([(10, 2.5)], 100, 4, "box 0 height must be an integer, got float"),
+    ([(10, 2), (10, True)], 100, 4, "box 1 height must be an integer, got bool"),
+    ([(10, "a")], 100, 4, "box 0 height must be an integer, got str"),
+    ([(1 << 25, 2)], 100, 4, f"box 0 width must be <= {1 << 24}, got {1 << 25}"),
+    ([(10, 2, 3)], 100, 4, "box 0 must be a (width, height) pair, got (10, 2, 3)"),
+    ([7], 100, 4, "box 0 must be a (width, height) pair, got 7"),
+    ([(10, 2)], 100, -5, "space_width must be >= 0, got -5"),
+    ([(10, 2)], 0, 4, "target_width must be >= 1, got 0"),
+    ([(10, 2)], 100.0, 4, "target_width must be an integer, got float"),
+])
+def test_line_badness_applies_the_cloud_pixel_rules(boxes, target, space, message):
+    with pytest.raises(InvalidInputError) as exc:
+        line_badness(boxes, target, space)
+    assert str(exc.value) == message
+
+
 def test_aggregate_flavors():
     assert aggregate([3, 4], L1) == 7
     assert aggregate([3, 4], L2) == 25
@@ -86,6 +103,13 @@ def test_aggregate_names():
     assert BadnessAggregate.from_name("MAX") is LINF
     with pytest.raises(InvalidInputError):
         BadnessAggregate.from_name("l3")
+
+
+@pytest.mark.parametrize("name", [None, 3, 10**5000], ids=["None", "int", "huge-int"])
+def test_aggregate_name_must_be_a_string(name):
+    with pytest.raises(InvalidInputError) as exc:
+        BadnessAggregate.from_name(name)
+    assert str(exc.value).startswith("unknown aggregate ")
 
 
 def three_sixty() -> Cloud:
@@ -320,6 +344,29 @@ def test_dp_partition_property(boxes, target, space):
         if len(line) > 1:
             used = sum(boxes[i][0] for i in line) + (len(line) - 1) * space
             assert used <= target
+
+
+# runs of one box, so that equal lines tie; widths up to 450 overflow
+# every target below them
+box_runs = st.lists(
+    st.tuples(st.sampled_from((10, 20, 30)) | st.integers(1, 450),
+              st.sampled_from((10, 12)) | st.integers(1, 80),
+              st.integers(1, 8)),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(box_runs, st.integers(30, 400), st.integers(0, 17))
+def test_dp_matches_reference_dp_property(runs, target, space):
+    boxes = [(w, h) for w, h, count in runs for _ in range(count)][:60]
+    cloud = Cloud(tags=tuple(TagBox(f"t{i}", 0, w, h) for i, (w, h) in enumerate(boxes)),
+                  target_width=target, space_width=space)
+    for agg in (L1, L2, LINF):
+        layout = dp_break(cloud, agg=agg)
+        score, ends = reference_break(boxes, target, space, agg.value)
+        assert layout_badness(cloud, layout, agg) == score
+        assert ends_of(layout) == ends
 
 
 @settings(max_examples=60, deadline=None)
