@@ -59,9 +59,13 @@ def line_badness(line_tags: Sequence[tuple[int, int]], target_width: int,
     overflows); two or more tags must fit, otherwise the line is
     infeasible.  Badness = H*|slack| + sum((H - h_i) * w_i) with H the
     tallest height on the line.  Boxes, target and space follow the
-    pixel rules a ``Cloud`` applies; else InvalidInputError.
+    pixel rules a ``Cloud`` applies; else InvalidInputError, also for
+    a line that is not a tuple or list.
     """
 
+    if not isinstance(line_tags, (tuple, list)):
+        raise InvalidInputError(
+            f"line must be a list of (width, height) pairs, got {type(line_tags).__name__}")
     if not line_tags:
         raise InvalidInputError("line must hold at least one tag")
     problems = [_pixel_problem("target_width", target_width, 1),

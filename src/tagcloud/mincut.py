@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import operator
 import random
 import sys
@@ -156,7 +157,10 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
     tags = sorted(set(tags))
     if len(tags) < 2:
         raise InvalidInputError("bipartition needs at least 2 tags")
-    area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
+    try:
+        area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
+    except KeyError as missing:
+        raise InvalidInputError(f"tag {show_value(missing.args[0])} has no area") from None
     if set(map(type, area)) != {int}:  # bool is no area
         raise InvalidInputError("tag areas must be integers")
     if min(area) < 1:
@@ -169,8 +173,8 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
     else:
         raise InvalidInputError(f"axis must be 'V' or 'H', got {axis!r}")
     zero = [0.0] * len(tags)
-    cost_a = [float(toward_b.get(t, 0)) for t in tags] if toward_b else zero
-    cost_b = [float(toward_a.get(t, 0)) for t in tags] if toward_a else zero
+    cost_a = _pull_costs(toward_b, tags) if toward_b else zero
+    cost_b = _pull_costs(toward_a, tags) if toward_a else zero
     adj = graph.adjacency()
     edges = []
     if adj:  # an edge-free graph has nothing to walk
@@ -178,6 +182,20 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
         edges = [(k, pos[j], s) for k, i in enumerate(tags)
                  for j, s in adj.get(i, ()) if j > i and j in pos]
     return tags, area, edges, cost_a, cost_b
+
+
+def _pull_costs(toward: Mapping[int, float], tags: Sequence[int]) -> list[float]:
+    """Each tag's pull in ``toward`` as a float, 0 for a tag it lacks; a
+    pull that is not a finite number is an error naming its tag."""
+
+    costs = []
+    for t in tags:
+        c = toward.get(t, 0)
+        if type(c) is bool or not isinstance(c, (int, float)) or not math.isfinite(c):
+            raise InvalidInputError(
+                f"tag {t}: pull must be a finite number, got {show_value(c)}")
+        costs.append(float(c))
+    return costs
 
 
 def _split_result(tags: Sequence[int], side: Sequence[int],
@@ -416,10 +434,22 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
 def _fm_start(rng: random.Random, area: Sequence[int]):
     """A seeded random order, each tag to the lighter side so far (which
     keeps the area difference within the largest tag's): the side list
-    and the per-side areas and counts."""
+    and the per-side areas and counts.
+
+    The order is ``rng.shuffle(list(range(n)))``'s, drawn inline: the
+    same Fisher-Yates swaps, each index rejection-sampled from
+    ``getrandbits`` as ``random.Random._randbelow`` does on Python
+    3.10-3.13, without two method calls per tag.
+    """
 
     order = list(range(len(area)))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i in range(len(area) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     side = [0] * len(area)
     area_side = [0, 0]
     count_side = [0, 0]
@@ -539,7 +569,9 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
 def bipartition(tags: Sequence[int], graph: RelationGraph,
                 pulls: Pulls | None = None, axis: str = "V",
                 areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
-    """Route to exhaustive or refinement splitting by set size; both check the seed."""
+    """Route to exhaustive or refinement splitting by set size; both check
+    the seed.  The public entry for library callers: ``build_slicing_tree``
+    calls the two splitters itself."""
 
     if len(set(tags)) <= EXHAUSTIVE_LIMIT:
         check_seed(seed)
@@ -566,7 +598,10 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     Every region tracks an estimated width and height; a region wider
     than tall is cut vertically provided each half's proportional share
     of the width can still hold its widest tag, otherwise horizontally.
-    Sibling halves become external pulls for deeper splits.
+    Sibling halves become external pulls for deeper splits.  Each split
+    calls ``bipartition_exhaustive`` or ``bipartition_fm`` directly by the
+    group's size, as the public ``bipartition`` would, and draws a seed
+    for either.
 
     Each split is computed once.  A vertical split is not run when even
     its larger half leaves the widest tag too little width (see
@@ -594,11 +629,15 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
             f"width_bias must be positive and finite, got {show_value(width_bias)}")
 
     areas = {i: t.area() for i, t in enumerate(cloud.tags)}
-    widths = {i: t.width for i, t in enumerate(cloud.tags)}
+    widths = [t.width for t in cloud.tags]
+    area_of, width_of = areas.__getitem__, widths.__getitem__
     rng = random.Random(seed)
 
     def split(group: tuple[int, ...], pulls: Pulls, axis: str) -> Bipartition:
-        return bipartition(group, graph, pulls, axis, areas, seed=rng.getrandbits(64))
+        split_seed = rng.getrandbits(64)  # groups hold distinct tags
+        if len(group) <= EXHAUSTIVE_LIMIT:
+            return bipartition_exhaustive(group, graph, pulls, axis, areas)
+        return bipartition_fm(group, graph, pulls, axis, areas, seed=split_seed)
 
     # The side of each tag outside the current group, relative to the
     # group's region.  One dict per tree: a subtree writes only its own
@@ -614,19 +653,19 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
         part = None
         if est_w > est_h:
             if len(group) > EXHAUSTIVE_LIMIT:
-                most = (total + max(areas[t] for t in group)) // 2
+                most = (total + max(map(area_of, group))) // 2
             else:  # a balanced half, or one tag too large for it; none without edges
-                most = edged and max(2 * total // 3, *(areas[t] for t in group))
-            if most and _vertical_doomed(est_w, total, most, max(widths[t] for t in group)):
+                most = edged and max(2 * total // 3, *map(area_of, group))
+            if most and _vertical_doomed(est_w, total, most, max(map(width_of, group))):
                 rng.getrandbits(64)  # the skipped split's seed
             else:
                 cand = split(group, pulls, "V")
-                total_a = sum(areas[t] for t in cand.part_a)
+                total_a = sum(map(area_of, cand.part_a))
                 frac_a = total_a / total
                 share_a = est_w * frac_a
                 share_b = est_w * (1 - frac_a)
-                if (share_a >= max(widths[t] for t in cand.part_a)
-                        and share_b >= max(widths[t] for t in cand.part_b)):
+                if (share_a >= max(map(width_of, cand.part_a))
+                        and share_b >= max(map(width_of, cand.part_b))):
                     if edged:
                         sides.update(dict.fromkeys(cand.part_b, "right"))
                     first = rec(cand.part_a, total_a, share_a, est_h)
@@ -639,7 +678,7 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
                     part = cand  # enumeration ignores the axis without pulls
         if part is None:
             part = split(group, pulls, "H")
-        total_a = sum(areas[t] for t in part.part_a)
+        total_a = sum(map(area_of, part.part_a))
         frac_a = total_a / total
         if edged:
             sides.update(dict.fromkeys(part.part_b, "bottom"))

@@ -6,10 +6,12 @@ the caller's ``(width, height)`` pair (the tag's default box plus
 optional squeezed/stretched variants), and a cut's is ``(width,
 height, first, second)``, where ``first`` and ``second`` are the child
 shapes it packs.  Internal lists are combined from the child lists in
-one bottom-up walk, and they stay small because they hold no dominated
-shape (wider *and* taller than another), and nodes go by post-order
-position.  Only the root's list is compared: the root shape chosen
-under the width budget leads via its child shapes to pixel placements.
+one bottom-up walk, each merge one O(a + b) sweep over lists of a and
+b shapes, with no set and no sort.  They stay small because they hold
+no dominated shape (wider *and* taller than another), and nodes go by
+post-order position.  Only the root's list is compared: the root shape
+chosen under the width budget leads via its child shapes to pixel
+placements.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ def prune_shapes(candidates: Sequence[tuple[int, int]]) -> ShapeList:
 
 
 def is_shape_list(shapes: Sequence[tuple[int, int]]) -> bool:
-    """Non-empty positive-int ``(w, h)`` tuples, ``w`` rising and ``h`` falling."""
+    """A non-empty tuple or list (the merges index it) of positive-int
+    ``(w, h)`` tuples, ``w`` rising and ``h`` falling."""
 
+    if not isinstance(shapes, (tuple, list)):
+        return False
     last_w, last_h = 0, float("inf")
-    for shape in shapes or ():
+    for shape in shapes:
         if type(shape) is not tuple or len(shape) != 2:
             return False
         w, h = shape
@@ -116,9 +121,13 @@ def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
     second)`` shape.  Each step advances the child owning the swept
     value, which becomes the candidate's own, so the other dimension
     moves strictly the other way: no candidate is dominated, and list
-    sizes stay near the sum of the children's.
+    sizes stay near the sum of the children's.  A merge of lists of a
+    and b shapes takes at most a + b steps, with no set and no sort.
     """
 
+    if not isinstance(leaf_shapes, Mapping):
+        raise InvalidInputError(
+            f"leaf_shapes must map tag indices to shape lists, got {type(leaf_shapes).__name__}")
     table: dict[int, Sequence[tuple]] = {}
     # ids of the leaf lists already checked; the table keeps each alive
     checked: set[int] = set()
@@ -143,37 +152,36 @@ def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
 
 
 def _combine_beside(first: Sequence[tuple], second: Sequence[tuple]) -> tuple:
-    # candidate heights: any height present on either side; for each,
-    # take the narrowest child shapes that fit under it
-    heights = sorted({c[1] for c in first} | {c[1] for c in second}, reverse=True)
+    # sweep the heights down from the tallest: pair the current shapes,
+    # the narrowest of each child under the taller of the two, then step
+    # past the child owning that height (both on a tie)
     cands = []
     ia = ib = 0
-    for h in heights:
-        while ia < len(first) and first[ia][1] > h:
-            ia += 1
-        while ib < len(second) and second[ib][1] > h:
-            ib += 1
-        if ia == len(first) or ib == len(second):
-            break  # one side cannot get this flat
+    na, nb = len(first), len(second)
+    while ia < na and ib < nb:
         a, b = first[ia], second[ib]
-        cands.append((a[0] + SIDE_GAP + b[0], h, a, b))
+        ha, hb = a[1], b[1]
+        cands.append((a[0] + SIDE_GAP + b[0], ha if ha >= hb else hb, a, b))
+        if ha >= hb:
+            ia += 1
+        if hb >= ha:
+            ib += 1
     return tuple(cands)
 
 
 def _combine_stacked(first: Sequence[tuple], second: Sequence[tuple]) -> tuple:
-    widths = sorted({c[0] for c in first} | {c[0] for c in second})
+    # the same sweep over the widths, down from the widest child shapes
     cands = []
-    ia = ib = -1
-    for w in widths:
-        while ia + 1 < len(first) and first[ia + 1][0] <= w:
-            ia += 1
-        while ib + 1 < len(second) and second[ib + 1][0] <= w:
-            ib += 1
-        if ia < 0 or ib < 0:
-            continue  # one side needs more width
+    ia, ib = len(first) - 1, len(second) - 1
+    while ia >= 0 and ib >= 0:
         a, b = first[ia], second[ib]
-        cands.append((w, a[1] + b[1], a, b))
-    return tuple(cands)
+        wa, wb = a[0], b[0]
+        cands.append((wa if wa >= wb else wb, a[1] + b[1], a, b))
+        if wa >= wb:
+            ia -= 1
+        if wb >= wa:
+            ib -= 1
+    return tuple(reversed(cands))
 
 
 def select_and_place(tree: Node, root_shapes: Sequence[tuple],

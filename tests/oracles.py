@@ -176,6 +176,47 @@ def merge_frontier(first, second, orient, gap):
     return prune_shapes(packed)
 
 
+def combine_beside_reference(first, second, gap):
+    """A V cut's shape list, ``(width, height, first, second)`` each, by
+    set and sort: every height either child has, tallest first, with the
+    narrowest shape of each child that fits under it, until one child
+    cannot get that flat."""
+
+    heights = sorted({c[1] for c in first} | {c[1] for c in second}, reverse=True)
+    cands = []
+    ia = ib = 0
+    for h in heights:
+        while ia < len(first) and first[ia][1] > h:
+            ia += 1
+        while ib < len(second) and second[ib][1] > h:
+            ib += 1
+        if ia == len(first) or ib == len(second):
+            break
+        a, b = first[ia], second[ib]
+        cands.append((a[0] + gap + b[0], h, a, b))
+    return tuple(cands)
+
+
+def combine_stacked_reference(first, second):
+    """An H cut's shape list by set and sort: every width either child
+    has, narrowest first, with the widest shape of each child that fits
+    in it, skipping widths one child cannot get down to."""
+
+    widths = sorted({c[0] for c in first} | {c[0] for c in second})
+    cands = []
+    ia = ib = -1
+    for w in widths:
+        while ia + 1 < len(first) and first[ia + 1][0] <= w:
+            ia += 1
+        while ib + 1 < len(second) and second[ib + 1][0] <= w:
+            ib += 1
+        if ia < 0 or ib < 0:
+            continue
+        a, b = first[ia], second[ib]
+        cands.append((w, a[1] + b[1], a, b))
+    return tuple(cands)
+
+
 def best_root_shape(tree_tuple, leaf_shapes, target, gap):
     """Exhaustively assign shapes to leaves and pick the root box the
     same way the library does: min area fitting the width budget (ties

@@ -71,6 +71,18 @@ def test_line_badness_applies_the_cloud_pixel_rules(boxes, target, space, messag
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("line, kind", [
+    (5, "int"),                      # was a plain TypeError from iterating it
+    (iter([(1, 2)]), "list_iterator"),  # was a plain TypeError from len()
+    ({(1, 2), (3, 4)}, "set"),       # was scored in set order
+])
+def test_line_badness_rejects_a_line_that_is_no_tuple_or_list(line, kind):
+    with pytest.raises(InvalidInputError) as exc:
+        line_badness(line, 100)
+    assert str(exc.value) == f"line must be a list of (width, height) pairs, got {kind}"
+    assert line_badness(((1, 2), (3, 4)), 100) == line_badness([(1, 2), (3, 4)], 100)
+
+
 def test_aggregate_flavors():
     assert aggregate([3, 4], L1) == 7
     assert aggregate([3, 4], L2) == 25

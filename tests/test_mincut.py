@@ -167,6 +167,15 @@ def test_exhaustive_size_limits():
     ([0, 1, 2], {"areas": {0: 4, 1: 2.5, 2: 4}}, "tag areas must be integers"),
     ([0, 1, 2], {"areas": {0: 4, 1: True, 2: 4}}, "tag areas must be integers"),
     ([0, 1, 2], {"axis": "X"}, "axis must be 'V' or 'H', got 'X'"),
+    ([0, 1, 2], {"areas": {0: 1}}, "tag 1 has no area"),  # was a plain KeyError
+    ([0, 1, 2], {"pulls": Pulls(right={1: float("nan")})},
+     "tag 1: pull must be a finite number, got nan"),  # enumeration took it
+    ([0, 1, 2], {"pulls": Pulls(left={2: float("inf")})},
+     "tag 2: pull must be a finite number, got inf"),
+    ([0, 1, 2], {"pulls": Pulls(bottom={0: "x"}), "axis": "H"},
+     "tag 0: pull must be a finite number, got x"),
+    ([0, 1, 2], {"pulls": Pulls(top={0: True}), "axis": "H"},
+     "tag 0: pull must be a finite number, got True"),
 ])
 def test_splitters_reject_bad_input_alike(splitter, tags, kw, message):
     g = RelationGraph([(0, 1, 1.0)])
@@ -613,6 +622,32 @@ def test_fm_runs_never_worsen_their_start():
         assert abs(len(part.part_a) - len(part.part_b)) <= 1  # unit areas
 
 
+def lighter_side_start(order, area):
+    """Each tag in ``order`` to the side with less area so far, ties to
+    part A: the side list and the per-side areas and counts."""
+
+    side, area_side, count_side = [0] * len(area), [0, 0], [0, 0]
+    for t in order:
+        dest = 0 if area_side[0] <= area_side[1] else 1
+        side[t] = dest
+        area_side[dest] += area[t]
+        count_side[dest] += 1
+    return side, area_side, count_side
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1])
+def test_fm_start_deals_random_shuffles_order(seed):
+    for n in range(1, 301):
+        uneven = random.Random(n).choices(range(1, 60), k=n)
+        for area in ([1] * n, uneven):
+            order = list(range(n))
+            shuffled = random.Random(seed + n)
+            shuffled.shuffle(order)
+            rng = random.Random(seed + n)
+            assert mincut._fm_start(rng, area) == lighter_side_start(order, area)
+            assert rng.getrandbits(64) == shuffled.getrandbits(64)  # the next start's draw
+
+
 def test_fm_respects_area_balance():
     rng = random.Random(0xA5)
     for trial in range(8):
@@ -775,34 +810,38 @@ def test_slicing_tree_matches_reference(case, cloud, graph, seed, bias, runs):
 
 def test_doomed_vertical_splits_are_never_run(monkeypatch):
     events = []  # ("bound", arguments, verdict) and ("split", group, axis), in call order
-    doomed, split = mincut._vertical_doomed, mincut.bipartition
+    doomed = mincut._vertical_doomed
 
     def recording_doomed(*args):
         events.append(("bound", args, doomed(*args)))
         return events[-1][2]
 
-    def recording_split(tags, graph, pulls, axis, areas, seed):
-        events.append(("split", tuple(tags), axis))
-        return split(tags, graph, pulls, axis, areas, seed=seed)
+    def recording(split):
+        def recording_split(tags, graph, pulls, axis, areas, **seed):
+            events.append(("split", tuple(tags), axis))
+            return split(tags, graph, pulls, axis, areas, **seed)
+        return recording_split
 
     monkeypatch.setattr(mincut, "_vertical_doomed", recording_doomed)
-    monkeypatch.setattr(mincut, "bipartition", recording_split)
+    for name in ("bipartition_exhaustive", "bipartition_fm"):
+        monkeypatch.setattr(mincut, name, recording(getattr(mincut, name)))
     skipped = 0  # vertical enumerations not run
     for seed, k, width in ((1, 40, 300), (6, 100, 250)):
         cloud, graph = topic_cloud(seed, k=k, target_width=width)
         areas = [t.area() for t in cloud.tags]
         widths = [t.width for t in cloud.tags]
         events.clear()
-        assert build_slicing_tree(cloud, graph, seed=seed) == slicing_tree_reference(
-            cloud, graph, seed=seed)
+        tree = build_slicing_tree(cloud, graph, seed=seed)
+        made = events[:]  # the reference's splits go through the wrapped splitters too
+        assert tree == slicing_tree_reference(cloud, graph, seed=seed)
         # On a graph with edges every vertical split is bounded first, and
         # the next split is of the bounded group: vertical only if it may fit.
-        for k, event in enumerate(events):
+        for k, event in enumerate(made):
             if event[0] == "split" and event[2] == "V":
-                assert k and events[k - 1][0] == "bound" and not events[k - 1][2]
+                assert k and made[k - 1][0] == "bound" and not made[k - 1][2]
             if event[0] == "bound":
                 (est_w, total, most, w_max), verdict = event[1:]
-                kind, group, axis = events[k + 1]
+                kind, group, axis = made[k + 1]
                 assert kind == "split" and axis == ("H" if verdict else "V")
                 largest = max(areas[t] for t in group)
                 assert (total, w_max) == (sum(areas[t] for t in group),

@@ -3,10 +3,13 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagcloud import Cloud, InvalidInputError, InternalError, TagBox, build_slicing_tree
 from tagcloud.sizing import (
     SIDE_GAP,
+    _combine_beside,
+    _combine_stacked,
     combine_shapes,
     default_leaf_shapes,
     gen_shape_options,
@@ -16,7 +19,8 @@ from tagcloud.sizing import (
 )
 from tagcloud.synthetic import random_cloud
 from tagcloud.tree import Cut, Leaf, iter_nodes, leaves
-from .oracles import best_root_shape, merge_frontier
+from .oracles import (best_root_shape, combine_beside_reference, combine_stacked_reference,
+                      merge_frontier)
 from .structure import cut_count, node_lists, random_tree, tree_of
 
 
@@ -125,6 +129,46 @@ def test_combine_rejects_a_leaf_shape_of_the_wrong_form(shape):
         combine_shapes(Cut("V", Leaf(0), Leaf(1)), {0: (shape,), 1: ((1, 2),)})
     assert str(exc.value) == ("leaf 0: needs a list of (width, height) pairs"
                               " of positive ints, widths rising, heights falling")
+
+
+@pytest.mark.parametrize("shapes", [
+    5,                    # was a plain TypeError from iterating it
+    iter([(1, 2)]),       # was consumed by the check, then had no len()
+    {(1, 2)},             # a set has no order to sweep
+    None,
+])
+def test_combine_rejects_a_leaf_list_that_is_no_tuple_or_list(shapes):
+    for tree in (Leaf(0), Cut("V", Leaf(0), Leaf(1))):
+        with pytest.raises(InvalidInputError) as exc:
+            combine_shapes(tree, {0: shapes, 1: ((1, 2),)})
+        assert str(exc.value) == ("leaf 0: needs a list of (width, height) pairs"
+                                  " of positive ints, widths rising, heights falling")
+    assert is_shape_list([(1, 2)]) and not is_shape_list(shapes)
+
+
+@pytest.mark.parametrize("leaf_shapes, kind", [(None, "NoneType"), ([((1, 2),)], "list")])
+def test_combine_rejects_leaf_shapes_that_are_no_mapping(leaf_shapes, kind):
+    with pytest.raises(InvalidInputError) as exc:
+        combine_shapes(Leaf(0), leaf_shapes)
+    assert str(exc.value) == f"leaf_shapes must map tag indices to shape lists, got {kind}"
+
+
+@st.composite
+def shape_lists(draw):
+    """1-12 shapes, widths rising and heights falling, from values 1-24
+    so that the two children of a merge share some of them."""
+
+    k = draw(st.integers(1, 12))
+    widths = sorted(draw(st.sets(st.integers(1, 24), min_size=k, max_size=k)))
+    heights = sorted(draw(st.sets(st.integers(1, 24), min_size=k, max_size=k)), reverse=True)
+    return tuple(zip(widths, heights))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape_lists(), shape_lists())
+def test_merge_sweeps_equal_the_set_and_sort_merges(first, second):
+    assert _combine_beside(first, second) == combine_beside_reference(first, second, SIDE_GAP)
+    assert _combine_stacked(first, second) == combine_stacked_reference(first, second)
 
 
 def test_combine_names_the_first_bad_leaf_among_shared_lists():
