@@ -13,7 +13,9 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable
 
-from .model import WEIGHT_LEVELS, Cloud, InvalidInputError, LineLayout, PlacedCloud, font_size_pt
+from .metrics import _raise_layout_problem
+from .model import (WEIGHT_LEVELS, Cloud, InvalidInputError, LineLayout, PlacedCloud, TagBox,
+                    font_size_pt)
 from .tree import Leaf, Node, leaves
 
 # The estimator assumes 1.25 em line boxes; the stylesheet must agree.
@@ -57,8 +59,7 @@ def _document(body_lines: Iterable[str]) -> str:
     return "\n".join(head + list(body_lines) + tail)
 
 
-def _span(cloud: Cloud, idx: int, extra_class: str = "") -> str:
-    tag = cloud.tags[idx]
+def _span(tag: TagBox, extra_class: str = "") -> str:
     classes = f"tag{tag.weight}" + (f" {extra_class}" if extra_class else "")
     return f'<span class="{classes}">{escape(tag.label)}</span>'
 
@@ -67,20 +68,29 @@ def emit_inline(layout: LineLayout, cloud: Cloud) -> str:
     """One span per tag, spaces within a line, <br> between lines, in a
     document titled ``tag cloud``.
 
-    Labels are HTML-escaped and never split.
+    Labels are HTML-escaped and never split.  A layout that
+    ``layout_to_placement`` rejects raises its InvalidInputError.
     """
 
-    flat = sorted(i for line in layout.lines for i in line)
-    if flat != list(range(len(cloud.tags))):
-        raise InvalidInputError("layout does not place every tag exactly once")
+    tags = cloud.tags
+    space, target = cloud.space_width, cloud.target_width
+    flat = [i for line in layout.lines for i in line]
+    if (set(map(type, flat)) != {int} or sorted(flat) != list(range(len(tags)))
+            or not all(layout.lines)):
+        _raise_layout_problem(layout, cloud)
     body = ['<div class="cloud">']
     for li, line in enumerate(layout.lines):
         if li:
             body.append("<br>")
         # one span per source line; newlines between spans render as
         # the single inter-tag spaces the widths were computed with
+        used = -space
         for idx in line:
-            body.append(_span(cloud, idx))
+            tag = tags[idx]
+            used += tag.width + space
+            body.append(_span(tag))
+        if used > target and len(line) > 1:
+            _raise_layout_problem(layout, cloud)
     body.append("</div>")
     return _document(body)
 
@@ -110,7 +120,7 @@ def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud) -> str:
 
     def render(node: Node, out: list[str]) -> None:
         if isinstance(node, Leaf):
-            out.append(_span(cloud, node.tag, variant_class(node.tag)))
+            out.append(_span(cloud.tags[node.tag], variant_class(node.tag)))
             return
         out.append("<table>")
         out.append("<tr>")

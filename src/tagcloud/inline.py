@@ -8,8 +8,10 @@ line badness through an aggregate (sum, sum of squares, or max).
 
 ``greedy_break`` fills lines first-come first-served; ``dp_break``
 finds a layout minimizing the aggregate exactly via dynamic
-programming over break positions (Knuth and Plass, 1981), in one pass
-that folds each line into its prefix's optimum as it grows the line.
+programming over break positions (Knuth and Plass, 1981): one pass from
+the last tag back (two for the max) records, for every position, the
+best score of the tags from there on and where that suffix's first line
+ends, and the layout follows those ends from the first tag.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ def _check_order(n: int, order: Sequence[int] | None) -> list[int]:
     if order is None:
         return list(range(n))
     order = list(order)
-    for i in order:
-        if type(i) is not int:  # bool is no tag index
-            raise InvalidInputError(f"order entries must be integers, got {type(i).__name__}")
+    if set(map(type, order)) - {int}:  # bool is no tag index
+        bad = next(i for i in order if type(i) is not int)
+        raise InvalidInputError(f"order entries must be integers, got {type(bad).__name__}")
     if sorted(order) != list(range(n)):
         raise InvalidInputError("order must be a permutation of all tag indices")
     return order
@@ -188,69 +190,80 @@ def _dp_score(cloud: Cloud, order: list[int], agg: BadnessAggregate) -> int:
     aggregate badness of the layout it returns, without building that
     layout.  ``order`` is taken as a permutation of the tag indices."""
 
-    return _prefix_optima(cloud, order, agg)[-1]
+    return _suffix_optima(cloud, order, agg)[0][0]
 
 
 def dp_break(cloud: Cloud, order: Sequence[int] | None = None,
              agg: BadnessAggregate = BadnessAggregate.SUM_OF_SQUARES) -> LineLayout:
     """Optimal line breaking for the given order and aggregate.
 
-    ``_prefix_optima`` scores every line in one pass, and
-    ``_best_ends`` picks among the optimal layouts.  The last line is scored like any other.  Ties are broken toward
+    The last line is scored like any other.  Ties are broken toward
     fewer lines, then the lexicographically smallest sequence of line
-    end positions, so results are reproducible.
+    end positions, so results are reproducible.  ``_suffix_optima``
+    ranks every suffix by score, then line count, and records where its
+    shortest best first line ends; following those ends from tag 0
+    gives the smallest ends.  A suffix cannot see the max of the lines
+    before it, so for the max one plain pass finds the optimum T first,
+    and a second pass counts lines over the lines no worse than T.
     """
 
     order = _check_order(len(cloud.tags), order)
-    reach: list[list[int]] = [[]]
-    t = _prefix_optima(cloud, order, agg, reach)
+    n = len(order)
+    base = _dp_score(cloud, order, agg) * (n + 1) if agg is BadnessAggregate.MAX else 0
+    ends = _suffix_optima(cloud, order, agg, n + 1, base)[1]
     lines = []
-    prev = 0
-    for end in _best_ends(reach, t[-1:] * len(t) if agg is BadnessAggregate.MAX else t):
-        lines.append(tuple(order[prev:end]))
-        prev = end
+    v = 0
+    while v < n:
+        lines.append(tuple(order[v:ends[v]]))
+        v = ends[v]
     return LineLayout(tuple(lines))
 
 
-def _prefix_optima(cloud: Cloud, order: list[int], agg: BadnessAggregate,
-                   reach: list[list[int]] | None = None) -> list[int]:
-    """Optimal score ``t[j]`` of every prefix of ``order``, in one pass.
+def _suffix_optima(cloud: Cloud, order: list[int], agg: BadnessAggregate,
+                   scale: int = 1, base: int = 0) -> tuple[list[int], list[int]]:
+    """Best key ``key[v]`` of every suffix ``order[v:]``, and the end
+    ``ends[v]`` of its shortest line reaching that key, in one
+    right-to-left pass from ``key[n] = base``.
 
-    Each tag ends the lines grown leftward from it up to the first
+    Each tag starts the lines grown rightward from it up to the first
     overfull one (the solo line is always there, even overflowing).
-    Each line's badness is folded through the aggregate onto the optimum
-    before it, straight into ``t[j]``.  Given ``reach``, row ``j``
-    appended to it holds those folded scores, entry i for the line of
-    tags j-1-i .. j-1.  The lines ending an optimal layout's prefix are
-    those whose entry is at most their row's cap: ``t`` itself for sums,
-    since ``t[j] <= t[v] + cost``; ``t[n]`` throughout for the max, since
-    every position reached over lines no worse than ``t[n]`` has
-    ``t[v] <= t[n]``.
+    Each line's badness is folded through the aggregate onto the best
+    key after it; the first line to reach the minimum keeps it.  With
+    ``scale`` 1 the key is the suffix's optimal score.  ``dp_break``
+    passes ``scale = n + 1``: every pixel length grows by n + 1, so a
+    line's badness grows by n + 1 (or (n + 1)**2 squared), and a scaled
+    key adds 1 per line, once per position, not per candidate; a suffix
+    has at most n lines, so the key orders suffixes by score, then line
+    count.  For the max, a base of T * (n + 1) with T the unscaled
+    optimum keeps the count of every suffix laid out over lines no worse
+    than T, and puts any suffix that needs a worse line above all of
+    those.
     """
 
-    # The line of tags k..j fits while their widths plus one space each
+    # The line of tags v..k fits while their widths plus one space each
     # stay within target + space.  It then has slack = room - sum(w) with
-    # room = target - (j - k) * space, so its badness, tallest * slack +
+    # room = target - (k - v) * space, so its badness, tallest * slack +
     # sum((tallest - h) * w), is tallest * room - sum(w * h).  A solo tag
     # wider than the line scores tallest * |slack| = h * (w - target).
     _check_agg(agg)
     square = agg is BadnessAggregate.SUM_OF_SQUARES
     worst = agg is BadnessAggregate.MAX
-    target, space = cloud.target_width, cloud.space_width
+    step = 1 if scale > 1 else 0
+    target, space = cloud.target_width * scale, cloud.space_width * scale
     cap = target + space
-    boxes = [(tag.width + space, tag.width * tag.height, tag.height)
+    boxes = [(tag.width * scale + space, tag.width * tag.height * scale, tag.height)
              for tag in map(cloud.tags.__getitem__, order)]
-    t = [0]
-    for j, (used, sum_hw, tallest) in enumerate(boxes):
+    n = len(boxes)
+    key = [base] * (n + 1)
+    ends = [0] * n
+    for v in range(n - 1, -1, -1):
+        used, sum_hw, tallest = boxes[v]
         room = target
         b = abs(tallest * target - sum_hw)
-        best = t[j] + b * b if square else max(b, t[j]) if worst else t[j] + b
-        if reach is not None:
-            row = [best]
-            reach.append(row)
-        k = j
-        while k:
-            k -= 1
+        after = key[v + 1]
+        best = after + b * b if square else max(b, after) if worst else after + b
+        end = k = v + 1
+        while k < n:
             spaced, hw, h = boxes[k]
             used += spaced
             if used > cap:
@@ -260,50 +273,12 @@ def _prefix_optima(cloud: Cloud, order: list[int], agg: BadnessAggregate,
                 tallest = h
             room -= space
             b = tallest * room - sum_hw
-            prev = t[k]
-            s = prev + b * b if square else (b if b > prev else prev) if worst else prev + b
+            k += 1
+            after = key[k]
+            s = after + b * b if square else (b if b > after else after) if worst else after + b
             if s < best:
                 best = s
-            if reach is not None:
-                row.append(s)
-        t.append(best)
-    return t
-
-
-def _best_ends(reach: list[list[int]], cap: list[int]) -> tuple[int, ...]:
-    """End positions of the optimal layout with the fewest lines, then
-    the lexicographically smallest ends.
-
-    The lines with ``reach[j][j - 1 - v] <= cap[j]`` are the edges of a
-    graph over break positions whose paths from 0 to n are exactly the
-    optimal layouts (see ``_prefix_optima``).  One backward sweep over
-    the rows records, as a bitmask per position, how many lines the rest
-    of the cloud can take from there; a forward walk then takes, at each
-    step, the earliest usable end that still completes the layout in the
-    fewest lines.
-    """
-
-    n = len(reach) - 1
-    # counts[v] bit c set <=> the suffix from v splits into exactly c usable lines
-    counts = [0] * (n + 1)
-    counts[n] = 1
-    for j in range(n, 0, -1):  # counts[j] is complete once rows > j are done
-        more = counts[j] << 1
-        if not more:
-            continue
-        limit = cap[j]
-        v = j
-        for r in reach[j]:  # the lines starting at j - 1, j - 2, ...
-            v -= 1
-            if r <= limit:
-                counts[v] |= more
-    fewest = (counts[0] & -counts[0]).bit_length() - 1
-
-    ends: list[int] = []
-    v = 0
-    for remaining in range(fewest, 0, -1):
-        # lines from v run out together: once (v, j) is overfull, so is (v, j + 1)
-        v = next(j for j in range(v + 1, n + 1)
-                 if reach[j][j - 1 - v] <= cap[j] and counts[j] >> (remaining - 1) & 1)
-        ends.append(v)
-    return tuple(ends)
+                end = k
+        key[v] = best + step
+        ends[v] = end
+    return key, ends

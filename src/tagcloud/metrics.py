@@ -73,6 +73,8 @@ def layout_to_placement(layout: LineLayout, cloud: Cloud) -> PlacedCloud:
             y += line_h
         if placed != len(tags):  # no index repeats, so some slot is empty
             raise LookupError
+        if any(type(p.tag) is bool for p in slots[:2]):  # False took slot 0, True slot 1
+            raise TypeError
     except (LookupError, TypeError):
         _raise_layout_problem(layout, cloud)
         raise

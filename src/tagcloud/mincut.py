@@ -143,7 +143,8 @@ class Bipartition:
 def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
                  axis: str, areas: Mapping[int, int] | None):
     """The checked input both splitters work on, by local id: a tag's
-    position in the sorted, deduplicated group.
+    position in the sorted, deduplicated group.  Tags must be ints
+    >= 0, and ``pulls`` a ``Pulls`` or None.
 
     Returns the tags, their areas, the internal edges as (i, j, s) over
     local ids in sorted (i, j) order, the graph's own order, which fixes
@@ -154,9 +155,14 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
     participate.
     """
 
+    if set(map(type, tags)) - {int}:  # bool is no tag index, and True would merge with 1
+        bad = next(t for t in tags if type(t) is not int)
+        raise InvalidInputError(f"tags must be integers, got {type(bad).__name__}")
     tags = sorted(set(tags))
     if len(tags) < 2:
         raise InvalidInputError("bipartition needs at least 2 tags")
+    if tags[0] < 0:
+        raise InvalidInputError(f"tags must be >= 0, got {tags[0]}")
     try:
         area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
     except KeyError as missing:
@@ -165,7 +171,10 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
         raise InvalidInputError("tag areas must be integers")
     if min(area) < 1:
         raise InvalidInputError("tag areas must be >= 1")
-    pulls = pulls or Pulls()
+    if pulls is None:
+        pulls = _NO_PULLS
+    elif not isinstance(pulls, Pulls):
+        raise InvalidInputError(f"pulls must be a Pulls, got {type(pulls).__name__}")
     if axis == "V":
         toward_b, toward_a = pulls.right, pulls.left
     elif axis == "H":

@@ -3,7 +3,8 @@ from html.parser import HTMLParser
 
 import pytest
 
-from tagcloud import Cloud, InvalidInputError, LineLayout, TagBox, dp_break, layout_mincut
+from tagcloud import (Cloud, InvalidInputError, LineLayout, TagBox, dp_break, layout_mincut,
+                      layout_to_placement)
 from tagcloud.htmlgen import LINE_HEIGHT, emit_css, emit_inline, emit_nested_tables
 from .conftest import make_cloud
 from .structure import cut_count
@@ -95,6 +96,23 @@ def test_emit_inline_validates_layout():
     cloud, _ = sample()
     with pytest.raises(InvalidInputError):
         emit_inline(LineLayout(((0, 1),)), cloud)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (((0, 1), (2,), (-1,)), "layout does not place every tag exactly once"),
+    (((0, "x"), (2,)), "layout entries must be integers, got str"),  # was a TypeError
+    (((0, 1.0), (2,)), "layout entries must be integers, got float"),  # was a TypeError
+    (((True, 0), (2,)), "layout entries must be integers, got bool"),  # rendered
+    (((0,), (False, 2)), "layout entries must be integers, got bool"),
+    (((0,), (), (1, 2)), "layout contains an empty line"),  # rendered an extra <br>
+    (((0,), (1, 2)), "multi-tag line exceeds the target width"),  # 200 + 4 + 60 > 250
+])
+def test_emit_inline_rejects_what_layout_to_placement_rejects(lines, message):
+    cloud = Cloud(sample()[0].tags, target_width=250, space_width=4)
+    for check in (emit_inline, layout_to_placement):
+        with pytest.raises(InvalidInputError) as exc:
+            check(LineLayout(lines), cloud)
+        assert str(exc.value) == message, check
 
 
 def test_emit_nested_tables_two_cells_per_cut():

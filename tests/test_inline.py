@@ -274,6 +274,42 @@ def test_dp_matches_reference_dp_at_scale(agg):
         assert ends_of(layout) == ends
 
 
+def boxes_cloud(boxes, target, space) -> Cloud:
+    return Cloud(tags=tuple(TagBox(f"t{i}", 1, w, h) for i, (w, h) in enumerate(boxes)),
+                 target_width=target, space_width=space)
+
+
+def test_dp_fewest_lines_beats_lexicographic_order():
+    # lines 6 + 7 + 11 + 5 and 6 + 7 + 6 + 0 + 10 both score 29; the
+    # five-line layout has the smaller ends, but four lines are fewer
+    boxes = [(9, 1), (8, 1), (9, 1), (5, 2), (10, 2), (5, 1)]
+    cloud = boxes_cloud(boxes, 15, 0)
+    layout = dp_break(cloud, agg=L1)
+    assert layout.lines == ((0,), (1,), (2, 3), (4, 5))
+    five = LineLayout(((0,), (1,), (2,), (3, 4), (5,)))
+    assert layout_badness(cloud, layout, L1) == layout_badness(cloud, five, L1) == 29
+    assert ends_of(five) < ends_of(layout)
+    assert reference_break(boxes, 15, 0, "l1") == (29, ends_of(layout))
+
+
+def test_dp_max_takes_a_suffix_that_is_not_optimal_on_its_own():
+    # the first line scores 20, so from tag 3 on [3][4, 5] (20, 8) is as
+    # good as [3, 4][5] (10, 18) and ends sooner, though alone the
+    # second one's max is lower: ranking each suffix by (max, lines)
+    # would end at (2, 3, 5, 6)
+    boxes = [(4, 4), (4, 4), (12, 1), (4, 2), (4, 2), (5, 2)]
+    cloud = boxes_cloud(boxes, 14, 1)
+    layout = dp_break(cloud, agg=LINF)
+    assert layout.lines == ((0, 1), (2,), (3,), (4, 5))
+    suffix = boxes_cloud(boxes[3:], 14, 1)
+    assert layout_badness(suffix, LineLayout(((0,), (1, 2))), LINF) == 20
+    assert layout_badness(suffix, LineLayout(((0, 1), (2,))), LINF) == 18
+    later = LineLayout(((0, 1), (2,), (3, 4), (5,)))
+    assert layout_badness(cloud, layout, LINF) == layout_badness(cloud, later, LINF) == 20
+    assert ends_of(later) == (2, 3, 5, 6)
+    assert reference_break(boxes, 14, 1, "linf") == (20, ends_of(layout))
+
+
 @pytest.mark.parametrize("agg", [L1, L2, LINF])
 def test_dp_never_worse_than_greedy(agg):
     rng = random.Random(99)

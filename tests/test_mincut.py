@@ -176,6 +176,12 @@ def test_exhaustive_size_limits():
      "tag 0: pull must be a finite number, got x"),
     ([0, 1, 2], {"pulls": Pulls(top={0: True}), "axis": "H"},
      "tag 0: pull must be a finite number, got True"),
+    # each of these was split as if it named tags
+    ([-1, 0], {}, "tags must be >= 0, got -1"),
+    (["a", "b", "c"], {}, "tags must be integers, got str"),
+    ([0, 1, 2.5], {}, "tags must be integers, got float"),
+    ([0, 1, True], {}, "tags must be integers, got bool"),  # was two tags
+    ([0, 1, 2], {"pulls": {"right": 1}}, "pulls must be a Pulls, got dict"),  # AttributeError
 ])
 def test_splitters_reject_bad_input_alike(splitter, tags, kw, message):
     g = RelationGraph([(0, 1, 1.0)])
