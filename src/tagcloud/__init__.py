@@ -11,13 +11,7 @@ from .inline import (
 )
 from .ingest import build_cloud_from_text, build_tag_cloud, cooccurrence_graph, importance
 from .metrics import bbox_area, layout_to_placement, weighted_distance
-from .mincut import (
-    Hypergraph,
-    bipartition,
-    build_slicing_tree,
-    expand_hyperedges,
-    layout_mincut,
-)
+from .mincut import bipartition, build_slicing_tree, layout_mincut
 from .model import (
     Cloud,
     CloudError,
@@ -44,7 +38,6 @@ __all__ = [
     "Cloud",
     "CloudError",
     "Cut",
-    "Hypergraph",
     "InfeasibleLineError",
     "InternalError",
     "InvalidInputError",
@@ -67,7 +60,6 @@ __all__ = [
     "cooccurrence_graph",
     "dp_break",
     "estimate_box",
-    "expand_hyperedges",
     "ffdh",
     "ffdhw",
     "font_size_pt",

@@ -1,9 +1,9 @@
 """Proximity-aware 2-D placement by recursive graph bisection.
 
 Related tags should sit near each other.  Relations come in as a
-weighted graph (or as hyperedges expanded to cliques); the placer
-recursively bipartitions the tag set, cutting as little relation
-weight as possible, and records each split as a slicing-tree cut.
+weighted graph; the placer recursively bipartitions the tag set,
+cutting as little relation weight as possible, and records each split
+as a slicing-tree cut.
 Splits of up to 12 tags are solved exactly by enumeration; larger ones
 by a seeded move/lock/rollback refinement over several random starts.
 When a group has no internal edge and no pull difference across the
@@ -55,30 +55,6 @@ EXHAUSTIVE_LIMIT = 12
 DEFAULT_FM_RUNS = 10
 
 SIDES = ("left", "right", "top", "bottom")
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Groups of tags related as wholes (e.g. tags sharing a resource)."""
-
-    hyperedges: tuple[frozenset[int], ...]
-
-
-def expand_hyperedges(hg: Hypergraph) -> RelationGraph:
-    """Clique expansion: every pair inside a hyperedge gets strength 1.
-
-    Pairs appearing in several hyperedges accumulate strength.
-    """
-
-    raw = []
-    for k, edge in enumerate(hg.hyperedges):
-        members = sorted(edge)
-        if len(members) < 2:
-            raise InvalidInputError(f"hyperedge {k} needs at least 2 members")
-        if members[0] < 0:
-            raise InvalidInputError(f"hyperedge {k} has a negative tag index")
-        raw.extend((a, b, 1) for a, b in itertools.combinations(members, 2))
-    return RelationGraph(raw)
 
 
 @dataclass(frozen=True)
@@ -142,69 +118,32 @@ class Bipartition:
 
 def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
                  axis: str, areas: Mapping[int, int] | None):
-    """The checked input both splitters work on, by local id: a tag's
-    position in the sorted, deduplicated group.  Tags must be ints
-    >= 0, and ``pulls`` a ``Pulls`` or None.
+    """Both splitters' input by local id, a tag's position in ``tags``,
+    which the caller has checked: a sorted group of distinct tags.
 
-    Returns the tags, their areas, the internal edges as (i, j, s) over
-    local ids in sorted (i, j) order, the graph's own order, which fixes
-    the order float strengths are summed in, and each tag's penalty for
-    landing in part A (``cost_a``) or part B (``cost_b``).  Part A is
-    the left (V cut) or top (H cut) side, so a tag pulled right pays
-    when put in A, and so on.  Pulls orthogonal to the cut axis do not
-    participate.
+    Returns the areas by position (1 each when ``areas`` is None), the
+    internal edges as (i, j, s) over local ids in sorted (i, j) order,
+    the graph's own order, which fixes the order float strengths are
+    summed in, and each tag's penalty for landing in part A
+    (``cost_a``) or part B (``cost_b``).  Part A is the left (V cut) or
+    top (H cut) side, so a tag pulled right pays when put in A, and so
+    on.  Pulls orthogonal to the cut axis, or None, do not participate.
     """
 
-    if set(map(type, tags)) - {int}:  # bool is no tag index, and True would merge with 1
-        bad = next(t for t in tags if type(t) is not int)
-        raise InvalidInputError(f"tags must be integers, got {type(bad).__name__}")
-    tags = sorted(set(tags))
-    if len(tags) < 2:
-        raise InvalidInputError("bipartition needs at least 2 tags")
-    if tags[0] < 0:
-        raise InvalidInputError(f"tags must be >= 0, got {tags[0]}")
-    try:
-        area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
-    except KeyError as missing:
-        raise InvalidInputError(f"tag {show_value(missing.args[0])} has no area") from None
-    if set(map(type, area)) != {int}:  # bool is no area
-        raise InvalidInputError("tag areas must be integers")
-    if min(area) < 1:
-        raise InvalidInputError("tag areas must be >= 1")
-    if pulls is None:
-        pulls = _NO_PULLS
-    elif not isinstance(pulls, Pulls):
-        raise InvalidInputError(f"pulls must be a Pulls, got {type(pulls).__name__}")
-    if axis == "V":
-        toward_b, toward_a = pulls.right, pulls.left
-    elif axis == "H":
-        toward_b, toward_a = pulls.bottom, pulls.top
-    else:
-        raise InvalidInputError(f"axis must be 'V' or 'H', got {axis!r}")
+    area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
+    pulls = pulls or _NO_PULLS
+    toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
+                          else (pulls.bottom, pulls.top))
     zero = [0.0] * len(tags)
-    cost_a = _pull_costs(toward_b, tags) if toward_b else zero
-    cost_b = _pull_costs(toward_a, tags) if toward_a else zero
+    cost_a = [float(toward_b.get(t, 0)) for t in tags] if toward_b else zero
+    cost_b = [float(toward_a.get(t, 0)) for t in tags] if toward_a else zero
     adj = graph.adjacency()
     edges = []
     if adj:  # an edge-free graph has nothing to walk
         pos = {t: k for k, t in enumerate(tags)}
         edges = [(k, pos[j], s) for k, i in enumerate(tags)
                  for j, s in adj.get(i, ()) if j > i and j in pos]
-    return tags, area, edges, cost_a, cost_b
-
-
-def _pull_costs(toward: Mapping[int, float], tags: Sequence[int]) -> list[float]:
-    """Each tag's pull in ``toward`` as a float, 0 for a tag it lacks; a
-    pull that is not a finite number is an error naming its tag."""
-
-    costs = []
-    for t in tags:
-        c = toward.get(t, 0)
-        if type(c) is bool or not isinstance(c, (int, float)) or not math.isfinite(c):
-            raise InvalidInputError(
-                f"tag {t}: pull must be a finite number, got {show_value(c)}")
-        costs.append(float(c))
-    return costs
+    return area, edges, cost_a, cost_b
 
 
 def _split_result(tags: Sequence[int], side: Sequence[int],
@@ -311,13 +250,14 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     cut axis for every tag, every vector costs the same, so the answer
     is the first vector in the pool.  ``_first_in_pool`` finds it from
     the areas, with no enumeration and without loading numpy.
+
+    Checks nothing: it trusts ``tags``, ``areas``, ``pulls`` and
+    ``axis`` to be as ``bipartition`` checks them (``tags`` also sorted
+    and distinct), which every group ``build_slicing_tree`` hands it is.
     """
 
-    tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
+    area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
-    if n > EXHAUSTIVE_LIMIT:
-        raise InvalidInputError(
-            f"exhaustive bipartition handles at most {EXHAUSTIVE_LIMIT} tags, got {n}")
     if not edges and cost_a == cost_b:
         side, relaxed = _first_in_pool(area)
         return _split_result(tags, side, relaxed=relaxed)
@@ -393,10 +333,12 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     and its record is the one the full run would have made.  The
     pass-start scan, which walks every edge to set the keys, also sums
     the scaled cut for a run's start objective.
+
+    Checks nothing, the seed included: it trusts its input as
+    ``bipartition_exhaustive`` does.
     """
 
-    check_seed(seed)
-    tags, area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
+    area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
 
     rng = random.Random(seed)
@@ -578,12 +520,47 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
 def bipartition(tags: Sequence[int], graph: RelationGraph,
                 pulls: Pulls | None = None, axis: str = "V",
                 areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
-    """Route to exhaustive or refinement splitting by set size; both check
-    the seed.  The public entry for library callers: ``build_slicing_tree``
-    calls the two splitters itself."""
+    """Split a group by enumeration up to ``EXHAUSTIVE_LIMIT`` tags and by
+    refinement above it; the one checked entry for library callers.
 
-    if len(set(tags)) <= EXHAUSTIVE_LIMIT:
-        check_seed(seed)
+    The seed must be an int, and ``tags`` ints >= 0, in any order and
+    with repeats, at least 2 of them distinct.  Each tag needs an int
+    area >= 1 in ``areas`` (None: 1 each), ``pulls`` must be a ``Pulls``
+    or None, ``axis`` 'V' or 'H', and the group's pulls on that axis
+    finite numbers.  The group goes to the splitters sorted and
+    deduplicated; they check nothing themselves.
+    """
+
+    check_seed(seed)
+    if set(map(type, tags)) - {int}:  # bool is no tag index, and True would merge with 1
+        bad = next(t for t in tags if type(t) is not int)
+        raise InvalidInputError(f"tags must be integers, got {type(bad).__name__}")
+    tags = sorted(set(tags))
+    if len(tags) < 2:
+        raise InvalidInputError("bipartition needs at least 2 tags")
+    if tags[0] < 0:
+        raise InvalidInputError(f"tags must be >= 0, got {tags[0]}")
+    if areas is not None:
+        try:
+            area = [areas[t] for t in tags]
+        except KeyError as missing:
+            raise InvalidInputError(f"tag {show_value(missing.args[0])} has no area") from None
+        if set(map(type, area)) != {int}:  # bool is no area
+            raise InvalidInputError("tag areas must be integers")
+        if min(area) < 1:
+            raise InvalidInputError("tag areas must be >= 1")
+    if pulls is not None and not isinstance(pulls, Pulls):
+        raise InvalidInputError(f"pulls must be a Pulls, got {type(pulls).__name__}")
+    if axis not in ("V", "H"):
+        raise InvalidInputError(f"axis must be 'V' or 'H', got {axis!r}")
+    pulls = pulls or _NO_PULLS
+    for toward in ((pulls.right, pulls.left) if axis == "V" else (pulls.bottom, pulls.top)):
+        for t in tags if toward else ():
+            c = toward.get(t, 0)
+            if type(c) is bool or not isinstance(c, (int, float)) or not math.isfinite(c):
+                raise InvalidInputError(
+                    f"tag {t}: pull must be a finite number, got {show_value(c)}")
+    if len(tags) <= EXHAUSTIVE_LIMIT:
         return bipartition_exhaustive(tags, graph, pulls, axis, areas)
     return bipartition_fm(tags, graph, pulls, axis, areas, seed=seed)
 
@@ -610,7 +587,10 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     Sibling halves become external pulls for deeper splits.  Each split
     calls ``bipartition_exhaustive`` or ``bipartition_fm`` directly by the
     group's size, as the public ``bipartition`` would, and draws a seed
-    for either.
+    for either.  The graph, seed and width bias are checked here, once;
+    each group the splitters get is a sorted tuple of distinct tags with
+    the checked cloud's areas, pulls from ``compute_pulls`` and axis V or
+    H, so they trust it and check nothing.
 
     Each split is computed once.  A vertical split is not run when even
     its larger half leaves the widest tag too little width (see

@@ -109,7 +109,7 @@ def gen_shape_options(tag: TagBox, variants: int = 3) -> ShapeList:
 
 def combine_shapes(tree: Node, leaf_shapes: Mapping[int, ShapeList]
                    ) -> dict[int, Sequence[tuple]]:
-    """Shape lists keyed by post-order position (``iter_nodes``), root last.
+    """Shape lists keyed by post-order position, root last.
 
     A leaf's list is its ``leaf_shapes`` entry, used as given once
     checked; leaves that share one list object check it once per call.

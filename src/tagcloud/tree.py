@@ -3,7 +3,7 @@
 A slicing tree recursively halves a region: a V cut puts ``first``
 left of ``second``, an H cut puts ``first`` above ``second``.  Leaves
 hold tag indices.  Nodes are frozen and compare by structure; per-node
-tables name a node by its post-order position (``iter_nodes``).
+tables name a node by its post-order position, children before parents.
 """
 
 from __future__ import annotations
@@ -33,11 +33,3 @@ def leaves(node: Node) -> Iterator[int]:
         yield from leaves(node.first)
         yield from leaves(node.second)
 
-
-def iter_nodes(node: Node) -> Iterator[Node]:
-    """Children before parents (post-order)."""
-
-    if isinstance(node, Cut):
-        yield from iter_nodes(node.first)
-        yield from iter_nodes(node.second)
-    yield node

@@ -6,7 +6,7 @@ Each check asserts, so a failure says what broke.
 
 from html.parser import HTMLParser
 
-from tagcloud.tree import Cut, Leaf, iter_nodes
+from tagcloud.tree import Cut, Leaf
 
 
 def no_overlap(placed):
@@ -79,6 +79,15 @@ def tree_of(spec):
     if spec[0] == "leaf":
         return Leaf(spec[1])
     return Cut(spec[0], tree_of(spec[1]), tree_of(spec[2]))
+
+
+def iter_nodes(node):
+    """Children before parents (post-order), the order of
+    ``combine_shapes``' table."""
+    if isinstance(node, Cut):
+        yield from iter_nodes(node.first)
+        yield from iter_nodes(node.second)
+    yield node
 
 
 def cut_count(tree):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -6,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from tagcloud import (
     Cloud,
-    Hypergraph,
     InvalidInputError,
     RelationGraph,
     TagBox,
     bipartition,
     build_slicing_tree,
-    expand_hyperedges,
     layout_mincut,
 )
 from tagcloud import mincut
@@ -42,22 +41,6 @@ from .oracles import (
     slicing_tree_reference,
 )
 from .structure import Cells, each_tag_once, inside_bbox, no_overlap
-
-
-def test_expand_hyperedges_clique_counts():
-    hg = Hypergraph(hyperedges=(frozenset({0, 1, 2, 3}), frozenset({2, 3, 4})))
-    g = expand_hyperedges(hg)
-    assert len(g.edges) == 8          # 6 + 3 pairs, (2,3) merged
-    strengths = {(i, j): s for i, j, s in g.edges}
-    assert strengths[(2, 3)] == 2
-    assert strengths[(0, 1)] == 1
-
-
-def test_expand_hyperedges_rejects_degenerate():
-    with pytest.raises(InvalidInputError):
-        expand_hyperedges(Hypergraph(hyperedges=(frozenset({3}),)))
-    with pytest.raises(InvalidInputError):
-        expand_hyperedges(Hypergraph(hyperedges=(frozenset({-1, 2}),)))
 
 
 def test_compute_pulls_sums_by_side():
@@ -155,12 +138,11 @@ def test_exhaustive_relaxes_when_no_balanced_split_exists():
 
 def test_exhaustive_size_limits():
     with pytest.raises(InvalidInputError):
-        bipartition_exhaustive([0], RelationGraph())
-    with pytest.raises(InvalidInputError):
-        bipartition_exhaustive(list(range(13)), RelationGraph())
+        bipartition([0], RelationGraph())
+    assert not bipartition(list(range(EXHAUSTIVE_LIMIT)), RelationGraph()).runs  # enumerated
 
 
-@pytest.mark.parametrize("splitter", [bipartition_exhaustive, bipartition_fm])
+@pytest.mark.parametrize("order", ["given", "reversed"])
 @pytest.mark.parametrize("tags, kw, message", [
     ([3, 3], {}, "bipartition needs at least 2 tags"),
     ([0, 1, 2], {"areas": {0: 4, 1: 0, 2: 4}}, "tag areas must be >= 1"),
@@ -183,17 +165,18 @@ def test_exhaustive_size_limits():
     ([0, 1, True], {}, "tags must be integers, got bool"),  # was two tags
     ([0, 1, 2], {"pulls": {"right": 1}}, "pulls must be a Pulls, got dict"),  # AttributeError
 ])
-def test_splitters_reject_bad_input_alike(splitter, tags, kw, message):
+def test_splitters_reject_bad_input_alike(order, tags, kw, message):
+    # The checks read the group as a set, so its order does not matter.
     g = RelationGraph([(0, 1, 1.0)])
     with pytest.raises(InvalidInputError) as exc:
-        splitter(tags, g, **kw)
+        bipartition(tags if order == "given" else tags[::-1], g, **kw)
     assert str(exc.value) == message
 
 
 def test_splitters_reject_their_own_limits():
-    with pytest.raises(InvalidInputError) as exc:
-        bipartition_exhaustive(list(range(EXHAUSTIVE_LIMIT + 1)), RelationGraph())
-    assert str(exc.value) == "exhaustive bipartition handles at most 12 tags, got 13"
+    # Enumeration's 13-tag limit is the router's to keep: 13 tags go to refinement.
+    got = bipartition(list(range(EXHAUSTIVE_LIMIT + 1)), RelationGraph())
+    assert got == bipartition_fm(list(range(EXHAUSTIVE_LIMIT + 1)), RelationGraph())
 
 
 def random_graph(rng, n, density=0.5, max_strength=9):
@@ -569,7 +552,7 @@ def test_edge_free_exhaustive_needs_no_enumeration(areas, first, axis, kind, wei
     pulls = equal_pulls(kind, tags, axis, weights)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mincut, "_bit_rows", no_enumeration)
-        got = bipartition_exhaustive(tags[::-1], RelationGraph(), pulls, axis, area_of)
+        got = bipartition(tags[::-1], RelationGraph(), pulls, axis, area_of)
     toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                           else (pulls.bottom, pulls.top))
     want = best_bipartition(tags, (), area_of, {t: toward_b.get(t, 0) for t in tags},
@@ -933,6 +916,51 @@ def test_layout_at_or_below_the_floor_matches_every_attempt_replayed(cloud, grap
         assert len(widths) == MAX_WIDTH_RETRIES and min(widths) > target
 
 
+def trusted_input_cases():
+    """Clouds with and without edges, some at a target below the width
+    floor: (case, cloud, graph, seed)."""
+
+    cloud, graph = topic_cloud(2, k=80)
+    yield "topic-edged", cloud, graph, 2
+    yield "topic-edge-free", cloud, None, 2
+    below = dataclasses.replace(cloud, target_width=max(1, width_floor(cloud) // 2))
+    yield "topic-below-floor", below, graph, 2
+    cloud = random_cloud(3, 150)
+    yield "random", cloud, None, 3
+    below = dataclasses.replace(cloud, target_width=max(1, width_floor(cloud) // 2))
+    yield "random-below-floor", below, None, 3
+
+
+@pytest.mark.parametrize("case, cloud, graph, seed", list(trusted_input_cases()))
+def test_splitters_get_only_what_they_trust(monkeypatch, case, cloud, graph, seed):
+    """The splitters check nothing, so every call the tree makes must
+    already hold what ``bipartition`` would check."""
+
+    calls = {"bipartition_exhaustive": 0, "bipartition_fm": 0}
+
+    def trusting(name, split):
+        def checked_split(tags, graph, pulls, axis, areas, **seed):
+            calls[name] += 1
+            assert type(tags) is tuple and list(tags) == sorted(set(tags))
+            assert len(tags) >= 2 and all(type(t) is int for t in tags) and tags[0] >= 0
+            assert (len(tags) > EXHAUSTIVE_LIMIT) == (name == "bipartition_fm")
+            assert all(type(areas[t]) is int and areas[t] >= 1 for t in tags)
+            assert type(pulls) is Pulls
+            for side in SIDES:
+                assert all(type(c) in (int, float) and math.isfinite(c)
+                           for c in getattr(pulls, side).values())
+            assert axis in ("V", "H")
+            assert list(seed) == (["seed"] if name == "bipartition_fm" else [])
+            assert all(type(s) is int for s in seed.values())
+            return split(tags, graph, pulls, axis, areas, **seed)
+        return checked_split
+
+    for name in calls:
+        monkeypatch.setattr(mincut, name, trusting(name, getattr(mincut, name)))
+    layout_mincut(cloud, graph, seed=seed)
+    assert all(calls.values()), calls
+
+
 def counting(monkeypatch, module, make_tree=None):
     """Wrap ``module.build_slicing_tree``; ``make_tree(k, real tree)``
     may replace the tree of call k.  Returns the list of calls' trees."""
@@ -1017,9 +1045,7 @@ def test_seed_must_be_an_integer(seed, kind):
     for call in (lambda: build_slicing_tree(cloud, graph, seed=seed),
                  lambda: layout_mincut(cloud, graph, seed=seed),
                  lambda: bipartition(small, graph, seed=seed),
-                 lambda: bipartition(large, graph, seed=seed),
-                 lambda: bipartition_fm(small, graph, seed=seed),
-                 lambda: bipartition_fm(large, graph, seed=seed)):
+                 lambda: bipartition(large, graph, seed=seed)):
         with pytest.raises(InvalidInputError) as exc:
             call()
         assert str(exc.value) == f"seed must be an integer, got {kind}"
