@@ -4,10 +4,10 @@ Related tags should sit near each other.  Relations come in as a
 weighted graph; the placer recursively bipartitions the tag set,
 cutting as little relation weight as possible, and records each split
 as a slicing-tree cut.
-Splits of up to 12 tags are solved exactly by enumeration; larger ones
-by a seeded move/lock/rollback refinement over several random starts.
+Splits of up to 12 tags are solved exactly by a pruned search, larger
+ones by seeded move/lock/rollback refinement, both in exact integers.
 When a group has no internal edge and no pull difference across the
-cut, every balanced split costs the same: enumeration then finds the
+cut, every balanced split costs the same: the search then takes the
 first one by integer arithmetic on the areas, and refinement keeps its
 first start, so neither builds its tables.
 Tags already assigned to the other half of an enclosing split tug the
@@ -25,7 +25,6 @@ until an attempt lands on that floor.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -33,10 +32,11 @@ import operator
 import random
 import sys
 from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from .model import (
+    MAX_TOTAL_STRENGTH,
     Cloud,
     InvalidInputError,
     PlacedCloud,
@@ -123,20 +123,19 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
 
     Returns the areas by position (1 each when ``areas`` is None), the
     internal edges as (i, j, s) over local ids in sorted (i, j) order,
-    the graph's own order, which fixes the order float strengths are
-    summed in, and each tag's penalty for landing in part A
-    (``cost_a``) or part B (``cost_b``).  Part A is the left (V cut) or
-    top (H cut) side, so a tag pulled right pays when put in A, and so
-    on.  Pulls orthogonal to the cut axis, or None, do not participate.
+    and each tag's unscaled penalty for landing in part A (``cost_a``)
+    or part B (``cost_b``).  Part A is the left (V cut) or top (H cut)
+    side, so a tag pulled right pays when put in A, and so on.  Pulls
+    orthogonal to the cut axis, or None, do not participate.
     """
 
     area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
     pulls = pulls or _NO_PULLS
     toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                           else (pulls.bottom, pulls.top))
-    zero = [0.0] * len(tags)
-    cost_a = [float(toward_b.get(t, 0)) for t in tags] if toward_b else zero
-    cost_b = [float(toward_a.get(t, 0)) for t in tags] if toward_a else zero
+    zero = [0] * len(tags)
+    cost_a = [toward_b.get(t, 0) for t in tags] if toward_b else zero
+    cost_b = [toward_a.get(t, 0) for t in tags] if toward_a else zero
     adj = graph.adjacency()
     edges = []
     if adj:  # an edge-free graph has nothing to walk
@@ -144,6 +143,17 @@ def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
         edges = [(k, pos[j], s) for k, i in enumerate(tags)
                  for j, s in adj.get(i, ()) if j > i and j in pos]
     return area, edges, cost_a, cost_b
+
+
+def _scaled_terms(edges, cost_a, cost_b):
+    """Strengths and pull costs as the Python ints both splitters minimize
+    cut plus pull cost over: as they are if all are whole, else times
+    1000 and rounded; sums and ties are exact at any accepted strength."""
+
+    numbers = [s for _, _, s in edges] + cost_a + cost_b
+    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
+    return ([(i, j, round(s * scale)) for i, j, s in edges],
+            [round(c * scale) for c in cost_a], [round(c * scale) for c in cost_b])
 
 
 def _split_result(tags: Sequence[int], side: Sequence[int],
@@ -167,89 +177,90 @@ def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool]:
     alone on one side, and the first of those puts it in part B, or in
     part A when L is ``tags[0]``.
 
-    Otherwise a depth-first search from ``tags[0]`` tries part A first
-    for each tag and prunes a branch whose B-area cannot reach T/3 with
-    every tag left, so the first balanced vector it meets is the
-    lexicographically first.  It never backs up, since part B never
-    passes 2T/3: the first tag put in B has area at most L, and after it
-    both the tags left and the B-area before each addition stay below
-    T/3.  So it decides each tag once, and stops when the B-area
-    reaches T/3, the tags left staying in part A; the last tag always
-    gets there, since B-area plus the tags left never falls below T/3.
+    Otherwise this is ``_best_in_pool``'s search with every cost 0,
+    which keeps the first balanced vector it meets: each tag goes to
+    part A unless that puts more than 2T/3 there, so B ends with T/3 at
+    least.  It never backs up, since part B never passes 2T/3: the
+    first tag put in B has area at most L, and after it both the tags
+    left and the B-area before each addition stay below T/3.
     """
 
-    n = len(area)
-    total = sum(area)
+    cap = 2 * sum(area) // 3  # the most area either part may hold
     largest = max(area)
-    if 3 * largest > 2 * total:
-        k = area.index(largest)  # the only tag that large
-        if k == 0:
-            return [0] + [1] * (n - 1), True
-        side = [0] * n
-        side[k] = 1
-        return side, True
+    if largest > cap:
+        side = [int(x == largest) for x in area]  # the only tag that large, in B
+        return ([1 - st for st in side] if side[0] else side), True
 
-    rest = [0] * (n + 1)  # rest[k]: the area of tags[k:]
-    for k in range(n - 1, -1, -1):
-        rest[k] = rest[k + 1] + area[k]
-    side = [0] * n
-    a = 0  # the B-area so far
-    for k in range(n):
-        if 3 * (a + rest[k + 1]) < total:  # B needs tags[k] to reach T/3
+    side = [0] * len(area)
+    a = 0  # the A-area so far
+    for k, x in enumerate(area):
+        if a + x > cap:
             side[k] = 1
-            a += area[k]
-            if 3 * a >= total:
-                break
+        else:
+            a += x
     return side, False
 
 
-@functools.cache
-def _bit_rows(n: int):
-    """Read-only (n, 2**n - 2) matrix whose column v - 1 is the membership
-    vector v, 1 <= v <= 2**n - 2, with tags[0] as its most significant
-    bit: the columns run in lexicographic order, so the first optimal
-    column is the tie-break.  Built on first use of each size, so
-    importing the package pays nothing for it, and an edge-free split
-    with no pull difference never builds it."""
+def _best_in_pool(area, edges, cost_a, cost_b) -> tuple[list[int], bool]:
+    """The side vector of the pool's cheapest vector by cut weight plus
+    pull cost, the lexicographically first among equals, and whether
+    the pool is relaxed: then it is ``_first_in_pool``'s vector and its
+    mirror image, which cut the same edges.  A balanced pool is searched
+    depth first, part A first for each tag in turn, so vectors come in
+    lexicographic order and only a cheaper one replaces the best.  A
+    branch ends once a part holds over 2T/3 of the area T, or its cost
+    plus each tag left's cheaper pull cost reaches the best (branch and
+    bound: Land and Doig, Econometrica 1960)."""
 
-    import numpy as np
-    vectors = np.arange(1, (1 << n) - 1)
-    rows = ((vectors >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.float64)
-    rows.flags.writeable = False
-    return rows
-
-
-def _exhaustive_objective(bits, edges, cost_a, cost_b):
-    """Cut weight plus pull penalty of every membership vector (a column
-    of ``bits``), summed in edge order, then the A costs, then each tag's
-    B-minus-A delta."""
-
-    import numpy as np
-    obj = np.zeros(bits.shape[1])
+    first, relaxed = _first_in_pool(area)
+    if relaxed:  # the mirror image pays b - a more for each tag in part A, a - b in B
+        extra = sum(a - b if st else b - a for a, b, st in zip(cost_a, cost_b, first))
+        return (first if extra >= 0 else [1 - st for st in first]), True
+    n, cap = len(area), 2 * sum(area) // 3  # the most area either part may hold
+    earlier = [[] for _ in area]  # (j, s) for each edge to a lower id j
     for i, j, s in edges:
-        obj += (bits[i] != bits[j]) * float(s)
-    obj += sum(cost_a)
-    for k, (ca, cb) in enumerate(zip(cost_a, cost_b)):
-        delta = cb - ca
-        if delta:
-            obj += bits[k] * delta
-    return obj
+        earlier[j].append((i, s))
+    degree = [sum(s for _, s in e) for e in earlier]  # to lower ids
+    floor = list(itertools.accumulate(reversed(list(map(min, cost_a, cost_b))), initial=0))
+    floor.reverse()  # floor[k]: the least pull cost tags[k:] can pay
+    best = [math.inf, first]
+    side = [0] * n
+
+    def visit(k: int, a: int, b: int, so_far: int) -> None:  # tags[:k]'s part areas, cost
+        if k == n:
+            best[:] = so_far, side[:]
+            return
+        to_b = 0
+        for j, s in earlier[k]:
+            if side[j]:
+                to_b += s
+        c = so_far + cost_a[k] + to_b
+        if c + floor[k + 1] < best[0] and a + area[k] <= cap:
+            visit(k + 1, a + area[k], b, c)
+        c = so_far + cost_b[k] + degree[k] - to_b
+        if c + floor[k + 1] < best[0] and b + area[k] <= cap:
+            side[k] = 1
+            visit(k + 1, a, b + area[k], c)
+            side[k] = 0
+
+    visit(0, 0, 0, 0)
+    return best[1], False
 
 
 def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
                            pulls: Pulls | None = None, axis: str = "V",
                            areas: Mapping[int, int] | None = None) -> Bipartition:
-    """Optimal split of up to 12 tags by scanning every assignment.
+    """Optimal split of up to 12 tags by an exact, pruned search.
 
     Keeps the parts within a 2:1 area ratio when any such split exists;
     otherwise returns the least-imbalanced split flagged ``relaxed``.
-    Minimizes cut weight plus pull penalty; ties go to the
-    lexicographically smallest membership vector.
+    Minimizes cut weight plus pull penalty in FM's integers; ties go to
+    the lexicographically smallest membership vector.
 
     With no internal edges and the same pull cost on both sides of the
     cut axis for every tag, every vector costs the same, so the answer
     is the first vector in the pool.  ``_first_in_pool`` finds it from
-    the areas, with no enumeration and without loading numpy.
+    the areas, with no search and nothing scaled.
 
     Checks nothing: it trusts ``tags``, ``areas``, ``pulls`` and
     ``axis`` to be as ``bipartition`` checks them (``tags`` also sorted
@@ -257,27 +268,10 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     """
 
     area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
-    n = len(tags)
     if not edges and cost_a == cost_b:
         side, relaxed = _first_in_pool(area)
-        return _split_result(tags, side, relaxed=relaxed)
-    import numpy as np
-    area_arr = np.array(area, dtype=np.float64)
-    bits = _bit_rows(n)
-    area_b = area_arr @ bits  # exact: the areas are integers
-    area_a = area_arr.sum() - area_b
-
-    balanced = 2 * np.minimum(area_a, area_b) >= np.maximum(area_a, area_b)
-    relaxed = not bool(balanced.any())
-    if relaxed:
-        imbalance = np.abs(area_a - area_b)
-        pool = imbalance == imbalance.min()
     else:
-        pool = balanced
-
-    obj = _exhaustive_objective(bits, edges, cost_a, cost_b)
-    v = 1 + int(np.argmin(np.where(pool, obj, np.inf)))
-    side = [v >> (n - 1 - k) & 1 for k in range(n)]
+        side, relaxed = _best_in_pool(area, *_scaled_terms(edges, cost_a, cost_b))
     return _split_result(tags, side, relaxed=relaxed)
 
 
@@ -303,10 +297,9 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     the full loop would have made, before the costs are scaled or any
     refinement state is built.
 
-    Gains are integers (fractional strengths are scaled by 1000 and
-    rounded first).  Tags are renumbered by their position in the
-    sorted group, so per-tag state lives in lists and id order is tag
-    order.  The unlocked tags wait in a heap of plain integers
+    Gains are ``_scaled_terms``' integers.  Tags are renumbered by
+    their position in the sorted group, so per-tag state lives in lists
+    and id order is tag order.  The unlocked tags wait in a heap of plain integers
     ``-gain * n + id`` for the group's n tags: since ``0 <= id < n``
     they sort exactly as (-gain, id) pairs, so the highest gain and then
     the smallest id comes out first, and the remainder and the floor
@@ -347,16 +340,13 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
         side, _, _ = _fm_start(rng, area)
         return _split_result(tags, side, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)
 
-    numbers = [s for _, _, s in edges] + cost_a + cost_b
-    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
-    sca = [int(round(c * scale)) for c in cost_a]
-    scb = [int(round(c * scale)) for c in cost_b]
+    edges, sca, scb = _scaled_terms(edges, cost_a, cost_b)
 
     # A heap key is -gain * n + id.  An edge of strength s moves its
     # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
     # At the start of a pass -gain is the tag's pull delta plus the
     # strength of all its edges, less twice that of its cut edges.
-    wedges = [(i, j, 2 * n * int(round(s * scale))) for i, j, s in edges]
+    wedges = [(i, j, 2 * n * s) for i, j, s in edges]
     wadj: list[list[tuple[int, int]]] = [[] for _ in tags]
     pull_key = [n * (b - a) for a, b in zip(sca, scb)]  # in part A
     edge_key = list(range(n))  # the id, plus n times all its strength
@@ -517,21 +507,24 @@ def _fm_refine(memo, adj, edges, pull_key, edge_key, sca, scb, area, s_max,
     return final, final_obj, len(trail) + left
 
 
-def bipartition(tags: Sequence[int], graph: RelationGraph,
+def bipartition(tags: Sequence[int], graph: RelationGraph | None,
                 pulls: Pulls | None = None, axis: str = "V",
                 areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
     """Split a group by enumeration up to ``EXHAUSTIVE_LIMIT`` tags and by
     refinement above it; the one checked entry for library callers.
 
-    The seed must be an int, and ``tags`` ints >= 0, in any order and
-    with repeats, at least 2 of them distinct.  Each tag needs an int
-    area >= 1 in ``areas`` (None: 1 each), ``pulls`` must be a ``Pulls``
-    or None, ``axis`` 'V' or 'H', and the group's pulls on that axis
-    finite numbers.  The group goes to the splitters sorted and
-    deduplicated; they check nothing themselves.
+    The seed must be an int, ``graph`` a ``RelationGraph`` or None, and
+    ``tags`` ints >= 0, in any order and with repeats, at least 2 of
+    them distinct.  ``areas`` (None: 1 each) maps each to an int >= 1,
+    ``pulls`` is a ``Pulls`` or None, ``axis`` 'V' or 'H', and the pulls
+    on it map tags to numbers of at most ``MAX_TOTAL_STRENGTH`` in size.
+    The splitters get the group sorted and deduplicated; they check nothing.
     """
 
     check_seed(seed)
+    graph = RelationGraph() if graph is None else graph
+    if not isinstance(graph, RelationGraph):
+        raise InvalidInputError(f"graph must be a RelationGraph, got {type(graph).__name__}")
     if set(map(type, tags)) - {int}:  # bool is no tag index, and True would merge with 1
         bad = next(t for t in tags if type(t) is not int)
         raise InvalidInputError(f"tags must be integers, got {type(bad).__name__}")
@@ -541,6 +534,8 @@ def bipartition(tags: Sequence[int], graph: RelationGraph,
     if tags[0] < 0:
         raise InvalidInputError(f"tags must be >= 0, got {tags[0]}")
     if areas is not None:
+        if not isinstance(areas, Mapping):
+            raise InvalidInputError(f"areas must be a mapping, got {type(areas).__name__}")
         try:
             area = [areas[t] for t in tags]
         except KeyError as missing:
@@ -554,12 +549,17 @@ def bipartition(tags: Sequence[int], graph: RelationGraph,
     if axis not in ("V", "H"):
         raise InvalidInputError(f"axis must be 'V' or 'H', got {axis!r}")
     pulls = pulls or _NO_PULLS
-    for toward in ((pulls.right, pulls.left) if axis == "V" else (pulls.bottom, pulls.top)):
+    for side in ("right", "left") if axis == "V" else ("bottom", "top"):
+        toward = getattr(pulls, side)
+        if not isinstance(toward, Mapping):
+            raise InvalidInputError(f"pulls.{side} must be a mapping, got {type(toward).__name__}")
         for t in tags if toward else ():
             c = toward.get(t, 0)
-            if type(c) is bool or not isinstance(c, (int, float)) or not math.isfinite(c):
+            if type(c) is bool or not isinstance(c, (int, float)) or not abs(c) < math.inf:
                 raise InvalidInputError(
                     f"tag {t}: pull must be a finite number, got {show_value(c)}")
+            if abs(c) > MAX_TOTAL_STRENGTH:  # times 1000, a larger one could pass any float
+                raise InvalidInputError(f"tag {t}: pull exceeds {MAX_TOTAL_STRENGTH:g} in size")
     if len(tags) <= EXHAUSTIVE_LIMIT:
         return bipartition_exhaustive(tags, graph, pulls, axis, areas)
     return bipartition_fm(tags, graph, pulls, axis, areas, seed=seed)

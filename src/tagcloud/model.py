@@ -67,9 +67,8 @@ DEFAULT_SPACE_WIDTH = 4
 DEFAULT_TARGET_WIDTH = 550
 
 # Largest accepted width or height in pixels.  Widths and heights are
-# integers, so tag areas are integers of at most 2**48 px^2: split
-# arithmetic on them is exact, and the enumeration's float sums of at
-# most 12 of them stay below 2**53.
+# integers, so tag areas are integers of at most 2**48 px^2, and split
+# arithmetic on them is exact.
 MAX_PIXELS = 1 << 24
 
 

@@ -251,11 +251,17 @@ def best_bipartition(tags, edges, areas, cost_a=None, cost_b=None):
     side areas are within a factor two of each other; if none exist,
     least absolute area difference.  Minimizes cut plus per-tag side
     costs, ties to the lexicographically smallest membership vector.
+    The objective is scaled as ``fm_bipartition`` scales it: when any
+    internal strength or side cost is fractional, each is multiplied by
+    1000 and rounded to an integer.  ``cut`` sums the raw strengths.
     """
 
     tags = sorted(tags)
-    cost_a = cost_a or {}
-    cost_b = cost_b or {}
+    edges = [(i, j, s) for i, j, s in edges if i in tags and j in tags]
+    cost_a = {t: (cost_a or {}).get(t, 0) for t in tags}
+    cost_b = {t: (cost_b or {}).get(t, 0) for t in tags}
+    numbers = [s for _, _, s in edges] + list(cost_a.values()) + list(cost_b.values())
+    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
     pool = []
     for vector in itertools.product((0, 1), repeat=len(tags)):
         if all(v == vector[0] for v in vector):
@@ -264,10 +270,9 @@ def best_bipartition(tags, edges, areas, cost_a=None, cost_b=None):
         area = [0, 0]
         for t in tags:
             area[side[t]] += areas[t]
-        cut = sum(s for i, j, s in edges
-                  if i in side and j in side and side[i] != side[j])
-        obj = cut + sum(cost_a.get(t, 0) if side[t] == 0 else cost_b.get(t, 0)
-                        for t in tags)
+        cut = sum(s for i, j, s in edges if side[i] != side[j])
+        obj = sum(int(round(s * scale)) for i, j, s in edges if side[i] != side[j])
+        obj += sum(int(round((cost_a if side[t] == 0 else cost_b)[t] * scale)) for t in tags)
         balanced = 2 * min(area) >= max(area)
         pool.append((balanced, abs(area[0] - area[1]), obj, vector, cut))
     relaxed = not any(p[0] for p in pool)

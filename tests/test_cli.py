@@ -427,12 +427,13 @@ def test_edge_free_layout_mincut_never_loads_numpy(scripts, edge_free_file, tmp_
     assert not loads_numpy(modules), sorted(modules)
 
 
-def test_ingest_and_edged_layout_mincut_load_numpy(scripts, cloud_file, tmp_path):
+def test_ingest_loads_numpy_and_edged_layout_mincut_never_does(scripts, cloud_file, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("winter summer winter summer autumn winter\n" * 4)
     assert loads_numpy(run_traced(scripts["ingest"], "--text", str(corpus), "--k", "3",
                                   "--out", str(tmp_path / "made.json")))
-    assert loads_numpy(run_traced(scripts["layout-mincut"], "--input", str(cloud_file)))
+    modules = run_traced(scripts["layout-mincut"], "--input", str(cloud_file))
+    assert not loads_numpy(modules), sorted(modules)
 
 
 def _exit_code(command, argv):

@@ -115,6 +115,37 @@ def test_exhaustive_ties_break_lexicographically():
     assert (part.part_a, part.part_b) == ((0, 1), (2, 3))
 
 
+def test_exhaustive_ties_break_lexicographically_on_fractional_strengths():
+    # both (0, 1)/(2, 3) and (0, 2)/(1, 3) cut 0.9, which float sums in
+    # different orders told apart; in scaled integers they tie at 900
+    g = RelationGraph([(0, 1, 0.7), (0, 2, 0.3), (1, 2, 0.2), (1, 3, 0.4)])
+    part = bipartition([0, 1, 2, 3], g)
+    assert (part.part_a, part.part_b) == ((0, 1), (2, 3))
+
+
+@given(areas=st.lists(st.integers(1, 9), min_size=2, max_size=8),
+       edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                st.sampled_from(range(100, 1000, 100)) | st.integers(1, 5000)),
+                      max_size=20),
+       pulls=st.lists(st.tuples(st.sampled_from(SIDES), st.integers(0, 7), st.integers(1, 5000)),
+                      max_size=4),
+       axis=st.sampled_from("VH"))
+@example(areas=[1, 1, 1, 1], edges=[(0, 1, 700), (0, 2, 300), (1, 2, 200), (1, 3, 400)],
+         pulls=[], axis="V")  # float sums missed this tie
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_matches_reference_on_fractional_strengths(areas, edges, pulls, axis):
+    # strengths and pulls in thousandths; whole tenths tie often
+    n = len(areas)
+    g = RelationGraph([(i, j, k / 1000) for i, j, k in edges if i != j and max(i, j) < n])
+    pulls = Pulls(**{side: {t: k / 1000 for s, t, k in pulls if s == side and t < n}
+                     for side in SIDES})
+    got = bipartition(list(range(n)), g, pulls, axis, dict(enumerate(areas)))
+    toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
+                          else (pulls.bottom, pulls.top))
+    want = best_bipartition(range(n), g.edges, dict(enumerate(areas)), toward_b, toward_a)
+    assert (got.part_a, got.part_b, cut_weight(g, got), got.relaxed) == want
+
+
 def test_exhaustive_respects_pulls():
     # tags 0 and 1 tie on cut; the right-pull on 0 forces it into part B
     g = RelationGraph()
@@ -164,13 +195,27 @@ def test_exhaustive_size_limits():
     ([0, 1, 2.5], {}, "tags must be integers, got float"),
     ([0, 1, True], {}, "tags must be integers, got bool"),  # was two tags
     ([0, 1, 2], {"pulls": {"right": 1}}, "pulls must be a Pulls, got dict"),  # AttributeError
+    # each of these escaped as a plain error
+    ([0, 1, 2], {"pulls": Pulls(right=[1])}, "pulls.right must be a mapping, got list"),
+    ([0, 1, 2], {"pulls": Pulls(top=5), "axis": "H"}, "pulls.top must be a mapping, got int"),
+    ([0, 1, 2], {"areas": 5}, "areas must be a mapping, got int"),
+    ([0, 1, 2], {"areas": [4, 4, 4]}, "areas must be a mapping, got list"),
+    ([0, 1, 2], {"graph": [(0, 1, 1.0)]}, "graph must be a RelationGraph, got list"),
+    ([0, 1, 2], {"pulls": Pulls(left={1: 10 ** 400})}, "tag 1: pull exceeds 1e+300 in size"),
+    ([0, 1, 2], {"pulls": Pulls(right={0: -1e301, 1: 0.5})},
+     "tag 0: pull exceeds 1e+300 in size"),  # times 1000 it overflowed a float
 ])
 def test_splitters_reject_bad_input_alike(order, tags, kw, message):
     # The checks read the group as a set, so its order does not matter.
-    g = RelationGraph([(0, 1, 1.0)])
+    kw = {"graph": RelationGraph([(0, 1, 1.0)]), **kw}
     with pytest.raises(InvalidInputError) as exc:
-        bipartition(tags if order == "given" else tags[::-1], g, **kw)
+        bipartition(tags if order == "given" else tags[::-1], **kw)
     assert str(exc.value) == message
+
+
+def test_bipartition_takes_no_graph_as_no_edges():
+    for n in (5, EXHAUSTIVE_LIMIT + 3):
+        assert bipartition(range(n), None) == bipartition(range(n), RelationGraph())
 
 
 def test_splitters_reject_their_own_limits():
@@ -453,7 +498,7 @@ def test_fm_zero_gain_shortcut_matches_reference(monkeypatch, case, kind, tags, 
     assert bool(refined) == (kind == "one-sided")
 
 
-def test_exhaustive_shares_bit_rows_across_sizes():
+def test_exhaustive_matches_reference_across_sizes():
     rng = random.Random(0xB175)
     for n in (12, 2, 7, 12):
         g = random_graph(rng, n, density=0.3)
@@ -486,10 +531,10 @@ def exhaustive_edge_free_cases():
                          list(exhaustive_edge_free_cases()))
 def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_kind, tags,
                                                      areas, axis):
-    built = []
-    objective = mincut._exhaustive_objective
-    monkeypatch.setattr(mincut, "_exhaustive_objective",
-                        lambda *args: built.append(1) or objective(*args))
+    searched = []
+    search = mincut._best_in_pool
+    monkeypatch.setattr(mincut, "_best_in_pool",
+                        lambda *args: searched.append(1) or search(*args))
     rng = random.Random(n)
     cut_sides, other_sides = ("left", "right"), ("top", "bottom")
     if axis == "H":
@@ -501,7 +546,7 @@ def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_
             ("other-axis", Pulls(**{side: dict(weights) for side in other_sides})),
             ("symmetric", Pulls(**{side: dict(weights) for side in cut_sides})),
             ("one-sided", Pulls(**{cut_sides[n % 2]: weights}))):
-        built.clear()
+        searched.clear()
         got = bipartition_exhaustive(tags, RelationGraph(), pulls, axis, areas)
         toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                               else (pulls.bottom, pulls.top))
@@ -512,7 +557,7 @@ def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_
                 got.relaxed) == want, kind
         assert got.relaxed == (area_kind == "dominant")
         # only a one-sided pull makes the objective differ between vectors
-        assert bool(built) == (kind == "one-sided"), kind
+        assert bool(searched) == (kind == "one-sided"), kind
 
 
 def equal_pulls(kind, tags, axis, weights):
@@ -530,8 +575,8 @@ def equal_pulls(kind, tags, axis, weights):
                                               else other_sides)})
 
 
-def no_enumeration(n):
-    raise AssertionError(f"an edge-free split enumerated its {n}-tag pool")
+def no_search(area, *terms):
+    raise AssertionError(f"an edge-free split searched its {len(area)}-tag pool")
 
 
 @given(areas=st.lists(st.integers(1, 60) | st.integers(1, 1 << 48),
@@ -551,7 +596,7 @@ def test_edge_free_exhaustive_needs_no_enumeration(areas, first, axis, kind, wei
     area_of = dict(zip(tags, areas))
     pulls = equal_pulls(kind, tags, axis, weights)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mincut, "_bit_rows", no_enumeration)
+        mp.setattr(mincut, "_best_in_pool", no_search)
         got = bipartition(tags[::-1], RelationGraph(), pulls, axis, area_of)
     toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                           else (pulls.bottom, pulls.top))
@@ -1068,7 +1113,7 @@ def test_layout_and_html_hash_no_tree_node(monkeypatch, graph):
 
 
 def test_edge_free_layout_never_enumerates(monkeypatch):
-    monkeypatch.setattr(mincut, "_bit_rows", no_enumeration)
+    monkeypatch.setattr(mincut, "_best_in_pool", no_search)
     for seed, n, width in ((0, 150, 550), (1, 40, 250), (2, 12, 300)):
         result = layout_mincut(random_cloud(seed, n, width), seed=seed)
         each_tag_once(result.placed, n)
