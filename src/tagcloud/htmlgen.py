@@ -16,7 +16,7 @@ from typing import Iterable
 from .metrics import _raise_layout_problem
 from .model import (WEIGHT_LEVELS, Cloud, InvalidInputError, LineLayout, PlacedCloud, TagBox,
                     font_size_pt)
-from .tree import Leaf, Node, leaves
+from .tree import Leaf, Node
 
 # The estimator assumes 1.25 em line boxes; the stylesheet must agree.
 LINE_HEIGHT = "1.25"
@@ -102,25 +102,22 @@ def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud) -> str:
     cell, in a document titled ``tag cloud``.  Leaves become spans
     classed by weight, plus a variant class when the placed box is
     squeezed or stretched relative to the tag's default box.
+
+    The walk checks the tag set as it goes: each leaf must be a placed
+    tag of ``cloud``, none twice, and every placed tag a leaf.
     """
 
-    placed_tags = placed.by_tag()
-    tree_tags = sorted(leaves(tree))
-    if tree_tags != sorted(placed_tags) or len(tree_tags) != len(set(tree_tags)):
-        raise InvalidInputError("tree and placement disagree on the tag set")
-
-    def variant_class(idx: int) -> str:
-        tag = cloud.tags[idx]
-        w = placed_tags[idx].width
-        if w < tag.width:
-            return "narrow"
-        if w > tag.width:
-            return "wide"
-        return ""
+    tags = cloud.tags
+    unplaced = placed.by_tag()  # each leaf takes its tag's box out
 
     def render(node: Node, out: list[str]) -> None:
         if isinstance(node, Leaf):
-            out.append(_span(cloud.tags[node.tag], variant_class(node.tag)))
+            box = unplaced.pop(node.tag, None)
+            if box is None or not 0 <= node.tag < len(tags):
+                raise InvalidInputError("tree and placement disagree on the tag set")
+            tag = tags[node.tag]
+            out.append(_span(tag, "narrow" if box.width < tag.width
+                             else "wide" if box.width > tag.width else ""))
             return
         out.append("<table>")
         out.append("<tr>")
@@ -143,5 +140,7 @@ def emit_nested_tables(tree: Node, placed: PlacedCloud, cloud: Cloud) -> str:
 
     body = ['<div class="cloud">']
     render(tree, body)
+    if unplaced:
+        raise InvalidInputError("tree and placement disagree on the tag set")
     body.append("</div>")
     return _document(body)

@@ -17,6 +17,7 @@ ends, and the layout follows those ends from the first tag.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Iterable, Sequence
 
 from .model import (
@@ -114,12 +115,15 @@ def aggregate(badness_values: Iterable[int], agg: BadnessAggregate) -> int:
 def line_badnesses(cloud: Cloud, layout: LineLayout) -> list[int]:
     """Per-line badness of an existing layout.
 
-    One walk per line sums its widths and areas; an empty or overfull
-    multi-tag line goes to ``line_badness`` for its message.
+    One walk per line sums its widths and areas.  An index that is no
+    int or no tag's, or an empty line, raises ``layout_to_placement``'s
+    message; an overfull multi-tag line goes to ``line_badness`` for its.
     """
 
     tags = cloud.tags
     target, space = cloud.target_width, cloud.space_width
+    if set(map(type, itertools.chain.from_iterable(layout.lines))) - {int}:  # bool is no index
+        _raise_layout_problem(layout, cloud)
     out = []
     for line in layout.lines:
         sum_w = sum_hw = tallest = 0
@@ -131,13 +135,13 @@ def line_badnesses(cloud: Cloud, layout: LineLayout) -> list[int]:
                 sum_hw += w * h
                 if h > tallest:
                     tallest = h
-            if line and min(line) < 0:  # tags[i] took it from the end
-                raise IndexError("negative tag index")
-        except (TypeError, IndexError):  # an index that is not an int, or no tag's
+            if not line or min(line) < 0:  # tags[i] took a negative one from the end
+                raise IndexError("empty line or negative tag index")
+        except IndexError:
             _raise_layout_problem(layout, cloud)
             raise
         slack = target - sum_w - (len(line) - 1) * space
-        if line and (slack >= 0 or len(line) == 1):
+        if slack >= 0 or len(line) == 1:
             out.append(tallest * abs(slack) + tallest * sum_w - sum_hw)
         else:  # raises the line's message
             out.append(line_badness([(tags[i].width, tags[i].height) for i in line],

@@ -156,6 +156,14 @@ def _scaled_terms(edges, cost_a, cost_b):
             [round(c * scale) for c in cost_a], [round(c * scale) for c in cost_b])
 
 
+def _checked_graph(graph: RelationGraph | None) -> RelationGraph:
+    """``graph``, or an edge-free one for None; anything else raises."""
+
+    if not isinstance(graph, (RelationGraph, type(None))):
+        raise InvalidInputError(f"graph must be a RelationGraph, got {type(graph).__name__}")
+    return RelationGraph() if graph is None else graph
+
+
 def _split_result(tags: Sequence[int], side: Sequence[int],
                   relaxed: bool = False, runs: tuple[FmRun, ...] = ()) -> Bipartition:
     """The split putting ``tags[k]`` in part A where ``side[k]`` is 0
@@ -165,31 +173,32 @@ def _split_result(tags: Sequence[int], side: Sequence[int],
                        tuple(itertools.compress(tags, side)), relaxed, runs)
 
 
-def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool]:
-    """The side vector of the first membership vector in the exhaustive
-    pool, and whether the pool is relaxed, from the integer areas alone.
+def _part_cap(total: int, largest: int) -> int:
+    """The most area either part of an enumerated split may hold:
+    max(⌊2T/3⌋, L) for a group of total area T and largest tag area L.
 
-    Let T be the total area and L the largest tag's.  A part of B-area
-    a is balanced when T <= 3a <= 2T, and such a part exists exactly
-    when 3L <= 2T: {L} is one if 3L >= T, and otherwise the largest tags
-    taken in turn pass T/3 before 2T/3.  When 3L > 2T the part holding L
-    is the larger in every split, so the least imbalanced splits put L
-    alone on one side, and the first of those puts it in part B, or in
-    part A when L is ``tags[0]``.
-
-    Otherwise this is ``_best_in_pool``'s search with every cost 0,
-    which keeps the first balanced vector it meets: each tag goes to
-    part A unless that puts more than 2T/3 there, so B ends with T/3 at
-    least.  It never backs up, since part B never passes 2T/3: the
-    first tag put in B has area at most L, and after it both the tags
-    left and the B-area before each addition stay below T/3.
+    A part of area a is balanced when T <= 3a <= 2T, and a balanced
+    split exists exactly when 3L <= 2T: {L} is a part if 3L >= T, and
+    otherwise the largest tags taken in turn pass T/3 before 2T/3.  When
+    3L > 2T the part holding L is the larger in every split, so the
+    least imbalanced splits, the whole pool, put L alone on one side.
     """
 
-    cap = 2 * sum(area) // 3  # the most area either part may hold
-    largest = max(area)
-    if largest > cap:
-        side = [int(x == largest) for x in area]  # the only tag that large, in B
-        return ([1 - st for st in side] if side[0] else side), True
+    return max(2 * total // 3, largest)
+
+
+def _first_in_pool(area: Sequence[int], cap: int) -> list[int]:
+    """The side vector of the first membership vector in the pool of
+    splits whose parts each hold at most ``cap`` of the integer areas.
+
+    This is ``_best_in_pool``'s search with every cost 0, which keeps
+    the first vector it meets: each tag goes to part A unless that puts
+    more than ``cap`` there.  It never backs up, since part B never
+    passes the cap: under the cap L the tags other than L sum to less;
+    under ⌊2T/3⌋ the first tag put in B has area at most L, and after
+    it both the tags left and the B-area before each addition stay
+    below T/3.
+    """
 
     side = [0] * len(area)
     a = 0  # the A-area so far
@@ -198,32 +207,27 @@ def _first_in_pool(area: Sequence[int]) -> tuple[list[int], bool]:
             side[k] = 1
         else:
             a += x
-    return side, False
+    return side
 
 
-def _best_in_pool(area, edges, cost_a, cost_b) -> tuple[list[int], bool]:
-    """The side vector of the pool's cheapest vector by cut weight plus
-    pull cost, the lexicographically first among equals, and whether
-    the pool is relaxed: then it is ``_first_in_pool``'s vector and its
-    mirror image, which cut the same edges.  A balanced pool is searched
+def _best_in_pool(area, cap, edges, cost_a, cost_b) -> list[int]:
+    """The side vector of the cheapest vector by cut weight plus pull
+    cost among those whose parts each hold at most ``cap`` of the area,
+    the lexicographically first among equals.  The pool is searched
     depth first, part A first for each tag in turn, so vectors come in
     lexicographic order and only a cheaper one replaces the best.  A
-    branch ends once a part holds over 2T/3 of the area T, or its cost
-    plus each tag left's cheaper pull cost reaches the best (branch and
-    bound: Land and Doig, Econometrica 1960)."""
+    branch ends once a part holds over ``cap``, or its cost plus each
+    tag left's cheaper pull cost reaches the best (branch and bound:
+    Land and Doig, Econometrica 1960)."""
 
-    first, relaxed = _first_in_pool(area)
-    if relaxed:  # the mirror image pays b - a more for each tag in part A, a - b in B
-        extra = sum(a - b if st else b - a for a, b, st in zip(cost_a, cost_b, first))
-        return (first if extra >= 0 else [1 - st for st in first]), True
-    n, cap = len(area), 2 * sum(area) // 3  # the most area either part may hold
+    n = len(area)
     earlier = [[] for _ in area]  # (j, s) for each edge to a lower id j
     for i, j, s in edges:
         earlier[j].append((i, s))
     degree = [sum(s for _, s in e) for e in earlier]  # to lower ids
     floor = list(itertools.accumulate(reversed(list(map(min, cost_a, cost_b))), initial=0))
     floor.reverse()  # floor[k]: the least pull cost tags[k:] can pay
-    best = [math.inf, first]
+    best = [math.inf, None]
     side = [0] * n
 
     def visit(k: int, a: int, b: int, so_far: int) -> None:  # tags[:k]'s part areas, cost
@@ -244,7 +248,7 @@ def _best_in_pool(area, edges, cost_a, cost_b) -> tuple[list[int], bool]:
             side[k] = 0
 
     visit(0, 0, 0, 0)
-    return best[1], False
+    return best[1]
 
 
 def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
@@ -252,10 +256,11 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
                            areas: Mapping[int, int] | None = None) -> Bipartition:
     """Optimal split of up to 12 tags by an exact, pruned search.
 
-    Keeps the parts within a 2:1 area ratio when any such split exists;
-    otherwise returns the least-imbalanced split flagged ``relaxed``.
-    Minimizes cut weight plus pull penalty in FM's integers; ties go to
-    the lexicographically smallest membership vector.
+    Each part holds at most ``_part_cap`` of the area: the parts keep a
+    2:1 area ratio when any split does, else the largest tag is alone,
+    the least imbalanced split, flagged ``relaxed``.  Minimizes cut
+    weight plus pull penalty in FM's integers; ties go to the
+    lexicographically smallest membership vector.
 
     With no internal edges and the same pull cost on both sides of the
     cut axis for every tag, every vector costs the same, so the answer
@@ -268,11 +273,13 @@ def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
     """
 
     area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
+    total, largest = sum(area), max(area)
+    cap = _part_cap(total, largest)
     if not edges and cost_a == cost_b:
-        side, relaxed = _first_in_pool(area)
+        side = _first_in_pool(area, cap)
     else:
-        side, relaxed = _best_in_pool(area, *_scaled_terms(edges, cost_a, cost_b))
-    return _split_result(tags, side, relaxed=relaxed)
+        side = _best_in_pool(area, cap, *_scaled_terms(edges, cost_a, cost_b))
+    return _split_result(tags, side, relaxed=3 * largest > 2 * total)
 
 
 def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
@@ -522,9 +529,7 @@ def bipartition(tags: Sequence[int], graph: RelationGraph | None,
     """
 
     check_seed(seed)
-    graph = RelationGraph() if graph is None else graph
-    if not isinstance(graph, RelationGraph):
-        raise InvalidInputError(f"graph must be a RelationGraph, got {type(graph).__name__}")
+    graph = _checked_graph(graph)
     if set(map(type, tags)) - {int}:  # bool is no tag index, and True would merge with 1
         bad = next(t for t in tags if type(t) is not int)
         raise InvalidInputError(f"tags must be integers, got {type(bad).__name__}")
@@ -595,10 +600,10 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     Each split is computed once.  A vertical split is not run when even
     its larger half leaves the widest tag too little width (see
     ``_vertical_doomed``): FM's halves differ by at most the largest tag
-    area L, and on a graph with edges, enumeration's larger half holds
-    2/3 of the area at most, or L alone if more.  A rejected vertical
-    enumeration of a group with no pull on any side is the horizontal
-    one too, since enumeration then ignores the axis, so it is reused.
+    area L, and on a graph with edges, no part of enumeration's pool
+    holds more than ``_part_cap``.  A rejected vertical enumeration of a
+    group with no pull on any side is the horizontal one too, since
+    enumeration then ignores the axis, so it is reused.
     Both still draw the seed the split would have used, so every later
     split gets the seed it always had.
 
@@ -608,7 +613,7 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     the parent's total less it for part B, exact in integers.
     """
 
-    graph = graph or RelationGraph()
+    graph = _checked_graph(graph)
     graph.check_fits(len(cloud.tags))
     check_seed(seed)
     if isinstance(width_bias, bool) or not isinstance(width_bias, (int, float)):
@@ -644,7 +649,7 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
             if len(group) > EXHAUSTIVE_LIMIT:
                 most = (total + max(map(area_of, group))) // 2
             else:  # a balanced half, or one tag too large for it; none without edges
-                most = edged and max(2 * total // 3, *map(area_of, group))
+                most = edged and _part_cap(total, max(map(area_of, group)))
             if most and _vertical_doomed(est_w, total, most, max(map(width_of, group))):
                 rng.getrandbits(64)  # the skipped split's seed
             else:

@@ -9,7 +9,7 @@ tables name a node by its post-order position, children before parents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 @dataclass(frozen=True)
 class Leaf:
@@ -24,12 +24,3 @@ class Cut:
 
 
 Node = Union[Leaf, Cut]
-
-
-def leaves(node: Node) -> Iterator[int]:
-    if isinstance(node, Leaf):
-        yield node.tag
-    else:
-        yield from leaves(node.first)
-        yield from leaves(node.second)
-

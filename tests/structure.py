@@ -81,6 +81,15 @@ def tree_of(spec):
     return Cut(spec[0], tree_of(spec[1]), tree_of(spec[2]))
 
 
+def leaves(node):
+    """The tree's leaf tags, left to right."""
+    if isinstance(node, Leaf):
+        yield node.tag
+    else:
+        yield from leaves(node.first)
+        yield from leaves(node.second)
+
+
 def iter_nodes(node):
     """Children before parents (post-order), the order of
     ``combine_shapes``' table."""

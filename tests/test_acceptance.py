@@ -33,7 +33,6 @@ from tagcloud.mincut import bipartition_fm, build_slicing_tree
 from tagcloud.reorder import ffdhw
 from tagcloud.sizing import SIDE_GAP, combine_shapes, is_shape_list, select_and_place
 from tagcloud.synthetic import random_cloud, topic_cloud
-from tagcloud.tree import leaves
 from tagcloud.htmlgen import emit_nested_tables
 from tagcloud.ingest import cooccurrence_graph, importance
 
@@ -50,6 +49,7 @@ from .structure import (
     Cells,
     cut_count,
     each_tag_once,
+    leaves,
     lines_fit,
     no_overlap,
     random_tree,

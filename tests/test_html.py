@@ -4,8 +4,10 @@ from html.parser import HTMLParser
 import pytest
 
 from tagcloud import (Cloud, InvalidInputError, LineLayout, TagBox, dp_break, layout_mincut,
-                      layout_to_placement)
+                      layout_to_placement, line_badnesses)
 from tagcloud.htmlgen import LINE_HEIGHT, emit_css, emit_inline, emit_nested_tables
+from tagcloud.synthetic import random_cloud
+from tagcloud.tree import Cut, Leaf
 from .conftest import make_cloud
 from .structure import cut_count
 
@@ -98,6 +100,10 @@ def test_emit_inline_validates_layout():
         emit_inline(LineLayout(((0, 1),)), cloud)
 
 
+def scored(layout, cloud):
+    return line_badnesses(cloud, layout)
+
+
 @pytest.mark.parametrize("lines, message", [
     (((0, 1), (2,), (-1,)), "layout does not place every tag exactly once"),
     (((0, "x"), (2,)), "layout entries must be integers, got str"),  # was a TypeError
@@ -109,7 +115,10 @@ def test_emit_inline_validates_layout():
 ])
 def test_emit_inline_rejects_what_layout_to_placement_rejects(lines, message):
     cloud = Cloud(sample()[0].tags, target_width=250, space_width=4)
-    for check in (emit_inline, layout_to_placement):
+    checks = [emit_inline, layout_to_placement]
+    if message != "multi-tag line exceeds the target width":  # line_badness names that one
+        checks.append(scored)
+    for check in checks:
         with pytest.raises(InvalidInputError) as exc:
             check(LineLayout(lines), cloud)
         assert str(exc.value) == message, check
@@ -173,6 +182,21 @@ def test_emit_nested_tables_checks_tag_sets():
     other = Cloud(tags=cloud.tags[:2], target_width=300)
     with pytest.raises(InvalidInputError):
         emit_nested_tables(result.tree, layout_mincut(other).placed, cloud)
+
+
+@pytest.mark.parametrize("tree, n_tags", [
+    (Cut("V", Leaf(0), Cut("H", Leaf(1), Leaf(1))), 3),  # a leaf twice
+    (Cut("V", Leaf(0), Leaf(2)), 3),  # a placed tag left out
+    (Cut("V", Leaf(0), Cut("H", Leaf(1), Leaf(3))), 3),  # a leaf never placed
+    (None, 2),  # a leaf outside the cloud: was an IndexError
+])
+def test_emit_nested_tables_names_a_tag_set_mismatch(tree, n_tags):
+    cloud = random_cloud(1, 3)
+    result = layout_mincut(cloud)
+    with pytest.raises(InvalidInputError) as exc:
+        emit_nested_tables(tree or result.tree, result.placed,
+                           Cloud(tags=cloud.tags[:n_tags], target_width=550))
+    assert str(exc.value) == "tree and placement disagree on the tag set"
 
 
 def test_documents_have_title_and_charset():

@@ -342,12 +342,17 @@ def test_line_badnesses_match_line_badness():
                 for line in layout.lines]
 
 
-@pytest.mark.parametrize("lines", [((0,), (), (1, 2)), ((0,), (1, 2), ())])
+@pytest.mark.parametrize("lines", [((0,), (), (1, 2)), ((0,), (1, 2), ()),
+                                   ((0, 1, 2), ()), ((), (0, 1, 2))])
 def test_line_badnesses_raise_the_first_bad_lines_message(lines):
+    # an empty line's message is layout_to_placement's, an overfull one's line_badness's
     cloud = three_sixty()
     with pytest.raises(InvalidInputError) as want:
         for line in lines:
-            line_badness(boxes_of(cloud, line), 128, 4)
+            if line:
+                line_badness(boxes_of(cloud, line), 128, 4)
+            else:
+                layout_to_placement(LineLayout(lines), cloud)
     with pytest.raises(InvalidInputError) as got:
         line_badnesses(cloud, LineLayout(lines))
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
@@ -357,6 +362,7 @@ def test_line_badnesses_raise_the_first_bad_lines_message(lines):
     (((0, 1.0), (2,)), "float"),
     (((0,), (1, 2.0)), "float"),
     (((0, "1"),), "str"),  # a layout need not hold every tag
+    (((True,),), "bool"),  # was scored as tag 1
 ])
 def test_line_badnesses_name_a_non_integer_entry(lines, kind):
     with pytest.raises(InvalidInputError) as exc:

@@ -28,7 +28,7 @@ from tagcloud.mincut import (
     compute_pulls,
 )
 from tagcloud.synthetic import random_cloud, topic_cloud
-from tagcloud.tree import Cut, Leaf, leaves
+from tagcloud.tree import Cut, Leaf
 from tagcloud.sizing import default_leaf_shapes
 from .conftest import make_cloud
 from . import oracles
@@ -40,7 +40,7 @@ from .oracles import (
     pulls_reference,
     slicing_tree_reference,
 )
-from .structure import Cells, each_tag_once, inside_bbox, no_overlap
+from .structure import Cells, each_tag_once, inside_bbox, leaves, no_overlap
 
 
 def test_compute_pulls_sums_by_side():
@@ -132,6 +132,14 @@ def test_exhaustive_ties_break_lexicographically_on_fractional_strengths():
        axis=st.sampled_from("VH"))
 @example(areas=[1, 1, 1, 1], edges=[(0, 1, 700), (0, 2, 300), (1, 2, 200), (1, 3, 400)],
          pulls=[], axis="V")  # float sums missed this tie
+# A dominant tag: the pool is it alone in part B (the first vector) or in
+# part A (its mirror image), which cut the same edges; the pull decides.
+@example(areas=[1, 9, 1, 1], edges=[(0, 1, 300), (1, 2, 700), (2, 3, 1000)],
+         pulls=[("left", 1, 500)], axis="V")  # the mirror image is cheaper
+@example(areas=[1, 9, 1, 1], edges=[(0, 1, 300), (1, 2, 700), (2, 3, 1000)],
+         pulls=[("right", 1, 500)], axis="V")  # the first vector is cheaper
+@example(areas=[9, 1, 1, 1], edges=[(0, 1, 300), (1, 2, 700), (0, 3, 1000)],
+         pulls=[("bottom", 0, 500), ("bottom", 1, 500)], axis="H")  # a tie: the first
 @settings(max_examples=150, deadline=None)
 def test_exhaustive_matches_reference_on_fractional_strengths(areas, edges, pulls, axis):
     # strengths and pulls in thousandths; whole tenths tie often
@@ -144,6 +152,40 @@ def test_exhaustive_matches_reference_on_fractional_strengths(areas, edges, pull
                           else (pulls.bottom, pulls.top))
     want = best_bipartition(range(n), g.edges, dict(enumerate(areas)), toward_b, toward_a)
     assert (got.part_a, got.part_b, cut_weight(g, got), got.relaxed) == want
+
+
+@given(areas=st.lists(st.integers(1, 60), min_size=2, max_size=EXHAUSTIVE_LIMIT),
+       dominant=st.none() | st.tuples(st.integers(0, EXHAUSTIVE_LIMIT - 1), st.integers(0, 3)))
+@example(areas=[2, 6, 1], dominant=None)  # 3L = 2T: balanced
+@example(areas=[2, 7, 1], dominant=None)  # 3L > 2T: 7 alone
+@example(areas=[1] * EXHAUSTIVE_LIMIT, dominant=(EXHAUSTIVE_LIMIT - 1, 1))
+@settings(max_examples=150, deadline=None)
+def test_first_in_pool_is_the_zero_cost_search(areas, dominant):
+    if dominant:  # L = 2R + extra over the rest R: 3L = 2T + 3 * extra
+        at, extra = dominant[0] % len(areas), dominant[1]
+        areas[at] = 2 * (sum(areas) - areas[at]) + extra
+    n, total, largest = len(areas), sum(areas), max(areas)
+    cap = mincut._part_cap(total, largest)
+    first = mincut._first_in_pool(areas, cap)
+    assert first == mincut._best_in_pool(areas, cap, [], [0] * n, [0] * n)
+    assert 0 < sum(first) < n
+    assert max(sum(x for x, st in zip(areas, first) if st == side) for side in (0, 1)) <= cap
+
+
+@pytest.mark.parametrize("n", range(2, EXHAUSTIVE_LIMIT + 1))
+def test_part_cap_leaves_a_dominant_tag_alone(n):
+    # at every position: at 3L = 2T the split is balanced, one area more relaxes it
+    for at in range(n):
+        for extra, relaxed in ((0, False), (1, True)):
+            areas = [1 + k % 3 for k in range(n)]
+            areas[at] = 2 * (sum(areas) - areas[at]) + extra
+            got = bipartition_exhaustive(list(range(n)), RelationGraph(),
+                                         areas=dict(enumerate(areas)))
+            want = best_bipartition(range(n), (), dict(enumerate(areas)))
+            assert (got.part_a, got.part_b, 0.0, got.relaxed) == want
+            assert got.relaxed == relaxed
+            if relaxed:  # alone in part B, or in part A when it comes first
+                assert (got.part_a if at == 0 else got.part_b) == (at,)
 
 
 def test_exhaustive_respects_pulls():
@@ -216,6 +258,17 @@ def test_splitters_reject_bad_input_alike(order, tags, kw, message):
 def test_bipartition_takes_no_graph_as_no_edges():
     for n in (5, EXHAUSTIVE_LIMIT + 3):
         assert bipartition(range(n), None) == bipartition(range(n), RelationGraph())
+
+
+@pytest.mark.parametrize("graph, kind", [([(0, 1, 1.0)], "list"), ([], "list"), (0, "int")])
+def test_tree_and_layout_reject_a_graph_that_is_no_relation_graph(graph, kind):
+    # the list escaped as an AttributeError, and [] or 0 passed as no edges
+    cloud = random_cloud(1, 5)
+    for build in (build_slicing_tree, layout_mincut):
+        with pytest.raises(InvalidInputError) as exc:
+            build(cloud, graph)
+        assert str(exc.value) == f"graph must be a RelationGraph, got {kind}", build
+    assert layout_mincut(cloud, None) == layout_mincut(cloud, RelationGraph())
 
 
 def test_splitters_reject_their_own_limits():

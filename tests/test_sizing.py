@@ -18,10 +18,10 @@ from tagcloud.sizing import (
     select_and_place,
 )
 from tagcloud.synthetic import random_cloud
-from tagcloud.tree import Cut, Leaf, leaves
+from tagcloud.tree import Cut, Leaf
 from .oracles import (best_root_shape, combine_beside_reference, combine_stacked_reference,
                       merge_frontier)
-from .structure import cut_count, iter_nodes, node_lists, random_tree, tree_of
+from .structure import cut_count, iter_nodes, leaves, node_lists, random_tree, tree_of
 
 
 def test_prune_keeps_trade_off_curve():
