@@ -12,9 +12,9 @@ first one by integer arithmetic on the areas, and refinement keeps its
 first start, so neither builds its tables.
 Tags already assigned to the other half of an enclosing split tug the
 current split through directional pull weights, so friends across
-region borders end up on facing edges.  A graph with no edge has no
-pulls, so its tree skips them and the side map they read, and each
-group's total area comes from its parent's split, never re-summed.
+region borders end up on facing edges.  A tree scales the strengths to
+integers once, and each group gets its internal edges, pulls and total
+area from the cut that made it, so no split rescans the graph.
 
 ``layout_mincut`` drives the whole pipeline: build the tree for an
 estimated aspect ratio, size it through the shape combiner, and retry
@@ -70,35 +70,6 @@ class Pulls:
 _NO_PULLS = Pulls(*(MappingProxyType({}),) * len(SIDES))
 
 
-def compute_pulls(group: Sequence[int], graph: RelationGraph,
-                  placed_regions: Mapping[int, str]) -> Pulls:
-    """Sum edge strengths from group tags to external tags, per side.
-
-    ``placed_regions`` says on which side of the group's region each
-    external tag sits; every external neighbor must be covered.  The
-    scan costs the group's degree, not the graph's edge count, and an
-    edge-free graph gets one shared, read-only empty ``Pulls`` at once.
-    """
-
-    if not graph.edges:
-        return _NO_PULLS
-    adj = graph.adjacency()
-    group_set = set(group)
-    acc: dict[str, dict[int, float]] = {s: {} for s in SIDES}
-    for a in adj.keys() & group_set:  # walks the smaller of the two
-        for b, s in adj[a]:
-            if b not in group_set:
-                side = placed_regions.get(b)
-                if side is None:
-                    raise InvalidInputError(
-                        f"external neighbor {b} of the group has no assigned side")
-                if side not in acc:
-                    raise InvalidInputError(f"unknown side {side!r} for tag {b}")
-                acc[side][a] = acc[side].get(a, 0) + s
-    return Pulls(left=acc["left"], right=acc["right"],
-                 top=acc["top"], bottom=acc["bottom"])
-
-
 @dataclass(frozen=True)
 class FmRun:
     """Per-run refinement diagnostics: ``passes`` counts the passes the
@@ -116,43 +87,34 @@ class Bipartition:
     runs: tuple[FmRun, ...] = ()
 
 
+def _scale(numbers) -> int:
+    """1 if all are whole, else 1000: strengths and pulls times it, rounded,
+    are the exact ints both splitters minimize cut plus pull cost over."""
+
+    return 1 if all(float(v).is_integer() for v in numbers) else 1000
+
+
 def _split_input(tags: Sequence[int], graph: RelationGraph, pulls: Pulls | None,
                  axis: str, areas: Mapping[int, int] | None):
-    """Both splitters' input by local id, a tag's position in ``tags``,
-    which the caller has checked: a sorted group of distinct tags.
-
-    Returns the areas by position (1 each when ``areas`` is None), the
-    internal edges as (i, j, s) over local ids in sorted (i, j) order,
-    and each tag's unscaled penalty for landing in part A (``cost_a``)
-    or part B (``cost_b``).  Part A is the left (V cut) or top (H cut)
-    side, so a tag pulled right pays when put in A, and so on.  Pulls
-    orthogonal to the cut axis, or None, do not participate.
+    """The splitters' arguments for a checked, sorted group of distinct
+    ``tags``, as ``bipartition`` hands them over (see
+    ``bipartition_exhaustive``), scaled by one ``_scale`` over the group's
+    strengths and costs.  Part A is the left (V) or top (H) side, so a tag
+    pulled right pays when put in A; pulls on the other axis do not count.
     """
 
     area = [1] * len(tags) if areas is None else [areas[t] for t in tags]
     pulls = pulls or _NO_PULLS
     toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                           else (pulls.bottom, pulls.top))
-    zero = [0] * len(tags)
-    cost_a = [toward_b.get(t, 0) for t in tags] if toward_b else zero
-    cost_b = [toward_a.get(t, 0) for t in tags] if toward_a else zero
+    cost_a = [toward_b.get(t, 0) for t in tags]
+    cost_b = [toward_a.get(t, 0) for t in tags]
+    pos = {t: k for k, t in enumerate(tags)}
     adj = graph.adjacency()
-    edges = []
-    if adj:  # an edge-free graph has nothing to walk
-        pos = {t: k for k, t in enumerate(tags)}
-        edges = [(k, pos[j], s) for k, i in enumerate(tags)
-                 for j, s in adj.get(i, ()) if j > i and j in pos]
-    return area, edges, cost_a, cost_b
-
-
-def _scaled_terms(edges, cost_a, cost_b):
-    """Strengths and pull costs as the Python ints both splitters minimize
-    cut plus pull cost over: as they are if all are whole, else times
-    1000 and rounded; sums and ties are exact at any accepted strength."""
-
-    numbers = [s for _, _, s in edges] + cost_a + cost_b
-    scale = 1 if all(float(v).is_integer() for v in numbers) else 1000
-    return ([(i, j, round(s * scale)) for i, j, s in edges],
+    edges = [(k, pos[j], s) for k, i in enumerate(tags)
+             for j, s in adj.get(i, ()) if j > i and j in pos]
+    scale = _scale(itertools.chain((s for _, _, s in edges), cost_a, cost_b))
+    return (tags, area, [(i, j, round(s * scale)) for i, j, s in edges],
             [round(c * scale) for c in cost_a], [round(c * scale) for c in cost_b])
 
 
@@ -216,75 +178,87 @@ def _best_in_pool(area, cap, edges, cost_a, cost_b) -> list[int]:
     the lexicographically first among equals.  The pool is searched
     depth first, part A first for each tag in turn, so vectors come in
     lexicographic order and only a cheaper one replaces the best.  A
-    branch ends once a part holds over ``cap``, or its cost plus each
-    tag left's cheaper pull cost reaches the best (branch and bound:
-    Land and Doig, Econometrica 1960)."""
+    branch ends once a part holds over ``cap``, or its cost plus a bound
+    reaches the best (branch and bound: Land and Doig, Econometrica 1960):
+    each tag left adds at least its cheaper side's pull cost plus cut to
+    the tags decided, kept up to date as each tag is decided."""
 
     n = len(area)
-    earlier = [[] for _ in area]  # (j, s) for each edge to a lower id j
+    later = [[] for _ in area]  # (j, s) for each edge to a higher id j
     for i, j, s in edges:
-        earlier[j].append((i, s))
-    degree = [sum(s for _, s in e) for e in earlier]  # to lower ids
-    floor = list(itertools.accumulate(reversed(list(map(min, cost_a, cost_b))), initial=0))
-    floor.reverse()  # floor[k]: the least pull cost tags[k:] can pay
+        later[i].append((j, s))
+    pay_a, pay_b = list(cost_a), list(cost_b)  # a tag's cost in A or B, given tags[:k]
     best = [math.inf, None]
     side = [0] * n
 
-    def visit(k: int, a: int, b: int, so_far: int) -> None:  # tags[:k]'s part areas, cost
+    def visit(k: int, a: int, b: int, so_far: int, bound: int) -> None:
+        # tags[:k]'s part areas and cost, and the least tags[k:] can add
         if k == n:
             best[:] = so_far, side[:]
             return
-        to_b = 0
-        for j, s in earlier[k]:
-            if side[j]:
-                to_b += s
-        c = so_far + cost_a[k] + to_b
-        if c + floor[k + 1] < best[0] and a + area[k] <= cap:
-            visit(k + 1, a + area[k], b, c)
-        c = so_far + cost_b[k] + degree[k] - to_b
-        if c + floor[k + 1] < best[0] and b + area[k] <= cap:
-            side[k] = 1
-            visit(k + 1, a, b + area[k], c)
-            side[k] = 0
+        x, y = pay_a[k], pay_b[k]
+        rest = bound - (x if x < y else y)
+        c = so_far + x
+        if a + area[k] <= cap and c + rest < best[0]:
+            r = rest
+            for j, s in later[k]:  # j now cuts s in part B
+                p, q = pay_a[j], pay_b[j]
+                pay_b[j] = q + s
+                if q < p:
+                    r += (p if p < q + s else q + s) - q
+            if c + r < best[0]:
+                visit(k + 1, a + area[k], b, c, r)
+            for j, s in later[k]:
+                pay_b[j] -= s
+        c = so_far + y
+        if b + area[k] <= cap and c + rest < best[0]:
+            r = rest
+            for j, s in later[k]:  # j now cuts s in part A
+                p, q = pay_a[j], pay_b[j]
+                pay_a[j] = p + s
+                if p < q:
+                    r += (q if q < p + s else p + s) - p
+            if c + r < best[0]:
+                side[k] = 1
+                visit(k + 1, a, b + area[k], c, r)
+                side[k] = 0
+            for j, s in later[k]:
+                pay_a[j] -= s
 
-    visit(0, 0, 0, 0)
+    visit(0, 0, 0, 0, sum(map(min, cost_a, cost_b)))
     return best[1]
 
 
-def bipartition_exhaustive(tags: Sequence[int], graph: RelationGraph,
-                           pulls: Pulls | None = None, axis: str = "V",
-                           areas: Mapping[int, int] | None = None) -> Bipartition:
+def bipartition_exhaustive(tags: Sequence[int], area: Sequence[int], edges, cost_a,
+                           cost_b) -> Bipartition:
     """Optimal split of up to 12 tags by an exact, pruned search.
 
     Each part holds at most ``_part_cap`` of the area: the parts keep a
     2:1 area ratio when any split does, else the largest tag is alone,
     the least imbalanced split, flagged ``relaxed``.  Minimizes cut
-    weight plus pull penalty in FM's integers; ties go to the
-    lexicographically smallest membership vector.
+    weight plus pull penalty; ties go to the lexicographically smallest
+    membership vector.  The input is by local id, a tag's position in
+    ``tags``: the areas, the internal edges as (i, j, s) in sorted (i, j)
+    order, and each tag's cost in part A and in part B, all ints.
 
-    With no internal edges and the same pull cost on both sides of the
-    cut axis for every tag, every vector costs the same, so the answer
-    is the first vector in the pool.  ``_first_in_pool`` finds it from
-    the areas, with no search and nothing scaled.
-
-    Checks nothing: it trusts ``tags``, ``areas``, ``pulls`` and
-    ``axis`` to be as ``bipartition`` checks them (``tags`` also sorted
-    and distinct), which every group ``build_slicing_tree`` hands it is.
+    With no internal edges and the same cost in both parts for every
+    tag, every vector costs the same, so the answer is the first vector
+    in the pool.  ``_first_in_pool`` finds it from the areas, with no
+    search.  Checks nothing: it trusts its input to be as ``bipartition``
+    prepares it, which every group ``build_slicing_tree`` hands it is.
     """
 
-    area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     total, largest = sum(area), max(area)
     cap = _part_cap(total, largest)
     if not edges and cost_a == cost_b:
         side = _first_in_pool(area, cap)
     else:
-        side = _best_in_pool(area, cap, *_scaled_terms(edges, cost_a, cost_b))
+        side = _best_in_pool(area, cap, edges, cost_a, cost_b)
     return _split_result(tags, side, relaxed=3 * largest > 2 * total)
 
 
-def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
-                   pulls: Pulls | None = None, axis: str = "V",
-                   areas: Mapping[int, int] | None = None, seed: int = 0) -> Bipartition:
+def bipartition_fm(tags: Sequence[int], area: Sequence[int], edges, cost_a, cost_b,
+                   seed: int = 0) -> Bipartition:
     """Iterative improvement split for larger tag sets.
 
     Each of ``DEFAULT_FM_RUNS`` runs starts from a seeded random
@@ -301,12 +275,11 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     every tag has every gain 0: no move changes the objective, so each
     run would make one pass, roll every move back and keep its start.
     That case returns run 0's start at once, with the run records
-    the full loop would have made, before the costs are scaled or any
-    refinement state is built.
+    the full loop would have made, before any refinement state is built.
 
-    Gains are ``_scaled_terms``' integers.  Tags are renumbered by
-    their position in the sorted group, so per-tag state lives in lists
-    and id order is tag order.  The unlocked tags wait in a heap of plain integers
+    The input is ``bipartition_exhaustive``'s, by local id with integer
+    strengths and costs, so per-tag state lives in lists and id order is
+    tag order.  The unlocked tags wait in a heap of plain integers
     ``-gain * n + id`` for the group's n tags: since ``0 <= id < n``
     they sort exactly as (-gain, id) pairs, so the highest gain and then
     the smallest id comes out first, and the remainder and the floor
@@ -338,16 +311,12 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     ``bipartition_exhaustive`` does.
     """
 
-    area, edges, cost_a, cost_b = _split_input(tags, graph, pulls, axis, areas)
     n = len(tags)
-
     rng = random.Random(seed)
     if not edges and cost_a == cost_b:
         # Every gain is 0: each run would keep its start, so run 0 wins.
         side, _, _ = _fm_start(rng, area)
         return _split_result(tags, side, runs=(FmRun(passes=1),) * DEFAULT_FM_RUNS)
-
-    edges, sca, scb = _scaled_terms(edges, cost_a, cost_b)
 
     # A heap key is -gain * n + id.  An edge of strength s moves its
     # ends' gains by 2 * s, so it carries the key step w = 2 * n * s.
@@ -355,7 +324,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     # strength of all its edges, less twice that of its cut edges.
     wedges = [(i, j, 2 * n * s) for i, j, s in edges]
     wadj: list[list[tuple[int, int]]] = [[] for _ in tags]
-    pull_key = [n * (b - a) for a, b in zip(sca, scb)]  # in part A
+    pull_key = [n * (b - a) for a, b in zip(cost_a, cost_b)]  # in part A
     edge_key = list(range(n))  # the id, plus n times all its strength
     for i, j, w in wedges:
         wadj[i].append((j, w))
@@ -370,7 +339,7 @@ def bipartition_fm(tags: Sequence[int], graph: RelationGraph,
     for _ in range(DEFAULT_FM_RUNS):
         side, area_side, count_side = _fm_start(rng, area)
         final, final_obj, passes = _fm_refine(
-            memo, wadj, wedges, pull_key, edge_key, sca, scb, area, s_max,
+            memo, wadj, wedges, pull_key, edge_key, cost_a, cost_b, area, s_max,
             side, area_side, count_side)
         stats.append(FmRun(passes=passes))
         if best is None or final_obj < best[0]:  # ties keep the earlier run
@@ -525,7 +494,8 @@ def bipartition(tags: Sequence[int], graph: RelationGraph | None,
     them distinct.  ``areas`` (None: 1 each) maps each to an int >= 1,
     ``pulls`` is a ``Pulls`` or None, ``axis`` 'V' or 'H', and the pulls
     on it map tags to numbers of at most ``MAX_TOTAL_STRENGTH`` in size.
-    The splitters get the group sorted and deduplicated; they check nothing.
+    The splitters get the group sorted and deduplicated, prepared by
+    ``_split_input``; they check nothing.
     """
 
     check_seed(seed)
@@ -565,9 +535,10 @@ def bipartition(tags: Sequence[int], graph: RelationGraph | None,
                     f"tag {t}: pull must be a finite number, got {show_value(c)}")
             if abs(c) > MAX_TOTAL_STRENGTH:  # times 1000, a larger one could pass any float
                 raise InvalidInputError(f"tag {t}: pull exceeds {MAX_TOTAL_STRENGTH:g} in size")
+    prepared = _split_input(tags, graph, pulls, axis, areas)
     if len(tags) <= EXHAUSTIVE_LIMIT:
-        return bipartition_exhaustive(tags, graph, pulls, axis, areas)
-    return bipartition_fm(tags, graph, pulls, axis, areas, seed=seed)
+        return bipartition_exhaustive(*prepared)
+    return bipartition_fm(*prepared, seed=seed)
 
 
 def _vertical_doomed(est_w: float, total: int, most: int, w_max: int) -> bool:
@@ -582,6 +553,34 @@ def _vertical_doomed(est_w: float, total: int, most: int, w_max: int) -> bool:
     return max(est_w * (most / total), est_w * (1 - (total - most) / total)) < w_max
 
 
+def compute_pulls(tags: Sequence[int], edges, split: Bipartition,
+                  toward_b: list[int], toward_a: list[int]):
+    """The tree's cut step: part A's and part B's internal edges, split
+    off the group's (by local id, as the splitter got them) and renumbered
+    to each part's local ids; each cut edge adds its strength to the pulls
+    of its ends, indexed by tag: toward part B's side (``toward_b``, right
+    for a V cut) for its end in A, toward part A's for its end in B."""
+
+    where = dict(zip(split.part_a, itertools.count()))  # part B's k-th tag: ~k
+    where.update(zip(split.part_b, itertools.count(-1, -1)))
+    where = list(map(where.__getitem__, tags))
+    edges_a, edges_b = [], []
+    for i, j, s in edges:
+        li, lj = where[i], where[j]
+        if li >= 0:
+            if lj >= 0:
+                edges_a.append((li, lj, s))
+            else:
+                toward_b[tags[i]] += s
+                toward_a[tags[j]] += s
+        elif lj < 0:
+            edges_b.append((~li, ~lj, s))
+        else:
+            toward_a[tags[i]] += s
+            toward_b[tags[j]] += s
+    return edges_a, edges_b
+
+
 def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
                        seed: int = 0, width_bias: float = 1.0) -> Node:
     """Recursive bisection of the whole cloud into a slicing tree.
@@ -592,23 +591,23 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
     Sibling halves become external pulls for deeper splits.  Each split
     calls ``bipartition_exhaustive`` or ``bipartition_fm`` directly by the
     group's size, as the public ``bipartition`` would, and draws a seed
-    for either.  The graph, seed and width bias are checked here, once;
-    each group the splitters get is a sorted tuple of distinct tags with
-    the checked cloud's areas, pulls from ``compute_pulls`` and axis V or
-    H, so they trust it and check nothing.
+    for either.  The graph, seed and width bias are checked here, once.
+
+    The graph's strengths are scaled to ints once per tree (``_scale``),
+    and each cut hands each part its internal edges and adds its cut's
+    strengths to per-tag pull lists, one per side (``compute_pulls``).
+    So a pull sums rounded strengths; ``bipartition`` rounds the sum of
+    the strengths, which can differ for strengths finer than thousandths.
 
     Each split is computed once.  A vertical split is not run when even
     its larger half leaves the widest tag too little width (see
     ``_vertical_doomed``): FM's halves differ by at most the largest tag
     area L, and on a graph with edges, no part of enumeration's pool
-    holds more than ``_part_cap``.  A rejected vertical enumeration of a
-    group with no pull on any side is the horizontal one too, since
-    enumeration then ignores the axis, so it is reused.
-    Both still draw the seed the split would have used, so every later
-    split gets the seed it always had.
-
-    An edge-free graph gives every group empty pulls at once, and the
-    side map that only pulls read is not kept.  A group's total area
+    holds more than ``_part_cap``.  A rejected vertical enumeration is
+    the horizontal one too when the group's costs are the same on both
+    axes, as without pulls, since enumeration's input has no axis, so it
+    is reused.  Both still draw the seed the split would have used, so
+    every later split gets the seed it always had.  A group's total area
     comes from its parent: part A's sum, worked out for its share, and
     the parent's total less it for part B, exact in integers.
     """
@@ -622,69 +621,70 @@ def build_slicing_tree(cloud: Cloud, graph: RelationGraph | None = None,
         raise InvalidInputError(
             f"width_bias must be positive and finite, got {show_value(width_bias)}")
 
-    areas = {i: t.area() for i, t in enumerate(cloud.tags)}
+    areas = [t.area() for t in cloud.tags]
     widths = [t.width for t in cloud.tags]
     area_of, width_of = areas.__getitem__, widths.__getitem__
     rng = random.Random(seed)
+    edged = bool(graph.edges)
+    scale = _scale(s for _, _, s in graph.edges)
+    # Each tag's pull toward each side of its group's region: a subtree
+    # adds only to its own tags' pulls, so a group finds them complete.
+    left, right, top, bottom = ([0] * len(areas) for _ in SIDES)
 
-    def split(group: tuple[int, ...], pulls: Pulls, axis: str) -> Bipartition:
+    def costs_of(pick, n, toward_b, toward_a):  # each tag's cost in part A and in part B
+        return (pick(toward_b), pick(toward_a)) if edged else ((0,) * n,) * 2
+
+    def split(group, area, edges, costs) -> Bipartition:
         split_seed = rng.getrandbits(64)  # groups hold distinct tags
         if len(group) <= EXHAUSTIVE_LIMIT:
-            return bipartition_exhaustive(group, graph, pulls, axis, areas)
-        return bipartition_fm(group, graph, pulls, axis, areas, seed=split_seed)
+            return bipartition_exhaustive(group, area, edges, *costs)
+        return bipartition_fm(group, area, edges, *costs, seed=split_seed)
 
-    # The side of each tag outside the current group, relative to the
-    # group's region.  One dict per tree: a subtree writes only its own
-    # tags, so before each child the tags outside it hold their true side.
-    # Only pulls read it, and an edge-free graph has none.
-    sides: dict[int, str] = {}
-    edged = bool(graph.edges)
-
-    def rec(group: tuple[int, ...], total: int, est_w: float, est_h: float) -> Node:
+    def rec(group: tuple[int, ...], edges, total: int, est_w: float, est_h: float) -> Node:
         if len(group) == 1:
             return Leaf(group[0])
-        pulls = compute_pulls(group, graph, sides)
-        part = None
+        pick = operator.itemgetter(*group)
+        area = pick(areas)
+        small = len(group) <= EXHAUSTIVE_LIMIT
+        part = h_costs = None
         if est_w > est_h:
-            if len(group) > EXHAUSTIVE_LIMIT:
-                most = (total + max(map(area_of, group))) // 2
-            else:  # a balanced half, or one tag too large for it; none without edges
-                most = edged and _part_cap(total, max(map(area_of, group)))
+            # a balanced half, or one tag too large for it; none without edges
+            most = edged and _part_cap(total, max(area)) if small else (total + max(area)) // 2
             if most and _vertical_doomed(est_w, total, most, max(map(width_of, group))):
                 rng.getrandbits(64)  # the skipped split's seed
             else:
-                cand = split(group, pulls, "V")
+                v_costs = costs_of(pick, len(group), right, left)
+                cand = split(group, area, edges, v_costs)
                 total_a = sum(map(area_of, cand.part_a))
                 frac_a = total_a / total
                 share_a = est_w * frac_a
                 share_b = est_w * (1 - frac_a)
                 if (share_a >= max(map(width_of, cand.part_a))
                         and share_b >= max(map(width_of, cand.part_b))):
-                    if edged:
-                        sides.update(dict.fromkeys(cand.part_b, "right"))
-                    first = rec(cand.part_a, total_a, share_a, est_h)
-                    if edged:
-                        sides.update(dict.fromkeys(cand.part_a, "left"))
-                    return Cut("V", first, rec(cand.part_b, total - total_a, share_b, est_h))
-                if len(group) <= EXHAUSTIVE_LIMIT and not (
-                        pulls.left or pulls.right or pulls.top or pulls.bottom):
+                    edges_a, edges_b = (compute_pulls(group, edges, cand, right, left)
+                                        if edges else (edges, edges))
+                    first = rec(cand.part_a, edges_a, total_a, share_a, est_h)
+                    return Cut("V", first,
+                               rec(cand.part_b, edges_b, total - total_a, share_b, est_h))
+                h_costs = costs_of(pick, len(group), bottom, top)
+                if small and h_costs == v_costs:
                     rng.getrandbits(64)  # the reused split's seed
-                    part = cand  # enumeration ignores the axis without pulls
+                    part = cand
         if part is None:
-            part = split(group, pulls, "H")
+            part = split(group, area, edges, h_costs or costs_of(pick, len(group), bottom, top))
         total_a = sum(map(area_of, part.part_a))
         frac_a = total_a / total
-        if edged:
-            sides.update(dict.fromkeys(part.part_b, "bottom"))
-        first = rec(part.part_a, total_a, est_w, est_h * frac_a)
-        if edged:
-            sides.update(dict.fromkeys(part.part_a, "top"))
-        return Cut("H", first, rec(part.part_b, total - total_a, est_w, est_h * (1 - frac_a)))
+        edges_a, edges_b = (compute_pulls(group, edges, part, bottom, top)
+                            if edges else (edges, edges))
+        first = rec(part.part_a, edges_a, total_a, est_w, est_h * frac_a)
+        return Cut("H", first,
+                   rec(part.part_b, edges_b, total - total_a, est_w, est_h * (1 - frac_a)))
 
-    total_area = sum(areas.values())
+    total_area = sum(areas)
     est_w = cloud.target_width * width_bias
     est_h = total_area / est_w
-    return rec(tuple(range(len(cloud.tags))), total_area, est_w, est_h)
+    root_edges = [(i, j, round(s * scale)) for i, j, s in graph.edges]
+    return rec(tuple(range(len(cloud.tags))), root_edges, total_area, est_w, est_h)
 
 
 @dataclass(frozen=True)

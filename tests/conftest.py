@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tagcloud import Cloud, TagBox
+from tagcloud import Cloud, RelationGraph, TagBox
+from tagcloud import mincut
 
 
 def make_cloud(rng: random.Random, n: int, target: int = 300, space: int = 4,
@@ -13,6 +14,13 @@ def make_cloud(rng: random.Random, n: int, target: int = 300, space: int = 4,
         for i in range(n)
     )
     return Cloud(tags=tags, target_width=target, space_width=space)
+
+
+def split_input(tags, graph=None, pulls=None, axis="V", areas=None):
+    """The splitters' arguments for a sorted group of distinct tags,
+    prepared exactly as ``bipartition`` prepares them."""
+
+    return mincut._split_input(tags, graph or RelationGraph(), pulls, axis, areas)
 
 
 @pytest.fixture

@@ -472,7 +472,7 @@ def pulls_reference(group, graph, placed_regions):
 
     Walks every edge of the graph, both ways round, in stored order; an
     outside end with no side, or with a side that is not one of the
-    four, raises the library's message.
+    four, raises InvalidInputError naming it.
     """
 
     inside = set(group)

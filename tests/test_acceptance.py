@@ -36,7 +36,7 @@ from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.htmlgen import emit_nested_tables
 from tagcloud.ingest import cooccurrence_graph, importance
 
-from .conftest import make_cloud
+from .conftest import make_cloud, split_input
 from .oracles import (
     best_bipartition,
     best_break,
@@ -133,7 +133,7 @@ def test_c05_fm_finds_the_bridge():
 
     hits = 0
     for master in range(10):
-        bp = bipartition_fm(tags, graph, areas=areas, seed=master)
+        bp = bipartition_fm(*split_input(tags, graph, areas=areas), seed=master)
         assert bp.runs  # diagnostics must be present
         if cut_weight(graph, bp) == 1.0:
             hits += 1

@@ -25,12 +25,11 @@ from tagcloud.mincut import (
     Pulls,
     bipartition_exhaustive,
     bipartition_fm,
-    compute_pulls,
 )
 from tagcloud.synthetic import random_cloud, topic_cloud
 from tagcloud.tree import Cut, Leaf
 from tagcloud.sizing import default_leaf_shapes
-from .conftest import make_cloud
+from .conftest import make_cloud, split_input
 from . import oracles
 from .oracles import (
     best_bipartition,
@@ -43,20 +42,21 @@ from .oracles import (
 from .structure import Cells, each_tag_once, inside_bbox, leaves, no_overlap
 
 
-def test_compute_pulls_sums_by_side():
+def test_pulls_reference_sums_by_side():
     g = RelationGraph([(0, 5, 2.0), (1, 5, 1.0), (0, 6, 3.0), (0, 1, 9.0)])
-    pulls = compute_pulls([0, 1], g, {5: "right", 6: "top"})
-    assert pulls.right == {0: 2.0, 1: 1.0}
-    assert pulls.top == {0: 3.0}
-    assert pulls.left == {} and pulls.bottom == {}
+    pulls = pulls_reference([0, 1], g, {5: "right", 6: "top"})
+    assert pulls == {"left": {}, "right": {0: 2.0, 1: 1.0}, "top": {0: 3.0}, "bottom": {}}
 
 
-def test_compute_pulls_requires_assigned_sides():
-    g = RelationGraph([(0, 5, 2.0)])
-    with pytest.raises(InvalidInputError):
-        compute_pulls([0], g, {})
-    with pytest.raises(InvalidInputError):
-        compute_pulls([0], g, {5: "north"})
+@pytest.mark.parametrize("sides, message", [
+    ({}, "external neighbor 5 of the group has no assigned side"),
+    ({5: "north"}, "unknown side 'north' for tag 5"),
+], ids=["no-side", "unknown-side"])
+def test_pulls_reference_requires_assigned_sides(sides, message):
+    g = RelationGraph([(0, 1, 1.0), (0, 5, 2.0)])
+    with pytest.raises(InvalidInputError) as exc:
+        pulls_reference([0, 1], g, sides)
+    assert str(exc.value) == message
 
 
 def pulls_cases():
@@ -77,31 +77,46 @@ def pulls_cases():
 
 @pytest.mark.parametrize("case, group, graph, sides", list(pulls_cases()))
 def test_compute_pulls_matches_the_edge_scan(case, group, graph, sides):
-    got = compute_pulls(group, graph, sides)
-    assert {s: dict(getattr(got, s)) for s in SIDES} == pulls_reference(group, graph, sides)
+    """The cut step of a group split V, its tags at even positions in
+    part A, against the edge scan of each part: every part gets its
+    internal edges in its local ids, and its pulls, rounded from the
+    scan's sums, are the group's plus the cut's."""
+
+    group = tuple(sorted(group))
+    scale = mincut._scale(s for _, _, s in graph.edges)
+
+    def local_edges(part):
+        pos = {t: k for k, t in enumerate(part)}
+        return [(pos[i], pos[j], round(s * scale)) for i, j, s in graph.edges
+                if i in pos and j in pos]
+
+    split = mincut.Bipartition(group[::2], group[1::2])
+    pulls = {side: [0] * (len(sides) + len(group)) for side in SIDES}  # by tag
+    for side, got in pulls_reference(group, graph, sides).items():
+        for t, c in got.items():
+            pulls[side][t] = round(c * scale)
+    got = mincut.compute_pulls(group, local_edges(group), split, pulls["right"], pulls["left"])
+    for part, toward, edges in ((split.part_a, "right", got[0]), (split.part_b, "left", got[1])):
+        other = split.part_b if toward == "right" else split.part_a
+        want = pulls_reference(part, graph, {**sides, **dict.fromkeys(other, toward)})
+        for side in SIDES:
+            assert [pulls[side][t] for t in part] == [round(want[side].get(t, 0) * scale)
+                                                      for t in part], side
+        assert edges == local_edges(part)
 
 
-@pytest.mark.parametrize("sides", [{}, {5: "north"}], ids=["no-side", "unknown-side"])
-def test_compute_pulls_errors_match_the_edge_scan(sides):
-    g = RelationGraph([(0, 1, 1.0), (0, 5, 2.0)])
-    with pytest.raises(InvalidInputError) as want:
-        pulls_reference([0, 1], g, sides)
-    with pytest.raises(InvalidInputError) as got:
-        compute_pulls([0, 1], g, sides)
-    assert str(got.value) == str(want.value)
+def test_edge_free_tree_makes_no_cut_step(monkeypatch):
+    def no_cut_step(*args):
+        raise AssertionError("an edge-free tree took a cut step")
 
-
-def test_edge_free_pulls_are_read_only():
-    pulls = compute_pulls([0, 1], RelationGraph(), {})
-    for s in SIDES:
-        with pytest.raises(TypeError):
-            getattr(pulls, s)[0] = 1.0
-    assert compute_pulls([2], RelationGraph(), {}) == Pulls()
+    monkeypatch.setattr(mincut, "compute_pulls", no_cut_step)
+    for graph in (None, RelationGraph()):
+        assert sorted(leaves(build_slicing_tree(random_cloud(4, 60), graph))) == list(range(60))
 
 
 def test_exhaustive_cuts_the_weak_middle_edge():
     g = RelationGraph([(0, 1, 3), (1, 2, 1), (2, 3, 3)])
-    part = bipartition_exhaustive([0, 1, 2, 3], g)
+    part = bipartition_exhaustive(*split_input([0, 1, 2, 3], g))
     assert (part.part_a, part.part_b) == ((0, 1), (2, 3))
     assert cut_weight(g, part) == 1.0
     assert not part.relaxed
@@ -111,7 +126,7 @@ def test_exhaustive_ties_break_lexicographically():
     # no edges: every balanced split cuts 0; the smallest membership
     # vector keeps tag 0 in part A with the lexicographically earliest
     # assignment 0011 over tags (0,1,2,3)
-    part = bipartition_exhaustive([0, 1, 2, 3], RelationGraph())
+    part = bipartition_exhaustive(*split_input([0, 1, 2, 3], RelationGraph()))
     assert (part.part_a, part.part_b) == ((0, 1), (2, 3))
 
 
@@ -179,8 +194,8 @@ def test_part_cap_leaves_a_dominant_tag_alone(n):
         for extra, relaxed in ((0, False), (1, True)):
             areas = [1 + k % 3 for k in range(n)]
             areas[at] = 2 * (sum(areas) - areas[at]) + extra
-            got = bipartition_exhaustive(list(range(n)), RelationGraph(),
-                                         areas=dict(enumerate(areas)))
+            got = bipartition_exhaustive(*split_input(list(range(n)),
+                                                      areas=dict(enumerate(areas))))
             want = best_bipartition(range(n), (), dict(enumerate(areas)))
             assert (got.part_a, got.part_b, 0.0, got.relaxed) == want
             assert got.relaxed == relaxed
@@ -192,20 +207,18 @@ def test_exhaustive_respects_pulls():
     # tags 0 and 1 tie on cut; the right-pull on 0 forces it into part B
     g = RelationGraph()
     pulls = Pulls(right={0: 5.0})
-    part = bipartition_exhaustive([0, 1], g, pulls, axis="V")
+    part = bipartition_exhaustive(*split_input([0, 1], g, pulls, axis="V"))
     assert part.part_a == (1,) and part.part_b == (0,)
     # orthogonal pulls are ignored on a V cut
-    part = bipartition_exhaustive([0, 1], g, Pulls(top={0: 5.0}), axis="V")
+    part = bipartition_exhaustive(*split_input([0, 1], g, Pulls(top={0: 5.0}), axis="V"))
     assert part.part_a == (0,) and part.part_b == (1,)
 
 
 def test_exhaustive_relaxes_when_no_balanced_split_exists():
-    part = bipartition_exhaustive([0, 1, 2], RelationGraph(),
-                                  areas={0: 10, 1: 1, 2: 1})
+    part = bipartition_exhaustive(*split_input([0, 1, 2], areas={0: 10, 1: 1, 2: 1}))
     assert part.relaxed
     assert part.part_a == (0,)  # 10 vs 2 is the least imbalanced
-    balanced = bipartition_exhaustive([0, 1, 2], RelationGraph(),
-                                      areas={0: 4, 1: 2, 2: 2})
+    balanced = bipartition_exhaustive(*split_input([0, 1, 2], areas={0: 4, 1: 2, 2: 2}))
     assert not balanced.relaxed
 
 
@@ -274,7 +287,7 @@ def test_tree_and_layout_reject_a_graph_that_is_no_relation_graph(graph, kind):
 def test_splitters_reject_their_own_limits():
     # Enumeration's 13-tag limit is the router's to keep: 13 tags go to refinement.
     got = bipartition(list(range(EXHAUSTIVE_LIMIT + 1)), RelationGraph())
-    assert got == bipartition_fm(list(range(EXHAUSTIVE_LIMIT + 1)), RelationGraph())
+    assert got == bipartition_fm(*split_input(list(range(EXHAUSTIVE_LIMIT + 1))))
 
 
 def random_graph(rng, n, density=0.5, max_strength=9):
@@ -300,7 +313,7 @@ def test_exhaustive_matches_reference_search():
         cases.append((n, RelationGraph(), {t: rng.randint(1, 12) for t in range(n)}))
         cases.append((n, random_graph(rng, n, density=0.3), {t: 5 for t in range(n)}))
     for n, g, areas in cases:
-        got = bipartition_exhaustive(list(range(n)), g, areas=areas)
+        got = bipartition_exhaustive(*split_input(list(range(n)), g, areas=areas))
         want = best_bipartition(range(n), g.edges, areas)
         assert (got.part_a, got.part_b) == (want[0], want[1])
         assert cut_weight(g, got) == want[2]
@@ -317,7 +330,7 @@ def test_exhaustive_matches_reference_with_pulls():
             right={t: rng.randint(0, 4) for t in range(n) if rng.random() < 0.4},
             left={t: rng.randint(0, 4) for t in range(n) if rng.random() < 0.4},
         )
-        got = bipartition_exhaustive(list(range(n)), g, pulls, axis="V", areas=areas)
+        got = bipartition_exhaustive(*split_input(list(range(n)), g, pulls, "V", areas))
         cost_a = {t: pulls.right.get(t, 0) for t in range(n)}
         cost_b = {t: pulls.left.get(t, 0) for t in range(n)}
         want = best_bipartition(range(n), g.edges, areas, cost_a, cost_b)
@@ -338,7 +351,7 @@ def two_cliques(size=10, bridge=1.0):
 
 def test_fm_finds_the_bridge_cut():
     g = two_cliques()
-    part = bipartition_fm(list(range(20)), g, seed=0)
+    part = bipartition_fm(*split_input(list(range(20)), g), seed=0)
     assert cut_weight(g, part) == 1.0
     assert sorted(part.part_a) in ([*range(10)], [*range(10, 20)])
     assert len(part.runs) == 10
@@ -420,7 +433,7 @@ def assert_fm_matches_reference(tags, g, pulls, axis, areas, seed):
     cost_a = {t: float(toward_b.get(t, 0)) for t in tags}
     cost_b = {t: float(toward_a.get(t, 0)) for t in tags}
     want = fm_bipartition(tags, g.edges, areas, cost_a, cost_b, DEFAULT_FM_RUNS, seed=seed)
-    got = bipartition_fm(tags, g, pulls, axis, areas, seed=seed)
+    got = bipartition_fm(*split_input(tags, g, pulls, axis, areas), seed=seed)
     assert (got.part_a, got.part_b, cut_weight(g, got)) == want[:3]
     assert tuple(r.passes for r in got.runs) == want[3]
 
@@ -497,7 +510,7 @@ def test_fm_recalls_converged_runs_exactly(monkeypatch, case, tags, g, pulls, ax
                         lambda heap: executed.append(1) or heapify(heap))
     assert_fm_matches_reference(tags, g, pulls, axis, areas, seed=case)
     executed.clear()
-    part = bipartition_fm(tags, g, pulls, axis, areas, seed=case)
+    part = bipartition_fm(*split_input(tags, g, pulls, axis, areas), seed=case)
     assert 0 < len(executed) < sum(r.passes for r in part.runs)
 
 
@@ -532,7 +545,7 @@ def fm_edge_free_cases():
                  else {t: rng.randint(1, 30) for t in tags})
         yield case, kind, tags, pulls, axis, areas, rng.choice([1, 3, 10])
     # A pull below 1/1000 differs from none in the raw costs but scales
-    # to 0, so every gain is 0: refinement runs and keeps each start.
+    # to 0 before the splitter sees it, so the shortcut takes it.
     tags = list(range(3, 43))
     yield (24, "one-sided", tags, Pulls(right={t: 0.0004 for t in tags[::3]}), "V",
            {t: 1 + t % 7 for t in tags}, 1)
@@ -547,8 +560,8 @@ def test_fm_zero_gain_shortcut_matches_reference(monkeypatch, case, kind, tags, 
     monkeypatch.setattr(mincut, "_fm_refine",
                         lambda *args: refined.append(1) or refine(*args))
     assert_fm_matches_reference(tags, RelationGraph(), pulls, axis, areas, seed=case)
-    # only a one-sided pull makes the raw costs differ and needs refinement
-    assert bool(refined) == (kind == "one-sided")
+    # only a one-sided pull makes the scaled costs differ and needs refinement
+    assert bool(refined) == (kind == "one-sided" and case < 24)
 
 
 def test_exhaustive_matches_reference_across_sizes():
@@ -557,7 +570,7 @@ def test_exhaustive_matches_reference_across_sizes():
         g = random_graph(rng, n, density=0.3)
         areas = {t: rng.randint(1, 9) for t in range(n)}
         pulls = Pulls(right={t: rng.randint(1, 3) for t in range(n) if rng.random() < 0.3})
-        got = bipartition_exhaustive(list(range(n)), g, pulls, axis="V", areas=areas)
+        got = bipartition_exhaustive(*split_input(list(range(n)), g, pulls, "V", areas))
         want = best_bipartition(range(n), g.edges, areas,
                                 {t: pulls.right.get(t, 0) for t in range(n)})
         assert (got.part_a, got.part_b, cut_weight(g, got), got.relaxed) == want
@@ -600,7 +613,7 @@ def test_exhaustive_zero_objective_matches_reference(monkeypatch, case, n, area_
             ("symmetric", Pulls(**{side: dict(weights) for side in cut_sides})),
             ("one-sided", Pulls(**{cut_sides[n % 2]: weights}))):
         searched.clear()
-        got = bipartition_exhaustive(tags, RelationGraph(), pulls, axis, areas)
+        got = bipartition_exhaustive(*split_input(tags, RelationGraph(), pulls, axis, areas))
         toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                               else (pulls.bottom, pulls.top))
         want = best_bipartition(tags, (), areas,
@@ -682,7 +695,7 @@ def test_exhaustive_retry_and_twin_groups_add_their_own_pulls():
                                        (twin, "left", "V", False),
                                        (twin, "bottom", "H", True)):
             pulls = Pulls(**{side: {tags[0]: strong, tags[1]: strong}})
-            got = bipartition_exhaustive(tags, g, pulls, axis, areas)
+            got = bipartition_exhaustive(*split_input(tags, g, pulls, axis, areas))
             toward_b, toward_a = ((pulls.right, pulls.left) if axis == "V"
                                   else (pulls.bottom, pulls.top))
             want = best_bipartition(tags, g.edges, areas,
@@ -697,7 +710,7 @@ def test_fm_runs_never_worsen_their_start():
     for trial in range(10):
         n = rng.randint(13, 24)
         g = random_graph(rng, n, density=0.3)
-        part = bipartition_fm(list(range(n)), g, seed=trial)
+        part = bipartition_fm(*split_input(list(range(n)), g), seed=trial)
         starts = random.Random(trial)  # replays each run's start, in run order
         for run in part.runs:
             start, _, _ = mincut._fm_start(starts, [1] * n)
@@ -741,7 +754,7 @@ def test_fm_respects_area_balance():
         n = rng.randint(13, 20)
         g = random_graph(rng, n, density=0.4)
         areas = {t: rng.randint(1, 9) for t in range(n)}
-        part = bipartition_fm(list(range(n)), g, areas=areas, seed=trial)
+        part = bipartition_fm(*split_input(list(range(n)), g, areas=areas), seed=trial)
         s_max = max(areas.values())
         area_a = sum(areas[t] for t in part.part_a)
         area_b = sum(areas[t] for t in part.part_b)
@@ -751,7 +764,7 @@ def test_fm_respects_area_balance():
 def test_fm_handles_fractional_strengths():
     g = RelationGraph(
         [(i, j, 0.5) for i in range(14) for j in range(i + 1, 14)])
-    part = bipartition_fm(list(range(14)), g, seed=1)
+    part = bipartition_fm(*split_input(list(range(14)), g), seed=1)
     assert len(part.part_a) == 7
 
 
@@ -895,8 +908,51 @@ def test_slicing_tree_matches_reference(case, cloud, graph, seed, bias, runs):
         assert got.orient == "V"
 
 
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32), target=st.sampled_from([150, 300, 550]),
+       edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(1, 5000)),
+                      min_size=1, max_size=120),
+       bias=st.floats(1e-6, 1e6))
+@settings(max_examples=60, deadline=None)
+def test_slicing_tree_matches_reference_on_thousandths(n, seed, target, edges, bias):
+    # Strengths in thousandths round alike per strength and per pull sum.
+    edges = [(i % n, j % n, k / 1000) for i, j, k in edges if i % n != j % n]
+    if not edges:
+        edges = [(0, 1, 0.001)]
+    cloud = make_cloud(random.Random(seed), n, target=target)
+    graph = RelationGraph(edges)
+    got = build_slicing_tree(cloud, graph, seed=seed, width_bias=bias)
+    assert got == slicing_tree_reference(cloud, graph, seed=seed, width_bias=bias)
+
+
+def test_pulls_finer_than_thousandths_round_each_strength():
+    """The tree rounds each strength to thousandths, then sums: the two
+    0.0004 edges from tag 0 across the root cut pull it right by 0 + 0,
+    so its group splits as if unpulled.  ``bipartition``, handed their
+    sum 0.0008 as a pull, rounds it to one thousandth, which moves tag 0
+    to the right-hand part."""
+
+    cloud = Cloud(tags=tuple(TagBox(f"t{i}", 1, 100, 10) for i in range(4)),
+                  target_width=550)
+    g = RelationGraph([(0, 1, 5.0), (0, 2, 0.0004), (0, 3, 0.0004), (2, 3, 5.0)])
+    right_half = Cut("V", Leaf(2), Leaf(3))
+    assert build_slicing_tree(cloud, g) == Cut("V", Cut("V", Leaf(0), Leaf(1)), right_half)
+    assert slicing_tree_reference(cloud, g) == Cut("V", Cut("V", Leaf(1), Leaf(0)), right_half)
+
+
+def cut_orients(tree):
+    """Each cut's orientation, keyed by the set of tags under it."""
+
+    out, stack = {}, [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Cut):
+            out[frozenset(leaves(node))] = node.orient
+            stack += (node.first, node.second)
+    return out
+
+
 def test_doomed_vertical_splits_are_never_run(monkeypatch):
-    events = []  # ("bound", arguments, verdict) and ("split", group, axis), in call order
+    events = []  # ("bound", arguments, verdict) and ("split", group), in call order
     doomed = mincut._vertical_doomed
 
     def recording_doomed(*args):
@@ -904,9 +960,9 @@ def test_doomed_vertical_splits_are_never_run(monkeypatch):
         return events[-1][2]
 
     def recording(split):
-        def recording_split(tags, graph, pulls, axis, areas, **seed):
-            events.append(("split", tuple(tags), axis))
-            return split(tags, graph, pulls, axis, areas, **seed)
+        def recording_split(tags, *args, **seed):
+            events.append(("split", tuple(tags)))
+            return split(tags, *args, **seed)
         return recording_split
 
     monkeypatch.setattr(mincut, "_vertical_doomed", recording_doomed)
@@ -921,21 +977,29 @@ def test_doomed_vertical_splits_are_never_run(monkeypatch):
         tree = build_slicing_tree(cloud, graph, seed=seed)
         made = events[:]  # the reference's splits go through the wrapped splitters too
         assert tree == slicing_tree_reference(cloud, graph, seed=seed)
-        # On a graph with edges every vertical split is bounded first, and
-        # the next split is of the bounded group: vertical only if it may fit.
+        orient = cut_orients(tree)
+        bounded = {}  # each bounded group's verdict
         for k, event in enumerate(made):
-            if event[0] == "split" and event[2] == "V":
-                assert k and made[k - 1][0] == "bound" and not made[k - 1][2]
             if event[0] == "bound":
                 (est_w, total, most, w_max), verdict = event[1:]
-                kind, group, axis = made[k + 1]
-                assert kind == "split" and axis == ("H" if verdict else "V")
+                kind, group = made[k + 1]  # the next split is of the bounded group
+                assert kind == "split" and group not in bounded
+                bounded[group] = verdict
                 largest = max(areas[t] for t in group)
                 assert (total, w_max) == (sum(areas[t] for t in group),
                                           max(widths[t] for t in group))
                 assert most == ((total + largest) // 2 if len(group) > EXHAUSTIVE_LIMIT
                                 else max(2 * total // 3, largest))
                 skipped += verdict and len(group) <= EXHAUSTIVE_LIMIT
+        # On a graph with edges every vertical split is bounded first: a
+        # group split twice (vertical, then horizontal) or cut vertically
+        # passed its bound, and a doomed group is split once, horizontally.
+        splits = [event[1] for event in made if event[0] == "split"]
+        for group in set(splits):
+            if splits.count(group) > 1 or orient[frozenset(group)] == "V":
+                assert bounded.get(group) is False, group
+            if bounded.get(group):
+                assert splits.count(group) == 1 and orient[frozenset(group)] == "H"
     assert skipped > 0
 
 
@@ -1032,25 +1096,27 @@ def trusted_input_cases():
 @pytest.mark.parametrize("case, cloud, graph, seed", list(trusted_input_cases()))
 def test_splitters_get_only_what_they_trust(monkeypatch, case, cloud, graph, seed):
     """The splitters check nothing, so every call the tree makes must
-    already hold what ``bipartition`` would check."""
+    already hold what ``bipartition`` would check, in the form it would
+    prepare: areas, local edges and costs as ints."""
 
     calls = {"bipartition_exhaustive": 0, "bipartition_fm": 0}
+    areas = [t.area() for t in cloud.tags]
 
     def trusting(name, split):
-        def checked_split(tags, graph, pulls, axis, areas, **seed):
+        def checked_split(tags, area, edges, cost_a, cost_b, **seed):
             calls[name] += 1
             assert type(tags) is tuple and list(tags) == sorted(set(tags))
             assert len(tags) >= 2 and all(type(t) is int for t in tags) and tags[0] >= 0
             assert (len(tags) > EXHAUSTIVE_LIMIT) == (name == "bipartition_fm")
-            assert all(type(areas[t]) is int and areas[t] >= 1 for t in tags)
-            assert type(pulls) is Pulls
-            for side in SIDES:
-                assert all(type(c) in (int, float) and math.isfinite(c)
-                           for c in getattr(pulls, side).values())
-            assert axis in ("V", "H")
+            assert list(area) == [areas[t] for t in tags]
+            assert all(type(a) is int and a >= 1 for a in area)
+            # the graph's strengths are whole, so a scale of 1 per group or per tree
+            assert list(edges) == split_input(tags, graph)[2]
+            assert len(cost_a) == len(cost_b) == len(tags)
+            assert all(type(c) is int and c >= 0 for c in (*cost_a, *cost_b))
             assert list(seed) == (["seed"] if name == "bipartition_fm" else [])
             assert all(type(s) is int for s in seed.values())
-            return split(tags, graph, pulls, axis, areas, **seed)
+            return split(tags, area, edges, cost_a, cost_b, **seed)
         return checked_split
 
     for name in calls:

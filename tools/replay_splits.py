@@ -6,15 +6,17 @@ Runs one pass of WORKLOAD at SEED, as ``perfbench/workloads.py`` builds
 and runs it, on the first SRC tree's ``tagcloud`` package, and records
 every ``bipartition_fm`` and ``bipartition_exhaustive`` call the pass
 makes by wrapping the two from outside; ``--requests`` keeps the pass's
-first N requests.  Then each SRC tree makes the same calls, on graph
-and pull objects of its own built before the clock starts, and prints
-one line: the seconds its FM calls and its exhaustive calls took (the
-least of ``REPEAT`` replays) and the SHA-256 digest of the results in
-call order: parts, relaxed flag and each FM run's passes.
+first N requests.  A call is recorded as the prepared input the tree
+handed over, as plain lists: the tags, their areas, the local edges and
+the two cost lists, and FM's seed.  Then each SRC tree makes the same
+calls and prints one line: the seconds its FM calls and its exhaustive
+calls took (the least of ``REPEAT`` replays) and the SHA-256 digest of
+the results in call order: parts, relaxed flag and each FM run's passes.
 The recording prints the digest of the results the pass itself got.
 Equal digests mean the trees split every recorded group alike.  Each
 tree is imported under a package name of its own, so that all of them
-run in this one process.
+run in this one process; every tree must take the splitters' arguments
+in the recording tree's form.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import gc
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import sys
 import time
 from pathlib import Path
@@ -68,17 +69,16 @@ def digest(results) -> str:
 
 def record(tc, workload: str, seed: int, requests: int | None = None):
     """Every splitter call of the pass, in call order, as (splitter
-    name, bound arguments), and the results the pass got from them."""
+    name, positional arguments as lists, keyword arguments), and the
+    results the pass got from them."""
 
     mincut = tc.mincut
     calls, results = [], []
     saved = {name: getattr(mincut, name) for name in SPLITTERS}
 
     def wrap(name, fn):
-        sig = inspect.signature(fn)
-
         def wrapper(*args, **kwargs):
-            calls.append((name, sig.bind(*args, **kwargs).arguments))
+            calls.append((name, [list(a) for a in args], dict(kwargs)))
             results.append(fn(*args, **kwargs))
             return results[-1]
         return wrapper
@@ -96,22 +96,10 @@ def record(tc, workload: str, seed: int, requests: int | None = None):
 
 
 def localize(tc, calls):
-    """The calls as (splitter name, function, keyword arguments) of
-    ``tc``, with the graphs and pulls rebuilt from its own classes: one
-    graph per recorded graph, so each builds its adjacency once."""
+    """The calls as (splitter name, function of ``tc``, arguments,
+    keyword arguments): the recorded lists are the input as they stand."""
 
-    graphs = {}
-    out = []
-    for name, arguments in calls:
-        kw = dict(arguments)
-        graph = kw["graph"]  # the calls keep it alive, so its id stays its own
-        if id(graph) not in graphs:
-            graphs[id(graph)] = tc.RelationGraph(graph.edges)
-        kw["graph"] = graphs[id(graph)]
-        kw["pulls"] = tc.mincut.Pulls(**{side: dict(getattr(kw["pulls"], side))
-                                        for side in tc.mincut.SIDES})
-        out.append((name, getattr(tc.mincut, name), kw))
-    return out
+    return [(name, getattr(tc.mincut, name), args, kw) for name, args, kw in calls]
 
 
 def replay(tc, calls):
@@ -124,9 +112,9 @@ def replay(tc, calls):
         gc.collect()
         spent = dict.fromkeys(SPLITTERS, 0.0)
         results = []
-        for name, fn, kw in local:
+        for name, fn, args, kw in local:
             start = time.perf_counter()
-            results.append(fn(**kw))
+            results.append(fn(*args, **kw))
             spent[name] += time.perf_counter() - start
         best = {name: min(best[name], spent[name]) for name in SPLITTERS}
     return best, digest(results)
